@@ -14,15 +14,12 @@ the direct linear solve; the tests play them against each other.
 from __future__ import annotations
 
 import itertools
-import random
 
 from . import linalg
 from .displays import Display, GradedElem, GradedMatrix
 from .frames import WittFrame, ZipFrame
-from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth,
-                         graded_inverse, o2_elements, standard_J, verify_orth)
-from .rings import RingElem
-from .witt import WittVector
+from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
+                         o2_elements, standard_J, verify_orth)
 
 
 # ---------------------------------------------------------------------------
@@ -31,32 +28,11 @@ from .witt import WittVector
 
 def _solve_modp(p, cols, rhs):
     """Coefficients x with sum x_j cols[j] = rhs mod p, or None."""
-    nrows = len(rhs)
     ncols = len(cols)
-    aug = [[cols[j][i] % p for j in range(ncols)] + [rhs[i] % p]
-           for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if aug[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [(inv * v) % p for v in aug[rank]]
-        for r in range(nrows):
-            if r != rank and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if aug[r][ncols] % p:
-            return None
+    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
+    pivots = linalg.rref_modp(p, aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
     x = [0] * ncols
     for r, col in enumerate(pivots):
         x[col] = aug[r][ncols]
@@ -66,26 +42,8 @@ def _solve_modp(p, cols, rhs):
 def _rank_modp(p, cols):
     if not cols:
         return 0
-    nrows = len(cols[0])
-    rows = [[c[i] % p for c in cols] for i in range(nrows)]
-    rank = 0
-    for col in range(len(cols)):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(inv * v) % p for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [list(r) for r in zip(*cols)]
+    return len(linalg.rref_modp(p, rows, len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +70,13 @@ def lift_orth_display(th, d):
     J = standard_J(s0, n)
     E = linalg.mat_sub(
         linalg.mat_mul(s0, linalg.transpose(U), linalg.mat_mul(s0, J, U)), J)
-    half = s0.from_int((_one_order(s0) + 1) // 2)
-    corr = [[half * e for e in row] for row in linalg.mat_mul(s0, J, E)]
+    half_s = half(s0)
+    corr = [[half_s * e for e in row] for row in linalg.mat_mul(s0, J, E)]
     phi = linalg.mat_mul(s0, U, linalg.mat_sub(linalg.identity(s0, n), corr))
     out = OrthDisplay(th.source, d.mu, phi, check=False)
     if not verify_orth(out):
         raise AssertionError("orthogonal correction failed")
     return out
-
-
-def _one_order(s0):
-    """Additive order of 1 in S0 (a power of p)."""
-    order = s0.p
-    while not s0.from_int(order).is_zero():
-        order *= s0.p
-    return order
 
 
 def reduce_display(th, d):
@@ -195,8 +145,9 @@ def solve_descent(relframe, mu, g, h, max_iter=None):
     else:
         raise AssertionError("descent iteration did not terminate")
     u_y = conj_operator(relframe, mu, g, g_inv, y)
-    assert linalg.mat_eq(
-        linalg.mat_mul(s0, linalg.mat_inverse(s0, u_y), y), h)
+    if not linalg.mat_eq(
+            linalg.mat_mul(s0, linalg.mat_inverse(s0, u_y), y), h):
+        raise AssertionError("descent solution failed exact re-substitution")
     return y
 
 
@@ -233,8 +184,8 @@ def lift_uniqueness_witness(relframe, d1, d2):
     h_inv = linalg.mat_inverse(s0, h)
     y = solve_descent(relframe, d1.mu, d1.phi, h_inv)
     z = tau_inverse_kernel(relframe, d1.mu, y)
-    assert linalg.mat_eq(d1.act(z).phi, d2.phi), \
-        "descent witness failed exact verification"
+    if not linalg.mat_eq(d1.act(z).phi, d2.phi):
+        raise AssertionError("descent witness failed exact verification")
     return z
 
 
@@ -242,183 +193,28 @@ def lift_uniqueness_witness(relframe, d1, d2):
 # F_p-coordinates on kernel slots
 # ---------------------------------------------------------------------------
 
-class KernelCoords:
-    """Coordinates for I + kappa with kappa supported on kernel payloads.
-
-    kind "thickening": the kernel of eps to W_m(A) (J-supported everywhere).
-    kind "zip": the kernel of the projection to the zip frame of A (first
-    Witt coordinate in J, the rest free); requires m = 2, where kernel
-    products vanish exactly.
-    """
-
-    def __init__(self, relframe, mu, kind):
-        if relframe.ext.B.field.f != 1:
-            raise ValueError("coordinates require a prime residue field")
-        if kind == "zip" and relframe.m != 2:
-            raise ValueError("zip-kernel coordinates require m = 2")
-        self.relframe = relframe
-        self.frame = relframe
-        self.mu = tuple(mu)
-        self.kind = kind
-        self.p = relframe.p
-        ext = relframe.ext
-        B = ext.B
-        m = relframe.m
-        if kind == "thickening":
-            comp_monos = [list(ext.J_basis) for _ in range(m)]
-        else:
-            comp_monos = [list(ext.J_basis)] + [list(B.basis)] * (m - 1)
-        self.value_basis = [(c, mo) for c, monos in enumerate(comp_monos)
-                            for mo in monos]
-        self._value_pos = {cm: k for k, cm in enumerate(self.value_basis)}
-        n = len(self.mu)
-        self.slots = []
-        for i in range(n):
-            for j in range(n):
-                d = self.mu[j] - self.mu[i]
-                payloads = []
-                for c, mo in self.value_basis:
-                    w = self._witt_unit(c, mo)
-                    payloads.append((w, B.zero()) if d >= 1 else w)
-                if d >= 1:
-                    for mo in ext.J_basis:
-                        payloads.append((relframe.s0.zero(), B.el({mo: 1})))
-                self.slots.append((i, j, d, payloads))
-        self.offsets = []
-        total = 0
-        for _, _, _, payloads in self.slots:
-            self.offsets.append(total)
-            total += len(payloads)
-        self.dim = total
-
-    def _witt_unit(self, c, mo):
-        B = self.relframe.ext.B
-        comps = [B.zero()] * self.relframe.m
-        comps[c] = B.el({mo: 1})
-        return self.relframe.s0.el(comps)
-
-    # -- delta matrices --------------------------------------------------------
-
-    def zero_delta(self):
-        """Entry grid of graded zeros (a kappa, not a group element)."""
-        n = len(self.mu)
-        return [[GradedElem.zero(self.relframe, self.mu[j] - self.mu[i])
-                 for j in range(n)] for i in range(n)]
-
-    def basis_slot(self, idx):
-        """(slot_index, payload) for global coordinate index idx."""
-        for s, off in enumerate(self.offsets):
-            count = len(self.slots[s][3])
-            if off <= idx < off + count:
-                return s, self.slots[s][3][idx - off]
-        raise IndexError(idx)
-
-    def decode(self, vec):
-        """Coordinates -> the group element I + kappa."""
-        relframe = self.relframe
-        n = len(self.mu)
-        out = GradedMatrix.identity(relframe, self.mu)
-        for s, (i, j, d, payloads) in enumerate(self.slots):
-            off = self.offsets[s]
-            acc = None
-            for k, pay in enumerate(payloads):
-                c = vec[off + k] % self.p
-                if not c:
-                    continue
-                e = GradedElem(relframe, d, pay)
-                term = e
-                for _ in range(c - 1):
-                    term = term + e
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out.entries[i][j] = out.entries[i][j] + acc
-        return out
-
-    def encode_kappa(self, z):
-        """Group element I + kappa -> coordinates (must be exactly supported)."""
-        I = GradedMatrix.identity(self.relframe, self.mu)
-        diff = z - I
-        vec = [0] * self.dim
-        for s, (i, j, d, payloads) in enumerate(self.slots):
-            e = diff.entries[i][j]
-            off = self.offsets[s]
-            if d >= 1:
-                a, x = e.payload
-                self._encode_witt(a, vec, off)
-                if any(m_ not in self.relframe.ext.J_basis for m_ in x.coeffs):
-                    raise ValueError("J-part outside the kernel basis")
-                for k, mo in enumerate(self.relframe.ext.J_basis):
-                    c = x.coeffs.get(mo, None)
-                    vec[off + len(self.value_basis) + k] = (
-                        c.coeffs[0] if c is not None else 0)
-            else:
-                self._encode_witt(e.payload, vec, off)
-        return vec
-
-    def _encode_witt(self, w, vec, off):
-        for c_idx, comp in enumerate(w.comps):
-            for mo, c in comp.coeffs.items():
-                pos = self._value_pos.get((c_idx, mo))
-                if pos is None:
-                    raise ValueError("value outside the kernel coordinate space")
-                vec[off + pos] = c.coeffs[0]
-
-    # -- value (equation) encoding --------------------------------------------
-
-    def encode_value_matrix(self, M):
-        """Matrix over S0 with kernel entries -> flat coordinate vector."""
-        out = []
-        for row in M:
-            for e in row:
-                v = [0] * len(self.value_basis)
-                for c_idx, comp in enumerate(e.comps):
-                    for mo, c in comp.coeffs.items():
-                        pos = self._value_pos.get((c_idx, mo))
-                        if pos is None:
-                            raise ValueError("value outside the kernel space")
-                        v[pos] = c.coeffs[0]
-                out.extend(v)
-        return out
-
-    # -- sigma and tau of a single basis kappa ---------------------------------
-
-    def sigma_tau_single(self, idx):
-        """(sigma_matrix, tau_matrix) over S0 for the idx-th basis kappa."""
-        relframe = self.relframe
-        s0 = relframe.s0
-        n = len(self.mu)
-        s_idx, pay = self.basis_slot(idx)
-        i, j, d, _ = self.slots[s_idx]
-        sig = linalg.zeros(s0, n, n)
-        tau = linalg.zeros(s0, n, n)
-        e = GradedElem(relframe, d, pay)
-        sig[i][j] = e.sigma()
-        tau[i][j] = e.tau()
-        return sig, tau
-
-
-def kernel_group_elements(coords):
-    """Every element of the kernel group, through its coordinates."""
-    for combo in itertools.product(range(coords.p), repeat=coords.dim):
-        yield coords.decode(list(combo))
-
-
 class WittKernelCoords:
-    """Coordinates on kernel subgroups of the display group of a Witt frame.
+    """F_p-coordinates for I + kappa, kappa supported on kernel payloads, on
+    a kernel subgroup of the display group of a frame with S0 = W_m(B).
 
-    Same role as KernelCoords, but over W_m(B) itself, where positive-degree
-    payloads are plain Witt vectors.  kind "jsupp": all coordinates supported
-    on the kernel ideal J of a square-zero extension (the kernel of the
-    reduction to W_m(A)).  kind "resfield": leading Witt coordinate in the
-    maximal ideal, higher coordinates free (the kernel of the reduction to
-    the zip frame of the residue field); needs m = 2 and a square-zero
-    maximal ideal so that kernel products vanish exactly.
+    kind "jsupp" (a Witt frame of B): all coordinates supported on the
+    kernel ideal J of a square-zero extension (the kernel of the reduction
+    to W_m(A)).  kind "resfield" (a Witt frame of B): leading Witt
+    coordinate in the maximal ideal, higher coordinates free (the kernel of
+    the reduction to the zip frame of the residue field); needs a
+    square-zero maximal ideal.  kind "zip" (the relative frame W_m(B/A)):
+    first Witt coordinate in J, the rest free (the kernel of the projection
+    to the zip frame of A); there a positive-degree payload is a pair
+    (a, x), with one more coordinate per J-basis monomial for x.  The last
+    two need m = 2, where kernel products vanish exactly.
     """
 
     def __init__(self, frame, mu, kind, ext=None):
-        ring = frame.ring
+        ring = frame.s0.ring
         if ring.field.f != 1:
             raise ValueError("coordinates require a prime residue field")
+        if (kind == "zip") != (frame.kind == "relative"):
+            raise ValueError(f"{kind} coordinates do not apply to a {frame.kind} frame")
         self.frame = frame
         self.mu = tuple(mu)
         self.kind = kind
@@ -438,6 +234,10 @@ class WittKernelCoords:
                     if not (ring.el({m1: 1}) * ring.el({m2: 1})).is_zero():
                         raise ValueError("maximal ideal is not square-zero")
             comp_monos = [nilp] + [list(ring.basis)] * (m - 1)
+        elif kind == "zip":
+            if m != 2:
+                raise ValueError("zip-kernel coordinates require m = 2")
+            comp_monos = [list(frame.ext.J_basis)] + [list(ring.basis)] * (m - 1)
         else:
             raise ValueError(kind)
         self.value_basis = [(c, mo) for c, monos in enumerate(comp_monos)
@@ -449,6 +249,11 @@ class WittKernelCoords:
             for j in range(n):
                 d = self.mu[j] - self.mu[i]
                 payloads = [self._witt_unit(c, mo) for c, mo in self.value_basis]
+                if kind == "zip" and d >= 1:
+                    # P of the relative frame is pairs (a, x) with x in J
+                    payloads = ([(w, ring.zero()) for w in payloads]
+                                + [(frame.s0.zero(), ring.el({mo: 1}))
+                                   for mo in frame.ext.J_basis])
                 self.slots.append((i, j, d, payloads))
         self.offsets = []
         total = 0
@@ -458,12 +263,13 @@ class WittKernelCoords:
         self.dim = total
 
     def _witt_unit(self, c, mo):
-        ring = self.frame.ring
+        ring = self.frame.s0.ring
         comps = [ring.zero()] * self.frame.m
         comps[c] = ring.el({mo: 1})
         return self.frame.s0.el(comps)
 
     def basis_slot(self, idx):
+        """(slot_index, payload) for global coordinate index idx."""
         for s, off in enumerate(self.offsets):
             count = len(self.slots[s][3])
             if off <= idx < off + count:
@@ -471,6 +277,7 @@ class WittKernelCoords:
         raise IndexError(idx)
 
     def decode(self, vec):
+        """Coordinates -> the group element I + kappa."""
         frame = self.frame
         out = GradedMatrix.identity(frame, self.mu)
         for s, (i, j, d, payloads) in enumerate(self.slots):
@@ -489,23 +296,8 @@ class WittKernelCoords:
                 out.entries[i][j] = out.entries[i][j] + acc
         return out
 
-    def encode_kappa(self, z):
-        I = GradedMatrix.identity(self.frame, self.mu)
-        diff = z - I
-        vec = [0] * self.dim
-        for s, (i, j, d, payloads) in enumerate(self.slots):
-            self._encode_witt(diff.entries[i][j].payload, vec, self.offsets[s])
-        return vec
-
-    def _encode_witt(self, w, vec, off):
-        for c_idx, comp in enumerate(w.comps):
-            for mo, c in comp.coeffs.items():
-                pos = self._value_pos.get((c_idx, mo))
-                if pos is None:
-                    raise ValueError("value outside the kernel coordinate space")
-                vec[off + pos] = c.coeffs[0]
-
     def encode_value_matrix(self, M):
+        """Matrix over S0 with kernel entries -> flat coordinate vector."""
         out = []
         for row in M:
             for e in row:
@@ -520,6 +312,7 @@ class WittKernelCoords:
         return out
 
     def sigma_tau_single(self, idx):
+        """(sigma_matrix, tau_matrix) over S0 for the idx-th basis kappa."""
         s0 = self.frame.s0
         n = len(self.mu)
         s_idx, pay = self.basis_slot(idx)
@@ -615,8 +408,8 @@ def solve_identity_iso(coords, d1, d2, basis_vectors=None, verify=True):
             total = [(t + c * v) % coords.p for t, v in zip(total, bv)]
     z = coords.decode(total)
     if verify:
-        assert d1.act(z) == Display(d1.frame, d1.mu, d2.phi, check=False), \
-            "linear solution failed exact verification"
+        if not d1.act(z) == Display(d1.frame, d1.mu, d2.phi, check=False):
+            raise AssertionError("linear solution failed exact verification")
     return z
 
 
@@ -735,27 +528,8 @@ def fiber_direction_basis(frame, ext, n, orth_base=None):
 
     cols = [encode(cond(K)) for K in units]
     # kernel of the condition map, by elimination over F_p
-    nrows = len(cols[0])
-    rows = [[cols[j][i] for j in range(len(units))] for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(len(units)):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(inv * v) % p for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    rows = [list(r) for r in zip(*cols)]
+    pivots = linalg.rref_modp(p, rows, len(units))
     free = [c for c in range(len(units)) if c not in pivots]
     basis = []
     for fc in free:
@@ -774,26 +548,9 @@ def fiber_direction_basis(frame, ext, n, orth_base=None):
 
 def _echelon(p, vecs):
     """Reduced echelon basis [(pivot, vector)] of the span of vecs mod p."""
-    basis = []
-    for v in vecs:
-        v = [x % p for x in v]
-        for piv, b in basis:
-            if v[piv]:
-                f = v[piv]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], p - 2, p)
-        v = [(inv * x) % p for x in v]
-        reduced = []
-        for pv, b in basis:
-            if b[piv]:
-                f = b[piv]
-                b = [(x - f * y) % p for x, y in zip(b, v)]
-            reduced.append((pv, b))
-        basis = sorted(reduced + [(piv, v)])
-    return basis
+    rows = [list(v) for v in vecs]
+    pivots = linalg.rref_modp(p, rows, len(rows[0]) if rows else 0)
+    return list(zip(pivots, rows))
 
 
 def _reduce_by(p, basis, vec):
@@ -972,7 +729,8 @@ def stabilizer_lifts(d, lift_pairs, coords_res, orth=False):
         if z is None:
             continue
         s = ghat * z
-        assert d.act(s) == target, "stabilizer candidate failed verification"
+        if not d.act(s) == target:
+            raise AssertionError("stabilizer candidate failed verification")
         out.append(s)
     return out
 
@@ -1016,27 +774,22 @@ def classify_witt_fiber(th, d, orth=False):
     dir_vecs = [coords.encode_value_matrix(K) for K in dirs]
     dim_f = _rank_modp(p, dir_vecs)
     rank_v = _rank_modp(p, cols)
-    assert _rank_modp(p, dir_vecs + cols) == dim_f, \
-        "kernel action left the fiber"
+    if _rank_modp(p, dir_vecs + cols) != dim_f:
+        raise AssertionError("kernel action left the fiber")
     vbasis = _echelon(p, cols)
 
     def canon(vec):
         return _reduce_by(p, vbasis, vec)
 
-    # complement of V inside the fiber directions
+    # complement of V inside the fiber directions: greedily, each direction
+    # outside the span of V and the directions already chosen
     chosen = []
-    chosen_ech = []
+    span = vbasis
     for v in dir_vecs:
-        red = list(canon(v))
-        for piv, b in chosen_ech:
-            if red[piv]:
-                f = red[piv]
-                red = [(x - f * y) % p for x, y in zip(red, b)]
-        piv = next((i for i, x in enumerate(red) if x), None)
-        if piv is None:
+        if not any(_reduce_by(p, span, v)):
             continue
         chosen.append(v)
-        chosen_ech = _echelon(p, [b for _, b in chosen_ech] + [red])
+        span = _echelon(p, [b for _, b in span] + [v])
         if len(chosen) == dim_f - rank_v:
             break
     # coset labels and representatives
@@ -1047,7 +800,8 @@ def classify_witt_fiber(th, d, orth=False):
             if c:
                 vec = [(x + c * y) % p for x, y in zip(vec, base)]
         lab = canon(vec)
-        assert lab not in reps, "coset representatives collided"
+        if lab in reps:
+            raise AssertionError("coset representatives collided")
         reps[lab] = vec
     # Hodge deformations and their labels
     deform = enumerate_hodge_deformations(th, d, orth=orth)
@@ -1055,7 +809,8 @@ def classify_witt_fiber(th, d, orth=False):
     for dd in deform:
         vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, dhat.phi))
         lab = canon(vec)
-        assert lab in reps, "Hodge deformation left the fiber cosets"
+        if lab not in reps:
+            raise AssertionError("Hodge deformation left the fiber cosets")
         hodge_labels.append(lab)
     # stabilizer of d over A, one exact lift per zip-level component
     zring = frame_a.ring
@@ -1079,8 +834,8 @@ def classify_witt_fiber(th, d, orth=False):
             mcols.append(coords.encode_value_matrix(img))
         # sanity: conjugation preserves V
         for c in cols:
-            assert not any(canon(_apply_cols(p, mcols, c))), \
-                "stabilizer did not preserve the kernel image"
+            if any(canon(_apply_cols(p, mcols, c))):
+                raise AssertionError("stabilizer did not preserve the kernel image")
         maps.append(mcols)
     # orbits of the stabilizer action on the cosets
     label_list = list(reps)
@@ -1096,7 +851,8 @@ def classify_witt_fiber(th, d, orth=False):
     for mcols in maps:
         for lab, vec in reps.items():
             img = canon(_apply_cols(p, mcols, vec))
-            assert img in index, "stabilizer left the fiber cosets"
+            if img not in index:
+                raise AssertionError("stabilizer left the fiber cosets")
             a, b = find(index[lab]), find(index[img])
             if a != b:
                 parent[a] = b
@@ -1145,115 +901,6 @@ def witt_fiber_member_class(report, member):
     if lab not in report["label_class"]:
         raise ValueError("member is not in the fiber coset space")
     return report["label_class"][lab]
-
-
-# ---------------------------------------------------------------------------
-# Projection to the zip frame and full isomorphism testing
-# ---------------------------------------------------------------------------
-
-def project_graded(relframe, zipframe, A):
-    """Apply the canonical projection entrywise to a graded matrix."""
-    mu = A.mu_col
-    n = len(mu)
-    out = GradedMatrix.identity(zipframe, mu)
-    for i in range(n):
-        for j in range(n):
-            e = A.entries[i][j]
-            d = e.degree
-            if d >= 1:
-                val = relframe.reduce(relframe.sigmadot(e.payload))
-            else:
-                val = relframe.reduce(e.payload)
-            out.entries[i][j] = GradedElem(zipframe, d, val)
-    return out
-
-
-def project_display(relframe, zipframe, d):
-    phi = [[relframe.reduce(e) for e in row] for row in d.phi]
-    return Display(zipframe, d.mu, phi, check=False)
-
-
-def orth_zip_lift_pairs(relframe, mu):
-    """(g0 over the zip frame, exact orthogonal lift over the relative frame)
-    for the whole orthogonal zip group, built factor by factor.
-
-    Diagonal factors lift by Teichmueller representatives (multiplicative, so
-    exactly orthogonal); the unipotent factors lift through the same group
-    formulas with section-lifted parameters.
-    """
-    ext = relframe.ext
-    A_ring = ext.A
-    zf = ZipFrame(A_ring)
-    s0 = relframe.s0
-    n = len(mu)
-    zero_w = s0.zero()
-
-    def teich(a):
-        return s0.teichmuller(ext.section(a))
-
-    units = [a for a in A_ring.elements() if a.is_unit()]
-    a_elems = list(A_ring.elements())
-    pairs = []
-    for a in units:
-        for H in o2_elements(A_ring):
-            # Levi factor at both levels
-            grid_z = [[A_ring.zero()] * n for _ in range(n)]
-            grid_r = [[s0.zero()] * n for _ in range(n)]
-            grid_z[0][0] = a
-            grid_r[0][0] = teich(a)
-            grid_z[n - 1][n - 1] = a.invert()
-            grid_r[n - 1][n - 1] = teich(a.invert())
-            for bi in range(2):
-                for bj in range(2):
-                    grid_z[1 + bi][1 + bj] = H[bi][bj]
-                    grid_r[1 + bi][1 + bj] = teich(H[bi][bj])
-            l_z = GradedMatrix.from_payloads(zf, mu, grid_z)
-            l_r = GradedMatrix.from_payloads(relframe, mu, grid_r)
-            for xm in itertools.product(a_elems, repeat=n - 2):
-                um_z = exp_minus_orth(zf, mu, list(xm))
-                um_r = exp_minus_orth(relframe, mu,
-                                      [teich(x) for x in xm])
-                lum_z = l_z * um_z
-                lum_r = l_r * um_r
-                for xp in itertools.product(a_elems, repeat=n - 2):
-                    up_z = exp_plus_orth(zf, mu, list(xp))
-                    up_r = exp_plus_orth(
-                        relframe, mu,
-                        [(s0.teichmuller(ext.section(x)), ext.B.zero())
-                         for x in xp])
-                    pairs.append((lum_z * up_z, lum_r * up_r))
-    return pairs
-
-
-def is_isomorphic_full(coords_zip, lift_pairs, d1, d2, orth=True):
-    """Decide isomorphism of displays over the relative frame.
-
-    Complete: every group element factors as (exact lift of its zip image)
-    times a kernel element, the zip image runs over the finite zip group,
-    and the kernel part is found by the affine-linear solver.
-    """
-    relframe = coords_zip.relframe
-    zf = ZipFrame(relframe.ext.A)
-    z1 = project_display(relframe, zf, d1)
-    z2 = project_display(relframe, zf, d2)
-    if orth:
-        combos = skew_basis(coords_zip)
-        basis_vectors = [_combine_sparse(coords_zip, c) for c in combos]
-    else:
-        basis_vectors = None
-    for g0, ghat in lift_pairs:
-        if z1.act(g0) != z2:
-            continue
-        D = d1.act(ghat)
-        z = solve_identity_iso(coords_zip, D, d2,
-                               basis_vectors=basis_vectors, verify=False)
-        if z is None:
-            continue
-        g = ghat * z
-        if d1.act(g) == Display(d1.frame, d1.mu, d2.phi, check=False):
-            return True
-        raise AssertionError("linear solution failed exact verification")
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -390,15 +390,20 @@ def all_displays(frame, n, mu, cap=10 ** 7):
             yield Display(frame, mu, phi, check=False)
 
 
-def classify_orbits(frame, mu, cap=10 ** 7):
-    """Orbits of the display-group action; returns a list of orbits (sets)."""
-    n = len(mu)
-    group = list(group_elements(frame, mu, cap))
+def orbit_search(displays, make_group):
+    """Orbits of a finite group acting on a stream of displays, as sets.
+
+    make_group() lists the group; it is called at the first display, so a
+    cap check in the display stream fires before the group is enumerated.
+    """
+    group = None
     seen = set()
     orbits = []
-    for d in all_displays(frame, n, mu, cap):
+    for d in displays:
         if d in seen:
             continue
+        if group is None:
+            group = list(make_group())
         orbit = set()
         frontier = [d]
         while frontier:
@@ -413,6 +418,12 @@ def classify_orbits(frame, mu, cap=10 ** 7):
         orbits.append(orbit)
         seen |= orbit
     return orbits
+
+
+def classify_orbits(frame, mu, cap=10 ** 7):
+    """Orbits of the display-group action; returns a list of orbits (sets)."""
+    return orbit_search(all_displays(frame, len(mu), mu, cap),
+                        lambda: group_elements(frame, mu, cap))
 
 
 def is_isomorphic_bruteforce(d1, d2, cap=10 ** 7):
@@ -530,26 +541,8 @@ def _gauss_local(ring, M, rhs):
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     aug = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if aug[r][col].is_unit():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col].invert()
-        aug[rank] = [inv * v for v in aug[rank]]
-        for r in range(nrows):
-            if r != rank and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
+    pivots = linalg.rref_units(aug, ncols)
+    for r in range(len(pivots), nrows):
         if not aug[r][ncols].is_zero():
             return None
     x = [ring.zero()] * ncols

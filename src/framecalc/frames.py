@@ -328,26 +328,6 @@ class TautologicalFrame(Frame):
 
 
 # ---------------------------------------------------------------------------
-# Constructors (names mirror the operation contracts)
-# ---------------------------------------------------------------------------
-
-def build_truncated_witt_frame(ring, m):
-    return WittFrame(ring, m)
-
-
-def build_zip_frame(ring):
-    return ZipFrame(ring)
-
-
-def build_relative_frame(ext, m):
-    return RelativeFrame(ext, m)
-
-
-def build_tautological_frame(ring):
-    return TautologicalFrame(ring)
-
-
-# ---------------------------------------------------------------------------
 # Axiom checking
 # ---------------------------------------------------------------------------
 
@@ -544,7 +524,8 @@ class Thickening:
 
     def sdotK(self, k):
         """The divided Frobenius on K0: shift of log coordinates."""
-        assert self.in_k0(k)
+        if not self.in_k0(k):
+            raise AssertionError("sdotK takes kernel elements only")
         return self.source.s0.el(list(k.comps[1:]) + [self.ext.B.zero()])
 
     def check(self, samples=50, seed=0):
@@ -581,10 +562,6 @@ class Thickening:
             if not it.is_zero():
                 failures.append(("sdot-nilpotent", repr(k)))
         return {"passed": not failures, "failures": failures}
-
-
-def build_thickening(ext, m):
-    return Thickening(ext, m)
 
 
 class HodgeThickening:
@@ -625,7 +602,3 @@ class HodgeThickening:
             if not self.coker(self.alphaP(x[0])).is_zero():
                 failures.append(("alpha-image", repr(x)))
         return {"passed": not failures, "failures": failures}
-
-
-def build_hodge_thickening(ext, m):
-    return HodgeThickening(ext, m)

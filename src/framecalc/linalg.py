@@ -50,10 +50,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 
@@ -66,93 +62,76 @@ def mat_apply(f, A):
     return [[f(a) for a in row] for row in A]
 
 
-def scalar_mul(s, A):
-    return [[s * a for a in row] for row in A]
+# ---------------------------------------------------------------------------
+# The two elimination routines
+# ---------------------------------------------------------------------------
+#
+# Both run Gauss-Jordan elimination in place over the first ncols columns
+# with one pivot rule: columns left to right, pivoting on the first row at
+# or below the current rank whose entry is a unit; a column without one is
+# skipped.  Both return the pivot columns, so rows[:len(pivots)] are the
+# pivot rows.  Every solution, echelon basis and coset label downstream
+# depends on that rule, so no other code searches for pivots.
+
+def rref_modp(p, rows, ncols):
+    """Reduced row echelon form over F_p of an int matrix, in place.
+
+    Entries are first reduced into range(p); the nonzero ones are the units.
+    """
+    rows[:] = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        for piv in range(rank, len(rows)):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        prow = rows[rank] = [(inv * v) % p for v in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                rows[r] = [(v - f * w) % p for v, w in zip(row, prow)]
+        pivots.append(col)
+    return pivots
 
 
-# ---------------------------------------------------------------------------
-# Residue-field Gaussian elimination
-# ---------------------------------------------------------------------------
+def rref_units(rows, ncols):
+    """Reduced row echelon form with unit pivots over a field or a finite
+    local ring, in place, on rows of elements with is_unit/invert/is_zero.
+
+    Over a local ring a skipped column may still hold nonzero non-units, so
+    a solution read off the result must be verified by the caller.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        for piv in range(rank, len(rows)):
+            if rows[piv][col].is_unit():
+                break
+        else:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].invert()
+        prow = rows[rank] = [inv * v for v in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and not f.is_zero():
+                rows[r] = [v - f * w for v, w in zip(row, prow)]
+        pivots.append(col)
+    return pivots
+
 
 def field_inverse(field, M):
     """Inverse of a matrix over a finite field, or None if singular."""
     n = len(M)
     aug = [list(row) + [field.one() if i == j else field.zero()
                         for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    if len(rref_units(aug, n)) < n:
+        return None
     return [row[n:] for row in aug]
-
-
-def field_rank(field, M):
-    if not M:
-        return 0
-    rows = [list(r) for r in M]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def field_solve(field, M, rhs):
-    """One solution of M x = rhs over a field, or None.  rhs: list of columns allowed."""
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col].inverse()
-        aug[rank] = [inv * v for v in aug[rank]]
-        for r in range(nrows):
-            if r != rank and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if not aug[r][ncols].is_zero():
-            return None
-    x = [field.zero()] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -188,108 +167,14 @@ def mat_inverse(ring, A):
 # Summand utilities over local rings (for Hodge filtrations)
 # ---------------------------------------------------------------------------
 
-def column_echelon_pivots(ring, cols):
-    """Row indices of unit pivots for a list of column vectors spanning a free summand."""
-    work = [list(c) for c in cols]
-    pivots = []
-    for ci, col in enumerate(work):
-        pivot = None
-        for r in range(len(col)):
-            if r in pivots:
-                continue
-            if col[r].is_unit():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("columns do not span a free summand")
-        inv = col[pivot].invert()
-        work[ci] = [inv * v for v in col]
-        for cj in range(len(work)):
-            if cj != ci and not work[cj][pivot].is_zero():
-                f = work[cj][pivot]
-                work[cj] = [v - f * w for v, w in zip(work[cj], work[ci])]
-        pivots.append(pivot)
-    return pivots
-
-
 def span_contains(ring, cols, vec):
     """Whether vec lies in the span of cols (free-summand columns) over a local ring."""
     if not cols:
         return all(v.is_zero() for v in vec)
-    work = [list(c) for c in cols] + [list(vec)]
-    # eliminate with unit pivots of the generating columns
-    pivots = []
-    for ci in range(len(cols)):
-        col = work[ci]
-        pivot = None
-        for r in range(len(col)):
-            if r in pivots:
-                continue
-            if col[r].is_unit():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrix("columns do not span a free summand")
-        inv = col[pivot].invert()
-        work[ci] = [inv * v for v in col]
-        for cj in range(len(work)):
-            if cj != ci and not work[cj][pivot].is_zero():
-                f = work[cj][pivot]
-                work[cj] = [v - f * w for v, w in zip(work[cj], work[ci])]
-        pivots.append(pivot)
-    return all(v.is_zero() for v in work[-1])
-
-
-def span_equal(ring, cols1, cols2):
-    if len(cols1) != len(cols2):
-        return False
-    return (all(span_contains(ring, cols1, v) for v in cols2)
-            and all(span_contains(ring, cols2, v) for v in cols1))
-
-
-def perp_space(ring, gram, cols, n):
-    """Basis of {x : x^t G c = 0 for all c in cols} as a free summand of ring^n.
-
-    Works over our local rings because the orthogonal complement of a free
-    summand with respect to a unimodular form is again free: we solve the
-    unit-pivot echelon system exactly.
-    """
-    if not cols:
-        return [[ring.one() if i == j else ring.zero() for i in range(n)]
-                for j in range(n)]
-    # rows of the constraint matrix: (G c)^t for each c
-    constraints = []
-    for c in cols:
-        col = [sum((gram[i][k] * c[k] for k in range(n)), ring.zero())
-               for i in range(n)]
-        constraints.append(col)
-    # row reduce constraints with unit pivots, then read off the kernel
-    work = [list(r) for r in constraints]
-    pivots = []
-    for ri in range(len(work)):
-        row = work[ri]
-        pivot = None
-        for cidx in range(n):
-            if cidx in pivots:
-                continue
-            if row[cidx].is_unit():
-                pivot = cidx
-                break
-        if pivot is None:
-            raise SingularMatrix("constraints do not form a free summand")
-        inv = row[pivot].invert()
-        work[ri] = [inv * v for v in row]
-        for rj in range(len(work)):
-            if rj != ri and not work[rj][pivot].is_zero():
-                f = work[rj][pivot]
-                work[rj] = [v - f * w for v, w in zip(work[rj], work[ri])]
-        pivots.append(pivot)
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [ring.zero()] * n
-        vec[fc] = ring.one()
-        for ri, pv in enumerate(pivots):
-            vec[pv] = -work[ri][fc]
-        kernel.append(vec)
-    return kernel
+    k = len(cols)
+    rows = [[c[r] for c in cols] + [v] for r, v in enumerate(vec)]
+    if len(rref_units(rows, k)) < k:
+        raise SingularMatrix("columns do not span a free summand")
+    # every column has a unit pivot, so the rows below them are zero but
+    # for the reduced vec
+    return all(row[k].is_zero() for row in rows[k:])

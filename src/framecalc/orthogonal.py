@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .displays import Display, GradedElem, GradedMatrix, in_display_group
+from .displays import (Display, GradedElem, GradedMatrix, all_displays,
+                       orbit_search)
 
 
 def standard_J(ring, n):
@@ -52,10 +53,6 @@ def form_transform(B, A):
 
 def gram(A):
     return form_transform(standard_gram(A.frame, A.mu_col), A)
-
-
-def in_orth_group(A):
-    return in_display_group(A) and gram(A) == standard_gram(A.frame, A.mu_col)
 
 
 def is_orth_matrix(ring, M):
@@ -113,7 +110,8 @@ def unipotent_inverse(U):
         if all(e.is_zero() for row in term.entries for e in row):
             break
         inv = inv - term if _ % 2 == 0 else inv + term
-    assert all(e.is_zero() for row in ((inv * U) - I).entries for e in row)
+    if not all(e.is_zero() for row in ((inv * U) - I).entries for e in row):
+        raise AssertionError("unipotent inverse failed exact verification")
     return inv
 
 
@@ -160,7 +158,8 @@ def decompose(g):
         for j in range(len(mu)):
             if mu[j] - mu[i] >= 1 and not q.entries[i][j].is_zero():
                 raise AssertionError("decomposition left a positive entry")
-    assert (q * u) == g
+    if not (q * u) == g:
+        raise AssertionError("decomposition failed to recompose g")
     return q, u
 
 
@@ -199,7 +198,8 @@ def graded_inverse(g):
         sign = -sign
     q_inv = M_inv * D_inv
     out = u_inv * q_inv
-    assert (g * out) == I
+    if not (g * out) == I:
+        raise AssertionError("graded inverse failed exact verification")
     return out
 
 
@@ -207,37 +207,14 @@ def graded_inverse(g):
 # Minuscule unipotents
 # ---------------------------------------------------------------------------
 
-def _int_scalar(frame, k):
-    """k as a degree-0 graded scalar (integers are Frobenius-fixed)."""
-    return GradedElem(frame, 0, frame.s0.from_int(k))
+def half(s0):
+    """1/2 in S0, for p odd: (order + 1) / 2 with order the additive order
+    of 1, a power of p.  An integer, hence Frobenius-fixed."""
+    order = s0.p
+    while not s0.from_int(order).is_zero():
+        order *= s0.p
+    return s0.from_int((order + 1) // 2)
 
-
-def _half(frame):
-    pm = frame.p
-    # 1/2 modulo the additive order of 1 (a power of p, p odd)
-    order = pm
-    while not (frame.s0.from_int(order)).is_zero():
-        order *= pm
-    return _int_scalar(frame, (order + 1) // 2)
-
-
-def exp_plus_gl(frame, mu, grid):
-    """I + N for N with the given positive-degree payloads (zeros elsewhere)."""
-    n = len(mu)
-    A = GradedMatrix.identity(frame, mu)
-    for (i, j), x in grid.items():
-        if mu[j] - mu[i] < 1:
-            raise ValueError("slot is not of positive degree")
-        A.entries[i][j] = GradedElem(frame, mu[j] - mu[i], x)
-    return A
-
-
-def log_plus_gl(A):
-    """Payloads of the strictly positive part of a unipotent element."""
-    mu = A.mu_col
-    return {(i, j): A.entries[i][j].payload
-            for i in range(len(mu)) for j in range(len(mu))
-            if mu[j] - mu[i] >= 1 and not A.entries[i][j].is_zero()}
 
 def exp_plus_orth(frame, mu, xs):
     """The orthogonal unipotent with column-0 entries xs (middle rows).
@@ -257,14 +234,8 @@ def exp_plus_orth(frame, mu, xs):
     for idx in range(n - 2):
         corner = corner + (GradedElem(frame, mu[0] - mu[idx + 1], xs[idx])
                            * GradedElem(frame, mu[0] - mu[n - 2 - idx], xs[n - 3 - idx]))
-    A.entries[n - 1][0] = -(_half(frame) * corner)
+    A.entries[n - 1][0] = -(GradedElem(frame, 0, half(frame.s0)) * corner)
     return A
-
-
-def log_plus_orth(A):
-    """Read back the free parameters (the middle column-0 payloads)."""
-    n = len(A.mu_col)
-    return [A.entries[i][0].payload for i in range(1, n - 1)]
 
 
 def exp_minus_orth(frame, mu, xs):
@@ -279,7 +250,7 @@ def exp_minus_orth(frame, mu, xs):
     for idx in range(n - 2):
         corner = corner + (GradedElem(frame, mu[idx + 1] - mu[0], xs[idx])
                            * GradedElem(frame, mu[n - 2 - idx] - mu[0], xs[n - 3 - idx]))
-    A.entries[0][n - 1] = -(_half(frame) * corner)
+    A.entries[0][n - 1] = -(GradedElem(frame, 0, half(frame.s0)) * corner)
     return A
 
 
@@ -372,7 +343,8 @@ def normalize_gram(B, max_iter=64):
     n = len(mu)
     if not is_self_dual_type(mu):
         raise GramNotSplit("weight type is not self-dual")
-    half = _half(frame)
+    half_s = half(frame.s0)
+    half_g = GradedElem(frame, 0, half_s)
     one = GradedElem(frame, 0, frame.s0.one())
     A = GradedMatrix.identity(frame, mu)
 
@@ -399,9 +371,9 @@ def normalize_gram(B, max_iter=64):
                 raise GramNotSplit("hyperbolic pairing is not a unit")
             w = scale(GradedElem(frame, 0, bvw.payload.invert()), w)
             cw = _form_value(B, w, w)
-            w = sub(w, scale(half * cw, v))
+            w = sub(w, scale(half_g * cw, v))
             cv = _form_value(B, v, v)
-            v = sub(v, scale(half * cv, w))
+            v = sub(v, scale(half_g * cv, w))
             if (_form_value(B, v, v).is_zero() and _form_value(B, w, w).is_zero()
                     and _form_value(B, v, w) == one):
                 converged = True
@@ -427,7 +399,6 @@ def normalize_gram(B, max_iter=64):
             if all(e.is_zero() for row in C for e in row):
                 break
             # T = I - J0 C / 2 (J0 is an involution), quadratic convergence
-            half_s = half.payload
             corr = [[half_s * e for e in row] for row in linalg.mat_mul(s0, J0, C)]
             T = linalg.mat_sub(linalg.identity(s0, len(mids)), corr)
             newcols = []
@@ -452,38 +423,13 @@ def normalize_gram(B, max_iter=64):
 
 def all_orth_displays(frame, mu, cap=10 ** 7):
     """Every orthogonal display of the given type over a small zip frame."""
-    base = list(frame.s0.elements(cap))
-    n = len(mu)
-    total = len(base) ** (n * n)
-    if total > cap:
-        raise ValueError("too many matrices to enumerate")
-    for combo in itertools.product(base, repeat=n * n):
-        phi = [[combo[i * n + j] for j in range(n)] for i in range(n)]
-        if not linalg.is_invertible(frame.s0, phi):
-            continue
-        d = OrthDisplay(frame, mu, phi, check=False)
+    for d in all_displays(frame, len(mu), mu, cap):
+        d = OrthDisplay(frame, mu, d.phi, check=False)
         if verify_orth(d):
             yield d
 
 
 def classify_orth_orbits(frame, mu, cap=10 ** 7):
-    group = list(orth_group_elements(frame, mu))
-    seen = set()
-    orbits = []
-    for d in all_orth_displays(frame, mu, cap):
-        if d in seen:
-            continue
-        orbit = set()
-        frontier = [d]
-        while frontier:
-            cur = frontier.pop()
-            if cur in orbit:
-                continue
-            orbit.add(cur)
-            for g in group:
-                nxt = cur.act(g)
-                if nxt not in orbit:
-                    frontier.append(nxt)
-        orbits.append(orbit)
-        seen |= orbit
-    return orbits
+    """Orbits of the orthogonal display group; returns a list of orbits (sets)."""
+    return orbit_search(all_orth_displays(frame, mu, cap),
+                        lambda: orth_group_elements(frame, mu))

@@ -99,8 +99,9 @@ class Field:
         self.modulus = tuple(modulus)
 
     def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus))
+        return self is other or (
+            isinstance(other, Field)
+            and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.f, self.modulus))
@@ -149,8 +150,8 @@ class FieldElem:
         self.coeffs = coeffs
 
     def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FieldElem) and self.coeffs == other.coeffs
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -165,12 +166,14 @@ class FieldElem:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
-        assert self.field == other.field, "field mismatch"
+        if not self.field == other.field:  # cheaper than != on this hot path
+            raise AssertionError("field mismatch")
         p = self.field.p
         return FieldElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        assert self.field == other.field, "field mismatch"
+        if not self.field == other.field:  # cheaper than != on this hot path
+            raise AssertionError("field mismatch")
         p = self.field.p
         return FieldElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -179,8 +182,11 @@ class FieldElem:
         return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        assert self.field == other.field, "field mismatch"
+        if not self.field == other.field:  # cheaper than != on this hot path
+            raise AssertionError("field mismatch")
         p, f = self.field.p, self.field.f
+        if f == 1:
+            return FieldElem(self.field, (self.coeffs[0] * other.coeffs[0] % p,))
         prod = [0] * (2 * f - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -200,10 +206,22 @@ class FieldElem:
             n >>= 1
         return result
 
+    def frobenius(self):
+        """The p-th power; the identity on the prime field."""
+        return self if self.field.f == 1 else self ** self.field.p
+
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         return self ** (self.field.q - 2)
+
+    # the unit protocol of ring elements, for unit-pivot elimination
+
+    def is_unit(self):
+        return not self.is_zero()
+
+    def invert(self):
+        return self.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +282,24 @@ class ArtinRing:
         self.basis = tuple(sorted(basis))
         self.size = self.field.q ** len(self.basis)
         self.p = field.p
+        # products and p-th powers of basis monomials, None where the result
+        # lies in the ideal; RingElem multiplication and Frobenius read these
+        self._mono_mul = {}
+        for m1 in self.basis:
+            for m2 in self.basis:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                self._mono_mul[m1, m2] = None if self.in_ideal(m) else m
+        self._mono_frob = {}
+        for m in self.basis:
+            mp = tuple(self.p * a for a in m)
+            self._mono_frob[m] = None if self.in_ideal(mp) else mp
 
     def __eq__(self, other):
-        return (isinstance(other, ArtinRing)
-                and self.field == other.field
-                and self.vars == other.vars
-                and self.ideal_gens == other.ideal_gens)
+        return self is other or (
+            isinstance(other, ArtinRing)
+            and self.field == other.field
+            and self.vars == other.vars
+            and self.ideal_gens == other.ideal_gens)
 
     def __hash__(self):
         return hash((self.field, self.vars, self.ideal_gens))
@@ -316,11 +346,21 @@ class ArtinRing:
             self._bset = frozenset(self.basis)
             return self._bset
 
+    # elements are never mutated, so the constants are built once
+
     def zero(self):
-        return self.el(0)
+        try:
+            return self._zero
+        except AttributeError:
+            self._zero = self.el(0)
+            return self._zero
 
     def one(self):
-        return self.el(1)
+        try:
+            return self._one
+        except AttributeError:
+            self._one = self.el(1)
+            return self._one
 
     def from_int(self, n):
         return self.el(n)
@@ -383,8 +423,11 @@ class RingElem:
         return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, RingElem) and self.ring == other.ring
-                and self.key() == other.key())
+        # coefficient maps are canonical (no zero entries), so comparing the
+        # maps is comparing keys
+        return (isinstance(other, RingElem)
+                and (self.ring is other.ring or self.ring == other.ring)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash(self.key())
@@ -423,14 +466,15 @@ class RingElem:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("ring mismatch")
         ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise RingMismatch("ring mismatch")
+        table = ring._mono_mul
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if ring.in_ideal(m):
+                m = table[m1, m2]
+                if m is None:
                     continue
                 c = c1 * c2
                 s = out.get(m)
@@ -442,17 +486,28 @@ class RingElem:
         return RingElem(ring, out)
 
     def __pow__(self, n):
-        result = self.ring.one()
+        # base-p digits of n: x^n = prod_i (x^(p^i))^(d_i), and x -> x^p is
+        # the cheap additive Frobenius
+        p = self.ring.p
+        result = None
         base = self
         while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            n, d = divmod(n, p)
+            for _ in range(d):
+                result = base if result is None else result * base
+            if n:
+                base = base.frobenius()
+        return self.ring.one() if result is None else result
 
     def frobenius(self):
-        return self ** self.ring.p
+        """x -> x^p, additive in characteristic p: (sum c_m x^m)^p = sum c_m^p x^(pm)."""
+        table = self.ring._mono_frob
+        out = {}
+        for m, c in self.coeffs.items():
+            mp = table[m]
+            if mp is not None:
+                out[mp] = c.frobenius()
+        return RingElem(self.ring, out)
 
     def is_unit(self):
         return not self.ring.to_residue(self).is_zero()
@@ -474,7 +529,8 @@ class RingElem:
                 break
             total = total + term
         inv = u0 * total
-        assert (self * inv) == ring.one()
+        if self * inv != ring.one():
+            raise AssertionError("unit inverse failed exact verification")
         return inv
 
 

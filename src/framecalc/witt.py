@@ -215,7 +215,8 @@ class WittVector:
                 break
             total = total + term
         inv = u0 * total
-        assert self * inv == wr.one()
+        if self * inv != wr.one():
+            raise AssertionError("unit inverse failed exact verification")
         return inv
 
 
@@ -256,8 +257,7 @@ def witt_frobenius(x):
 
 def frobenius_fixed(x):
     """The fixed-length Frobenius lift: component-wise p-power (char p)."""
-    p = x.wring.p
-    return x.wring.el([c ** p for c in x.comps])
+    return WittVector(x.wring, tuple(c.frobenius() for c in x.comps))
 
 
 def teichmuller(a, m):

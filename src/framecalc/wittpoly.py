@@ -6,6 +6,10 @@ p^n at every stage (integrality is the classical Witt construction).  The
 symbolic identities w_n(S(X,Y)) = w_n(X) + w_n(Y) etc. serve as the single
 correctness oracle; evaluation in characteristic p reduces the integer
 coefficients mod p first.
+
+Derivation and oracle both run on sympy's sparse polynomials over ZZ
+(exact integer coefficients, no expression trees); the public *_polys
+functions hand out the same polynomials as sympy expressions.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import sympy
+from sympy.polys.rings import ring as _poly_ring
 
 
 def _xs(n):
@@ -28,78 +33,93 @@ def ghost(p, comps, n):
     return sum(p ** i * comps[i] ** (p ** (n - i)) for i in range(n + 1))
 
 
+@lru_cache(maxsize=None)
+def _zz_ring(nx, ny):
+    """Z[X_0..X_{nx-1}, Y_0..Y_{ny-1}] with its generators split into X and Y."""
+    R, *gens = _poly_ring(_xs(nx - 1) + _ys(ny - 1), sympy.ZZ)
+    return R, gens[:nx], gens[nx:]
+
+
 def _invert_ghost(p, n, target, known):
     """Solve ghost(p, known + [S_n], n) == target for S_n, with exact division."""
-    partial = sum(p ** i * known[i] ** (p ** (n - i)) for i in range(n))
-    num = sympy.expand(target - partial)
-    quo = sympy.Poly(num, *sorted(num.free_symbols, key=str)) if num.free_symbols else None
-    if quo is None:
-        val = sympy.Integer(num) / p ** n
-        assert val == int(val)
-        return sympy.Integer(val)
-    coeffs = quo.terms()
-    out = 0
-    for monom, c in coeffs:
-        q, r = divmod(int(c), p ** n)
-        assert r == 0, "ghost inversion produced a non-integral coefficient"
-        out += q * sympy.prod(g ** e for g, e in zip(quo.gens, monom))
-    return sympy.expand(out)
+    num = target - sum((p ** i * known[i] ** (p ** (n - i)) for i in range(n)),
+                       target.ring.zero)
+    q = p ** n
+    if any(c % q for c in num.values()):
+        raise AssertionError("ghost inversion produced a non-integral coefficient")
+    return num.quo_ground(q)
+
+
+@lru_cache(maxsize=None)
+def _derive(p, op, n):
+    """The polynomials of op at indices 0..n, in the ring eval_terms reads.
+
+    The ring is Z[X_0..X_k, Y_0..Y_k] for sum/prod, Z[X_0..X_k] for neg, with
+    k = n, and Z[X_0..X_{n+1}] for frob.
+    """
+    if op in ("sum", "prod"):
+        _, X, Y = _zz_ring(n + 1, n + 1)
+    elif op == "neg":
+        _, X, Y = _zz_ring(n + 1, 0)
+    elif op == "frob":
+        _, X, Y = _zz_ring(n + 2, 0)
+    else:
+        raise ValueError(op)
+    polys = []
+    for k in range(n + 1):
+        if op == "sum":
+            target = ghost(p, X, k) + ghost(p, Y, k)
+        elif op == "prod":
+            target = ghost(p, X, k) * ghost(p, Y, k)
+        elif op == "neg":
+            target = -ghost(p, X, k)
+        else:
+            target = ghost(p, X, k + 1)
+        polys.append(_invert_ghost(p, k, target, polys))
+    return tuple(polys)
+
+
+def _as_exprs(polys):
+    return tuple(f.as_expr() for f in polys)
 
 
 @lru_cache(maxsize=None)
 def sum_polys(p, n):
     """S_0..S_n with w_k(S) = w_k(X) + w_k(Y)."""
-    X, Y = _xs(n), _ys(n)
-    polys = []
-    for k in range(n + 1):
-        target = ghost(p, X, k) + ghost(p, Y, k)
-        polys.append(_invert_ghost(p, k, target, polys))
-    return tuple(polys)
+    return _as_exprs(_derive(p, "sum", n))
 
 
 @lru_cache(maxsize=None)
 def prod_polys(p, n):
     """P_0..P_n with w_k(P) = w_k(X) * w_k(Y)."""
-    X, Y = _xs(n), _ys(n)
-    polys = []
-    for k in range(n + 1):
-        target = sympy.expand(ghost(p, X, k) * ghost(p, Y, k))
-        polys.append(_invert_ghost(p, k, target, polys))
-    return tuple(polys)
+    return _as_exprs(_derive(p, "prod", n))
 
 
 @lru_cache(maxsize=None)
 def neg_polys(p, n):
     """N_0..N_n with w_k(N) = -w_k(X)."""
-    X = _xs(n)
-    polys = []
-    for k in range(n + 1):
-        polys.append(_invert_ghost(p, k, -ghost(p, X, k), polys))
-    return tuple(polys)
+    return _as_exprs(_derive(p, "neg", n))
 
 
 @lru_cache(maxsize=None)
 def frob_polys(p, n):
     """F_0..F_n in X_0..X_{n+1} with w_k(F(X)) = w_{k+1}(X)."""
-    X = _xs(n + 1)
-    polys = []
-    for k in range(n + 1):
-        polys.append(_invert_ghost(p, k, ghost(p, X, k + 1), polys))
-    return tuple(polys)
+    return _as_exprs(_derive(p, "frob", n))
 
 
 def verify_ghost_identities(p, n):
     """The build-time oracle: symbolic ghost identities over the integers."""
-    X, Y = _xs(n + 1), _ys(n + 1)
-    S, P, N, F = sum_polys(p, n), prod_polys(p, n), neg_polys(p, n), frob_polys(p, n)
+    R, X, Y = _zz_ring(n + 2, n + 1)
+    S, P, N, F = ([f.set_ring(R) for f in _derive(p, op, n)]
+                  for op in ("sum", "prod", "neg", "frob"))
     for k in range(n + 1):
-        if sympy.expand(ghost(p, S, k) - ghost(p, X, k) - ghost(p, Y, k)) != 0:
+        if ghost(p, S, k) - ghost(p, X, k) - ghost(p, Y, k) != 0:
             return False
-        if sympy.expand(ghost(p, P, k) - ghost(p, X, k) * ghost(p, Y, k)) != 0:
+        if ghost(p, P, k) - ghost(p, X, k) * ghost(p, Y, k) != 0:
             return False
-        if sympy.expand(ghost(p, N, k) + ghost(p, X, k)) != 0:
+        if ghost(p, N, k) + ghost(p, X, k) != 0:
             return False
-        if sympy.expand(ghost(p, F, k) - ghost(p, X, k + 1)) != 0:
+        if ghost(p, F, k) - ghost(p, X, k + 1) != 0:
             return False
     return True
 
@@ -108,18 +128,6 @@ def verify_ghost_identities(p, n):
 # Evaluation form: coefficients reduced mod p, terms as exponent vectors
 # ---------------------------------------------------------------------------
 
-def _to_terms(expr, gens, p):
-    """[(coeff mod p, exponent tuple)] with zero coefficients dropped."""
-    expr = sympy.expand(expr)
-    poly = sympy.Poly(expr, *gens)
-    out = []
-    for monom, c in poly.terms():
-        c = int(c) % p
-        if c:
-            out.append((c, tuple(monom)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def eval_terms(p, op, n):
     """Mod-p term lists for op in {'sum','prod','neg','frob'} at index n.
@@ -127,17 +135,12 @@ def eval_terms(p, op, n):
     Variable order is X_0..X_k[, Y_0..Y_k] where k = n for sum/prod/neg and
     k = n + 1 for frob.
     """
-    if op == "sum":
-        expr, gens = sum_polys(p, n)[n], _xs(n) + _ys(n)
-    elif op == "prod":
-        expr, gens = prod_polys(p, n)[n], _xs(n) + _ys(n)
-    elif op == "neg":
-        expr, gens = neg_polys(p, n)[n], _xs(n)
-    elif op == "frob":
-        expr, gens = frob_polys(p, n)[n], _xs(n + 1)
-    else:
-        raise ValueError(op)
-    return _to_terms(expr, gens, p)
+    out = []
+    for monom, c in _derive(p, op, n)[n].terms():
+        c = int(c) % p
+        if c:
+            out.append((c, tuple(monom)))
+    return tuple(out)
 
 
 def eval_poly(terms, args, ring):

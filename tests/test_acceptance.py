@@ -22,7 +22,7 @@ from framecalc.displays import (Display, all_displays, classify_fzips,
 from framecalc.orthogonal import (decompose, form_transform, normalize_gram,
                                   orth_group_elements, standard_gram,
                                   verify_orth)
-from framecalc.deformation import (KernelCoords, WittKernelCoords,
+from framecalc.deformation import (WittKernelCoords,
                                    classify_witt_fiber, conj_operator,
                                    enumerate_hodge_deformations,
                                    is_isomorphic_witt, k3_deform, lift_display,
@@ -239,7 +239,7 @@ def test_08_fiber_counts_match_hodge_lifts():
     # ... yet all isomorphic over the relative frame (unique lifting)
     rel = th.source
     rels = [Display(rel, d.mu, dd.phi) for dd in deformations]
-    kc = KernelCoords(rel, d.mu, "zip")
+    kc = WittKernelCoords(rel, d.mu, "zip")
     for other in rels[1:]:
         z = solve_identity_iso(kc, rels[0], other)
         assert z is not None

@@ -10,7 +10,7 @@ from framecalc.rings import dual_number_extension
 from framecalc.frames import RelativeFrame, Thickening, WittFrame
 from framecalc.displays import Display, GradedMatrix
 from framecalc.orthogonal import verify_orth
-from framecalc.deformation import (KernelCoords, WittKernelCoords,
+from framecalc.deformation import (WittKernelCoords,
                                    classify_witt_fiber, conj_operator,
                                    enumerate_hodge_deformations,
                                    hodge_lift_matrix, hodge_lift_parameters,
@@ -180,7 +180,7 @@ def test_gl_deformations_all_iso_over_relative_frame():
     rel = th.source
     deformations = enumerate_hodge_deformations(th, d)
     rels = [Display(rel, d.mu, dd.phi) for dd in deformations]
-    coords = KernelCoords(rel, d.mu, "zip")
+    coords = WittKernelCoords(rel, d.mu, "zip")
     for other in rels[1:]:
         z = solve_identity_iso(coords, rels[0], other)
         assert z is not None

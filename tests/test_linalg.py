@@ -1,0 +1,108 @@
+"""The two elimination routines, cross-checked against brute force."""
+
+import itertools
+import random
+
+import pytest
+
+from framecalc import linalg
+from framecalc.deformation import _echelon, _rank_modp, _solve_modp
+from framecalc.displays import _gauss_local
+from framecalc.rings import dual_numbers, prime_field
+
+
+def _mat_vec_modp(p, M, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) % p for row in M)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_modp_solve_rank_kernel_every_2x3_matrix(p):
+    vectors = list(itertools.product(range(p), repeat=3))
+    for entries in itertools.product(range(p), repeat=6):
+        M = [list(entries[:3]), list(entries[3:])]
+        cols = [list(c) for c in zip(*M)]
+        image = {_mat_vec_modp(p, M, x) for x in vectors}
+        kernel = {x for x in vectors if not any(_mat_vec_modp(p, M, x))}
+        rank = next(r for r in range(3) if p ** r == len(image))
+        assert _rank_modp(p, cols) == rank
+        for rhs in itertools.product(range(p), repeat=2):
+            x = _solve_modp(p, cols, list(rhs))
+            if rhs in image:
+                assert x is not None and _mat_vec_modp(p, M, x) == rhs
+            else:
+                assert x is None
+        # kernel read off the reduced rows, as fiber_direction_basis does
+        rows = [list(r) for r in M]
+        pivots = linalg.rref_modp(p, rows, 3)
+        assert len(pivots) == rank
+        basis = []
+        for fc in (c for c in range(3) if c not in pivots):
+            v = [0] * 3
+            v[fc] = 1
+            for r, pv in enumerate(pivots):
+                v[pv] = (-rows[r][fc]) % p
+            basis.append(v)
+        span = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p
+                      for i in range(3))
+                for cs in itertools.product(range(p), repeat=len(basis))}
+        assert span == kernel
+        # the echelon basis spans the row space and is reduced
+        ech = _echelon(p, M)
+        assert len(ech) == rank
+        for k, (piv, b) in enumerate(ech):
+            assert b[piv] == 1 and not any(b[:piv])
+            assert all(other[piv] == 0 for j, (_, other) in enumerate(ech)
+                       if j != k)
+
+
+def test_field_inverse_every_2x2_matrix_over_f3():
+    R = prime_field(3)
+    F = R.residue_field
+    els = list(F.elements())
+    for a, b, c, d in itertools.product(els, repeat=4):
+        M = [[a, b], [c, d]]
+        inv = linalg.field_inverse(F, M)
+        det = a * d - b * c
+        if det.is_zero():
+            assert inv is None
+        else:
+            prod = [[sum((M[i][k] * inv[k][j] for k in range(2)), F.zero())
+                     for j in range(2)] for i in range(2)]
+            assert prod == [[F.one(), F.zero()], [F.zero(), F.one()]]
+
+
+def test_unit_pivot_solve_2x2_over_dual_numbers():
+    R = dual_numbers(3)
+    els = list(R.elements())
+    rng = random.Random(0)
+
+    def apply(M, x):
+        return [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)]
+
+    for _ in range(200):
+        M = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
+        rhs = [rng.choice(els) for _ in range(2)]
+        sols = [list(x) for x in itertools.product(els, repeat=2)
+                if apply(M, list(x)) == rhs]
+        x = _gauss_local(R, M, rhs)
+        if x is not None:
+            assert apply(M, x) == rhs
+        if linalg.is_invertible(R, M):
+            # unit pivots in every column: the unique solution
+            assert len(sols) == 1 and x == sols[0]
+        elif not sols:
+            assert x is None
+
+
+def test_span_contains_matches_brute_force_over_dual_numbers():
+    R = dual_numbers(3)
+    els = list(R.elements())
+    for col in itertools.product(els, repeat=2):
+        col = list(col)
+        if not any(c.is_unit() for c in col):
+            with pytest.raises(linalg.SingularMatrix):
+                linalg.span_contains(R, [col], [R.one(), R.zero()])
+            continue
+        multiples = {tuple(c * x for x in col) for c in els}
+        for vec in itertools.product(els, repeat=2):
+            assert linalg.span_contains(R, [col], list(vec)) == (vec in multiples)

@@ -65,3 +65,16 @@ def test_eval_poly_matches_symbolic():
         sym = int(S1.subs(dict(zip(gens, vals)))) % 5
         args = [R.el(v) for v in vals]
         assert wittpoly.eval_poly(terms, args, R) == R.el(sym)
+
+
+def test_oracle_rejects_a_perturbed_polynomial(monkeypatch):
+    # the oracle must fail when any derived polynomial is off by a constant
+    derive = wittpoly._derive
+    for op in ("sum", "prod", "neg", "frob"):
+        def perturbed(p, o, n, op=op):
+            polys = derive(p, o, n)
+            return polys[:-1] + (polys[-1] + 1,) if o == op else polys
+        monkeypatch.setattr(wittpoly, "_derive", perturbed)
+        assert not wittpoly.verify_ghost_identities(3, 2)
+    monkeypatch.setattr(wittpoly, "_derive", derive)
+    assert wittpoly.verify_ghost_identities(3, 2)
