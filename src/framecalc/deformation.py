@@ -14,6 +14,7 @@ the direct linear solve; the tests play them against each other.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 
 from . import linalg
 from .displays import Display, GradedElem, GradedMatrix
@@ -261,20 +262,13 @@ class WittKernelCoords:
             self.offsets.append(total)
             total += len(payloads)
         self.dim = total
+        self._singles = None
 
     def _witt_unit(self, c, mo):
         ring = self.frame.s0.ring
         comps = [ring.zero()] * self.frame.m
         comps[c] = ring.el({mo: 1})
         return self.frame.s0.el(comps)
-
-    def basis_slot(self, idx):
-        """(slot_index, payload) for global coordinate index idx."""
-        for s, off in enumerate(self.offsets):
-            count = len(self.slots[s][3])
-            if off <= idx < off + count:
-                return s, self.slots[s][3][idx - off]
-        raise IndexError(idx)
 
     def decode(self, vec):
         """Coordinates -> the group element I + kappa."""
@@ -311,18 +305,17 @@ class WittKernelCoords:
                 out.extend(v)
         return out
 
-    def sigma_tau_single(self, idx):
-        """(sigma_matrix, tau_matrix) over S0 for the idx-th basis kappa."""
-        s0 = self.frame.s0
-        n = len(self.mu)
-        s_idx, pay = self.basis_slot(idx)
-        i, j, d, _ = self.slots[s_idx]
-        sig = linalg.zeros(s0, n, n)
-        tau = linalg.zeros(s0, n, n)
-        e = GradedElem(self.frame, d, pay)
-        sig[i][j] = e.sigma()
-        tau[i][j] = e.tau()
-        return sig, tau
+    def single_entries(self):
+        """(i, j, sigma, tau) per global coordinate index: the slot of the
+        one nonzero entry of that basis kappa, and the entry's sigma and tau
+        in S0.  Built on first use and kept on the instance."""
+        if self._singles is None:
+            self._singles = []
+            for i, j, d, payloads in self.slots:
+                for pay in payloads:
+                    e = GradedElem(self.frame, d, pay)
+                    self._singles.append((i, j, e.sigma(), e.tau()))
+        return self._singles
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +353,36 @@ def skew_basis(coords):
 
 
 def _linear_columns(coords, left_phi, right_phi, basis_vectors):
-    """Columns of zeta -> left sigma(zeta) - tau(zeta) right, in value coords."""
-    s0 = coords.frame.s0
+    """Columns of zeta -> left sigma(zeta) - tau(zeta) right, in value coords.
+
+    A single-entry zeta in slot (i, j) with sigma s and tau t contributes
+    (column i of left) s to column j and t (row j of right) to row i.  The
+    value coordinates are additive on kernel values, so the column of a
+    basis vector is the mod-p combination of its single-entry columns.
+    """
+    p = coords.p
     n = len(coords.mu)
+    zero = coords.frame.s0.zero()
+    entries = coords.single_entries()
+    width = n * n * len(coords.value_basis)
     singles = {}
     cols = []
     for bv in basis_vectors:
-        sig_tot = linalg.zeros(s0, n, n)
-        tau_tot = linalg.zeros(s0, n, n)
-        for idx, c in [(k, v) for k, v in enumerate(bv) if v % coords.p]:
-            if idx not in singles:
-                singles[idx] = coords.sigma_tau_single(idx)
-            sig1, tau1 = singles[idx]
-            for _ in range(c % coords.p):
-                sig_tot = linalg.mat_add(sig_tot, sig1)
-                tau_tot = linalg.mat_add(tau_tot, tau1)
-        val = linalg.mat_sub(linalg.mat_mul(s0, left_phi, sig_tot),
-                             linalg.mat_mul(s0, tau_tot, right_phi))
-        cols.append(coords.encode_value_matrix(val))
+        col = [0] * width
+        for idx, c in enumerate(bv):
+            c %= p
+            if not c:
+                continue
+            single = singles.get(idx)
+            if single is None:
+                i, j, sig, tau = entries[idx]
+                val = [[zero] * n for _ in range(n)]
+                for r in range(n):
+                    val[r][j] = left_phi[r][i] * sig
+                val[i] = [v - tau * w for v, w in zip(val[i], right_phi[j])]
+                single = singles[idx] = coords.encode_value_matrix(val)
+            col = [(a + c * b) % p for a, b in zip(col, single)]
+        cols.append(col)
     return cols
 
 
@@ -480,17 +485,19 @@ def enumerate_hodge_deformations(th, d, orth=False):
 # Fiber classification (complete, by the coset argument)
 # ---------------------------------------------------------------------------
 
-def fiber_direction_basis(frame, ext, n, orth_base=None):
+def fiber_direction_basis(coords, orth_base=None):
     """Basis of the space of kernel matrices K with base + K in the fiber.
 
-    frame is any frame with S0 = W_m(B) (the relative frame or the Witt
-    frame of B).  For the orthogonal fiber (orth_base = the lifted Phi), K
-    is cut out by the linear condition K^t J Phi + Phi^t J K = 0 (the
-    quadratic term vanishes on kernel entries).
+    coords are the "jsupp" coordinates of a Witt frame of B, whose S0 =
+    W_m(B) holds the entries.  For the orthogonal fiber (orth_base = the
+    lifted Phi), K is cut out by the linear condition K^t J Phi + Phi^t J K
+    = 0 (the quadratic term vanishes on kernel entries).
     """
+    frame, ext = coords.frame, coords.ext
     s0 = frame.s0
     m = frame.m
     B = ext.B
+    n = len(coords.mu)
     units = []
     for i in range(n):
         for j in range(n):
@@ -511,22 +518,8 @@ def fiber_direction_basis(frame, ext, n, orth_base=None):
         t2 = linalg.mat_mul(s0, linalg.transpose(orth_base), linalg.mat_mul(s0, J, K))
         return linalg.mat_add(t1, t2)
 
-    # coordinates of the condition in the J-supported value space
-    coords_val = [(c, mo) for c in range(m) for mo in ext.J_basis]
-    pos = {cm: k for k, cm in enumerate(coords_val)}
-
-    def encode(M):
-        out = []
-        for row in M:
-            for e in row:
-                v = [0] * len(coords_val)
-                for c_idx, comp in enumerate(e.comps):
-                    for mo, c in comp.coeffs.items():
-                        v[pos[(c_idx, mo)]] = c.coeffs[0]
-                out.extend(v)
-        return out
-
-    cols = [encode(cond(K)) for K in units]
+    # the condition in the J-supported value coordinates
+    cols = [coords.encode_value_matrix(cond(K)) for K in units]
     # kernel of the condition map, by elimination over F_p
     rows = [list(r) for r in zip(*cols)]
     pivots = linalg.rref_modp(p, rows, len(units))
@@ -606,24 +599,72 @@ def embed_graded(ext, frame_b, A):
 # The zip-level tower over a Witt frame
 # ---------------------------------------------------------------------------
 
+class LiftTower(Sequence):
+    """The zip-level display group of a residue field with exact lifts to a
+    Witt frame, built on first use.
+
+    Entry k is (g0, ghat): g0 over the zip frame, in group enumeration
+    order, and ghat its lift over the Witt frame, which build(params[k])
+    makes from the Teichmueller parameters of g0 and the tower then keeps.
+    transporter(z1, z2) is memoized too, so the tower holds at most len()
+    lifts and one index list per queried pair of zip displays.
+    """
+
+    def __init__(self, zframe, elements, params, build):
+        self.frame = zframe
+        self._elements = elements
+        self._params = params
+        self._build = build
+        self._lifts = {}
+        self._transporters = {}
+
+    def __len__(self):
+        return len(self._elements)
+
+    def __getitem__(self, k):
+        if not -len(self) <= k < len(self):
+            raise IndexError(k)
+        k %= len(self)
+        ghat = self._lifts.get(k)
+        if ghat is None:
+            ghat = self._lifts[k] = self._build(self._params[k])
+        return self._elements[k], ghat
+
+    @property
+    def lifted(self):
+        """The indices whose lifts have been built, increasing."""
+        return sorted(self._lifts)
+
+    def transporter(self, z1, z2):
+        """The indices k with z1.act(g0_k) == z2, increasing."""
+        key = (z1, z2)
+        hit = self._transporters.get(key)
+        if hit is None:
+            hit = self._transporters[key] = [
+                k for k, g0 in enumerate(self._elements) if z1.act(g0) == z2]
+        return hit
+
+
 def witt_zip_lift_pairs(wframe, mu, zring, lift_scalar):
-    """(g0 over the zip frame of the residue field, exact Teichmueller lift
-    over the Witt frame) for the whole zip-level display group."""
+    """The whole zip-level display group over the zip frame of the residue
+    field, with exact Teichmueller lifts over the Witt frame (a LiftTower)."""
     from .displays import group_elements
     zf = ZipFrame(zring)
     s0 = wframe.s0
-    pairs = []
-    for g0 in group_elements(zf, mu):
-        grid = [[s0.teichmuller(lift_scalar(e.payload)) for e in row]
-                for row in g0.entries]
-        pairs.append((g0, GradedMatrix.from_payloads(wframe, mu, grid)))
-    return pairs
+
+    def build(grid):
+        return GradedMatrix.from_payloads(
+            wframe, mu, [[s0.teichmuller(lift_scalar(e)) for e in row]
+                         for row in grid])
+
+    elements = list(group_elements(zf, mu))
+    return LiftTower(zf, elements, [g0.payload_grid() for g0 in elements], build)
 
 
 def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     """Orthogonal analogue of witt_zip_lift_pairs: the orthogonal zip group
-    with exact orthogonal lifts, built factor by factor (Levi times lower
-    times upper unipotent, Teichmueller parameters throughout)."""
+    with exact orthogonal lifts, each built factor by factor (Levi times
+    lower times upper unipotent, Teichmueller parameters throughout)."""
     zf = ZipFrame(zring)
     s0 = wframe.s0
     n = len(mu)
@@ -631,33 +672,33 @@ def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     def teich(a):
         return s0.teichmuller(lift_scalar(a))
 
+    def levi(frame, conv, a, H):
+        grid = [[frame.s0.zero()] * n for _ in range(n)]
+        grid[0][0] = conv(a)
+        grid[n - 1][n - 1] = conv(a.invert())
+        for bi in range(2):
+            for bj in range(2):
+                grid[1 + bi][1 + bj] = conv(H[bi][bj])
+        return GradedMatrix.from_payloads(frame, mu, grid)
+
+    def build(params):
+        a, H, xm, xp = params
+        lum = levi(wframe, teich, a, H) * exp_minus_orth(
+            wframe, mu, [teich(x) for x in xm])
+        return lum * exp_plus_orth(wframe, mu, [teich(x) for x in xp])
+
     units = [a for a in zring.elements() if a.is_unit()]
     elems = list(zring.elements())
-    pairs = []
+    elements, params = [], []
     for a in units:
         for H in o2_elements(zring):
-            grid_z = [[zring.zero()] * n for _ in range(n)]
-            grid_w = [[s0.zero()] * n for _ in range(n)]
-            grid_z[0][0] = a
-            grid_w[0][0] = teich(a)
-            grid_z[n - 1][n - 1] = a.invert()
-            grid_w[n - 1][n - 1] = teich(a.invert())
-            for bi in range(2):
-                for bj in range(2):
-                    grid_z[1 + bi][1 + bj] = H[bi][bj]
-                    grid_w[1 + bi][1 + bj] = teich(H[bi][bj])
-            l_z = GradedMatrix.from_payloads(zf, mu, grid_z)
-            l_w = GradedMatrix.from_payloads(wframe, mu, grid_w)
+            l_z = levi(zf, lambda x: x, a, H)
             for xm in itertools.product(elems, repeat=n - 2):
-                um_z = exp_minus_orth(zf, mu, list(xm))
-                um_w = exp_minus_orth(wframe, mu, [teich(x) for x in xm])
-                lum_z = l_z * um_z
-                lum_w = l_w * um_w
+                lum_z = l_z * exp_minus_orth(zf, mu, list(xm))
                 for xp in itertools.product(elems, repeat=n - 2):
-                    up_z = exp_plus_orth(zf, mu, list(xp))
-                    up_w = exp_plus_orth(wframe, mu, [teich(x) for x in xp])
-                    pairs.append((lum_z * up_z, lum_w * up_w))
-    return pairs
+                    elements.append(lum_z * exp_plus_orth(zf, mu, list(xp)))
+                    params.append((a, H, xm, xp))
+    return LiftTower(zf, elements, params, build)
 
 
 def project_witt_display(zf, resmap, d):
@@ -667,72 +708,62 @@ def project_witt_display(zf, resmap, d):
     return Display(zf, d.mu, phi, check=False)
 
 
-def is_isomorphic_witt(coords, lift_pairs, resmap, d1, d2, orth=False):
+def _tower_search(tower, coords, d, z1, z2, target, orth):
+    """Exact display-group elements g with d.act(g) == target, in tower
+    order: for each transporter element g0 of the zip displays z1 -> z2,
+    its lift ghat times the kernel element that the linear solver finds
+    for d.act(ghat) -> target, if there is one."""
+    if orth:
+        basis_vectors = [_combine_sparse(coords, c) for c in skew_basis(coords)]
+    else:
+        basis_vectors = None
+    for k in tower.transporter(z1, z2):
+        _, ghat = tower[k]
+        z = solve_identity_iso(coords, d.act(ghat), target,
+                               basis_vectors=basis_vectors, verify=False)
+        if z is None:
+            continue
+        g = ghat * z
+        if not d.act(g) == target:
+            raise AssertionError("linear solution failed exact verification")
+        yield g
+
+
+def is_isomorphic_witt(coords, tower, resmap, d1, d2, orth=False):
     """Decide isomorphism of two displays over a Witt frame W_2(B).
 
     Complete by the tower argument: the reduction of the display group to
     the zip frame of the residue field is surjective (Teichmueller lifts),
     its kernel is the "resfield" coordinate group, kernel products vanish,
     so the kernel part of any isomorphism is found by the linear solver.
+    tower is a LiftTower; only the zip-level elements carrying the
+    reduction of d1 to that of d2 (its memoized transporter) get lifted.
     """
-    zf = lift_pairs[0][0].frame
+    zf = tower.frame
     z1 = project_witt_display(zf, resmap, d1)
     z2 = project_witt_display(zf, resmap, d2)
-    if orth:
-        basis_vectors = [_combine_sparse(coords, c) for c in skew_basis(coords)]
-    else:
-        basis_vectors = None
     target = Display(d1.frame, d1.mu, d2.phi, check=False)
-    for g0, ghat in lift_pairs:
-        if z1.act(g0) != z2:
-            continue
-        D = d1.act(ghat)
-        z = solve_identity_iso(coords, D, target,
-                               basis_vectors=basis_vectors, verify=False)
-        if z is None:
-            continue
-        g = ghat * z
-        if d1.act(g) == target:
-            return True
-        raise AssertionError("linear solution failed exact verification")
-    return False
+    found = _tower_search(tower, coords, d1, z1, z2, target, orth)
+    return next(found, None) is not None
 
 
 # ---------------------------------------------------------------------------
 # Stabilizers and the complete fiber classification
 # ---------------------------------------------------------------------------
 
-def stabilizer_lifts(d, lift_pairs, coords_res, orth=False):
+def stabilizer_lifts(d, tower, coords_res, orth=False):
     """One exact display-group stabilizer element of d per zip-level
     component of the stabilizer.
 
+    The components are the transporter of the zip-level reduction z0 of d
+    to itself in the LiftTower tower; only those elements get lifted.
     Kernel components of the stabilizer act trivially on J-supported
     perturbations after base change (their entries multiply J-supported
     Witt vectors to zero), so one representative per component is enough.
     """
-    wframe = d.frame
-    zf = lift_pairs[0][0].frame
-    z0 = project_witt_display(zf, lambda w: w.comps[0], d)
-    if orth:
-        basis_vectors = [_combine_sparse(coords_res, c)
-                         for c in skew_basis(coords_res)]
-    else:
-        basis_vectors = None
-    target = Display(wframe, d.mu, d.phi, check=False)
-    out = []
-    for g0, ghat in lift_pairs:
-        if z0.act(g0) != z0:
-            continue
-        Z = d.act(ghat)
-        z = solve_identity_iso(coords_res, Z, target,
-                               basis_vectors=basis_vectors, verify=False)
-        if z is None:
-            continue
-        s = ghat * z
-        if not d.act(s) == target:
-            raise AssertionError("stabilizer candidate failed verification")
-        out.append(s)
-    return out
+    z0 = project_witt_display(tower.frame, lambda w: w.comps[0], d)
+    target = Display(d.frame, d.mu, d.phi, check=False)
+    return list(_tower_search(tower, coords_res, d, z0, z0, target, orth))
 
 
 def classify_witt_fiber(th, d, orth=False):
@@ -750,7 +781,6 @@ def classify_witt_fiber(th, d, orth=False):
     frame_a = th.target
     ext = th.source.ext
     p = frame_a.p
-    n = d.n
     mu = d.mu
     frame_b = WittFrame(ext.B, frame_a.m)
     dhat = embed_witt_display(ext, frame_b, d)
@@ -768,8 +798,8 @@ def classify_witt_fiber(th, d, orth=False):
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
     cols = _linear_columns(coords, dhat.phi, dhat.phi, zeta_basis)
-    units = fiber_direction_basis(frame_b, ext, n)
-    dirs = (fiber_direction_basis(frame_b, ext, n, orth_base=dhat.phi)
+    units = fiber_direction_basis(coords)
+    dirs = (fiber_direction_basis(coords, orth_base=dhat.phi)
             if orth else units)
     dir_vecs = [coords.encode_value_matrix(K) for K in dirs]
     dim_f = _rank_modp(p, dir_vecs)

@@ -537,25 +537,68 @@ def _alpha_apply(z, i, w_frob, above_C):
 
 
 def _gauss_local(ring, M, rhs):
-    """One exact solution of M x = rhs over a local ring via unit pivots."""
-    nrows = len(M)
+    """One exact solution of M x = rhs over a finite local ArtinRing, or None.
+
+    Unit-pivot elimination is complete over a field.  Over a ring with
+    nilpotents it can miss solutions, so when its answer fails there, M x =
+    rhs is solved as an F_p-linear system in the F_p-coordinates of x.
+    """
     ncols = len(M[0]) if M else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(M)]
+    aug = [list(row) + [b] for row, b in zip(M, rhs)]
     pivots = linalg.rref_units(aug, ncols)
-    for r in range(len(pivots), nrows):
-        if not aug[r][ncols].is_zero():
-            return None
-    x = [ring.zero()] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    # exact verification (unit-pivot elimination can miss non-unit obstructions)
-    for i in range(nrows):
-        acc = ring.zero()
-        for j in range(ncols):
-            acc = acc + M[i][j] * x[j]
-        if acc != rhs[i]:
-            return None
+    if all(row[ncols].is_zero() for row in aug[len(pivots):]):
+        x = [ring.zero()] * ncols
+        for r, col in enumerate(pivots):
+            x[col] = aug[r][ncols]
+        # exact verification (unit-pivot elimination can miss non-unit obstructions)
+        if _solves(ring, M, x, rhs):
+            return x
+    if len(ring.basis) == 1:
+        return None
+    x = _solve_fp(ring, M, rhs)
+    if x is not None and not _solves(ring, M, x, rhs):
+        raise AssertionError("F_p-linear solution failed exact verification")
     return x
+
+
+def _solves(ring, M, x, rhs):
+    for row, b in zip(M, rhs):
+        acc = ring.zero()
+        for m, v in zip(row, x):
+            acc = acc + m * v
+        if acc != b:
+            return False
+    return True
+
+
+def _solve_fp(ring, M, rhs):
+    """M x = rhs as F_p-linear algebra in the F_p-basis (monomial, t^e) of
+    the ring, or None; complete."""
+    f = ring.field.f
+    fzero = (0,) * f
+
+    def coords(a):
+        return [c for mo in ring.basis
+                for c in (a.coeffs[mo].coeffs if mo in a.coeffs else fzero)]
+
+    basis = [ring.el({mo: [0] * e + [1]}) for mo in ring.basis for e in range(f)]
+    k = len(basis)
+    nvars = len(M[0]) if M else 0
+    ncols = nvars * k
+    # the column of x_j = b: the coordinates of column j of M times b
+    cols = [[c for row in M for c in coords(row[j] * b)]
+            for j in range(nvars) for b in basis]
+    target = [c for b in rhs for c in coords(b)]
+    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    pivots = linalg.rref_modp(ring.p, aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
+    sol = [0] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return [ring.el({mo: sol[j * k + i * f:j * k + (i + 1) * f]
+                     for i, mo in enumerate(ring.basis)})
+            for j in range(nvars)]
 
 
 def classify_fzips(frame, mu, cap=10 ** 7):

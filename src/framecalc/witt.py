@@ -47,6 +47,9 @@ class WittRing:
         # memoize binary operations when the ring is small enough that the
         # operation tables fit comfortably (enumeration-heavy workloads)
         self._memo = {} if self.size <= 4096 else None
+        # Witt vectors are never mutated, so the constants are built once
+        self._zero = self.el([0] * m)
+        self._one = self.el([1] + [0] * (m - 1))
         self._ready = True
 
     def __eq__(self, other):
@@ -68,10 +71,10 @@ class WittRing:
         return WittVector(self, comps)
 
     def zero(self):
-        return self.el([0] * self.m)
+        return self._zero
 
     def one(self):
-        return self.el([1] + [0] * (self.m - 1))
+        return self._one
 
     def from_int(self, n):
         # the additive order of 1 divides p^m since R is an F_p-algebra

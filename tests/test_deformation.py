@@ -7,10 +7,13 @@ import pytest
 
 from framecalc import linalg
 from framecalc.rings import dual_number_extension
-from framecalc.frames import RelativeFrame, Thickening, WittFrame
-from framecalc.displays import Display, GradedMatrix
-from framecalc.orthogonal import verify_orth
-from framecalc.deformation import (WittKernelCoords,
+from framecalc.frames import RelativeFrame, Thickening, WittFrame, ZipFrame
+from framecalc.displays import Display, GradedMatrix, group_elements
+from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
+                                  o2_elements, verify_orth)
+from framecalc.deformation import (WittKernelCoords, _combine_sparse,
+                                   _linear_columns, project_witt_display,
+                                   skew_basis, stabilizer_lifts,
                                    classify_witt_fiber, conj_operator,
                                    enumerate_hodge_deformations,
                                    hodge_lift_matrix, hodge_lift_parameters,
@@ -20,6 +23,7 @@ from framecalc.deformation import (WittKernelCoords,
                                    reduce_witt_display, solve_descent,
                                    solve_identity_iso, tau_inverse_kernel,
                                    theta, witt_fiber_member_class,
+                                   witt_orth_zip_lift_pairs,
                                    witt_zip_lift_pairs)
 from framecalc.fixtures import gl2_fixture, k3_fixture
 
@@ -211,3 +215,185 @@ def test_ordinary_base_collapses_to_one_class():
     assert report["classes"] == 1
     assert report["action_rank"] == 8
     assert not report["passed"]  # the Hodge count 3 is not matched
+
+
+# ---------------------------------------------------------------------------
+# The lazy lift tower against the eager construction it replaces
+# ---------------------------------------------------------------------------
+
+def _eager_gl_pairs(wframe, mu, zring, lift_scalar):
+    """Every (g0, Teichmueller lift) of the zip-level group, built at once."""
+    s0 = wframe.s0
+    return [(g0, GradedMatrix.from_payloads(
+                wframe, mu, [[s0.teichmuller(lift_scalar(e.payload)) for e in row]
+                             for row in g0.entries]))
+            for g0 in group_elements(ZipFrame(zring), mu)]
+
+
+def _eager_orth_pairs(wframe, mu, zring, lift_scalar):
+    """The orthogonal zip group with its lifts, Levi times lower times upper
+    unipotent, every lift built at once."""
+    zf = ZipFrame(zring)
+    s0 = wframe.s0
+    n = len(mu)
+
+    def teich(a):
+        return s0.teichmuller(lift_scalar(a))
+
+    elems = list(zring.elements())
+    pairs = []
+    for a in [a for a in elems if a.is_unit()]:
+        for H in o2_elements(zring):
+            grid_z = [[zring.zero()] * n for _ in range(n)]
+            grid_w = [[s0.zero()] * n for _ in range(n)]
+            grid_z[0][0], grid_w[0][0] = a, teich(a)
+            grid_z[n - 1][n - 1] = a.invert()
+            grid_w[n - 1][n - 1] = teich(a.invert())
+            for bi in range(2):
+                for bj in range(2):
+                    grid_z[1 + bi][1 + bj] = H[bi][bj]
+                    grid_w[1 + bi][1 + bj] = teich(H[bi][bj])
+            l_z = GradedMatrix.from_payloads(zf, mu, grid_z)
+            l_w = GradedMatrix.from_payloads(wframe, mu, grid_w)
+            for xm in itertools.product(elems, repeat=n - 2):
+                lum_z = l_z * exp_minus_orth(zf, mu, list(xm))
+                lum_w = l_w * exp_minus_orth(wframe, mu, [teich(x) for x in xm])
+                for xp in itertools.product(elems, repeat=n - 2):
+                    pairs.append((lum_z * exp_plus_orth(zf, mu, list(xp)),
+                                  lum_w * exp_plus_orth(
+                                      wframe, mu, [teich(x) for x in xp])))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def k3_tower():
+    th, d = k3_fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    args = (frame_b, d.mu, ext.A, ext.section)
+    return th, d, frame_b, witt_orth_zip_lift_pairs(*args), _eager_orth_pairs(*args)
+
+
+def _brute_transporter(pairs, z1, z2):
+    return [k for k, (g0, _) in enumerate(pairs) if z1.act(g0) == z2]
+
+
+def test_orth_tower_transporter_matches_brute_force(k3_tower):
+    th, d, frame_b, tower, eager = k3_tower
+    assert len(tower) == len(eager) == 648
+    resmap = lambda w: th.ext.proj(w.comps[0])
+    z0 = project_witt_display(tower.frame, resmap, k3_deform(th, d)[0])
+    z1 = z0.act(eager[100][0])
+    for a, b in [(z0, z0), (z1, z0)]:
+        brute = _brute_transporter(eager, a, b)
+        assert brute
+        assert tower.transporter(a, b) == brute
+    assert tower.transporter(z0, z0) is tower.transporter(z0, z0)
+    assert len(tower.transporter(z0, z0)) == 6
+
+
+def test_orth_tower_lifts_match_eager_construction(k3_tower):
+    _, _, _, tower, eager = k3_tower
+    for k, (g0, ghat) in enumerate(eager):
+        assert tower[k] == (g0, ghat)
+    assert tower.lifted == list(range(len(eager)))
+    assert tower[-1] == eager[-1]
+    with pytest.raises(IndexError):
+        tower[len(eager)]
+
+
+def test_gl_tower_matches_eager_construction():
+    th, d = gl2_fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    args = (frame_b, d.mu, ext.A, ext.section)
+    tower = witt_zip_lift_pairs(*args)
+    eager = _eager_gl_pairs(*args)
+    assert len(tower) == len(eager)
+    resmap = lambda w: ext.proj(w.comps[0])
+    zs = [project_witt_display(tower.frame, resmap, dd)
+          for dd in enumerate_hodge_deformations(th, d)]
+    zs.append(zs[0].act(eager[5][0]))
+    for a in zs:
+        for b in zs:
+            assert tower.transporter(a, b) == _brute_transporter(eager, a, b)
+    assert tower.lifted == []
+    assert list(tower) == eager
+
+
+def test_isomorphism_query_lifts_only_transporter_elements():
+    th, d = k3_fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    tower = witt_orth_zip_lift_pairs(frame_b, d.mu, ext.A, ext.section)
+    coords = WittKernelCoords(frame_b, d.mu, "resfield")
+    resmap = lambda w: ext.proj(w.comps[0])
+    defs = k3_deform(th, d)
+    assert not is_isomorphic_witt(coords, tower, resmap, defs[0], defs[1],
+                                  orth=True)
+    z1 = project_witt_display(tower.frame, resmap, defs[0])
+    z2 = project_witt_display(tower.frame, resmap, defs[1])
+    # a negative answer lifts the whole transporter and nothing else
+    assert tower.lifted == tower.transporter(z1, z2)
+    assert len(tower.lifted) < len(tower)
+    assert is_isomorphic_witt(coords, tower, resmap, defs[2], defs[2],
+                              orth=True)
+    assert set(tower.lifted) == set(tower.transporter(z1, z2))
+
+
+def test_stabilizer_lifts_match_eager_search():
+    th, d = k3_fixture()
+    frame_a = th.target
+    zring = frame_a.ring
+    args = (frame_a, d.mu, zring, lambda a: a)
+    tower = witt_orth_zip_lift_pairs(*args)
+    coords = WittKernelCoords(frame_a, d.mu, "resfield")
+    stabs = stabilizer_lifts(d, tower, coords, orth=True)
+    # the eager search: every lift pair, filtered at the zip level
+    z0 = project_witt_display(tower.frame, lambda w: w.comps[0], d)
+    basis = [_combine_sparse(coords, c) for c in skew_basis(coords)]
+    expected = []
+    for g0, ghat in _eager_orth_pairs(*args):
+        if z0.act(g0) != z0:
+            continue
+        z = solve_identity_iso(coords, d.act(ghat), d, basis_vectors=basis)
+        if z is not None:
+            expected.append(ghat * z)
+    assert stabs == expected
+    assert len(stabs) == 6
+    assert tower.lifted == tower.transporter(z0, z0)
+
+
+def _dense_columns(coords, left, right, basis_vectors):
+    """zeta -> left sigma(zeta) - tau(zeta) right by dense matrix products,
+    with zeta decoded from its coordinates."""
+    s0 = coords.frame.s0
+    I = linalg.identity(s0, len(coords.mu))
+    cols = []
+    for bv in basis_vectors:
+        Z = coords.decode(bv)
+        sig = linalg.mat_sub(Z.sigma(), I)
+        tau = linalg.mat_sub(Z.tau(), I)
+        cols.append(coords.encode_value_matrix(linalg.mat_sub(
+            linalg.mat_mul(s0, left, sig), linalg.mat_mul(s0, tau, right))))
+    return cols
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_linear_columns_match_dense_formula(seed):
+    th, d = k3_fixture()
+    frame_b = WittFrame(th.ext.B, 2)
+    coords = WittKernelCoords(frame_b, d.mu, "resfield")
+    s0 = frame_b.s0
+    els = list(s0.elements())
+    rng = random.Random(seed)
+    n = len(d.mu)
+    left = [[rng.choice(els) for _ in range(n)] for _ in range(n)]
+    right = [[rng.choice(els) for _ in range(n)] for _ in range(n)]
+    units = [[int(i == k) for i in range(coords.dim)] for k in range(coords.dim)]
+    skew = [_combine_sparse(coords, c) for c in skew_basis(coords)]
+    mixed = [[rng.randrange(coords.p) for _ in range(coords.dim)]
+             for _ in range(3)]
+    for basis in (units, skew, mixed):
+        assert (_linear_columns(coords, left, right, basis)
+                == _dense_columns(coords, left, right, basis))

@@ -8,7 +8,7 @@ import pytest
 from framecalc import linalg
 from framecalc.deformation import _echelon, _rank_modp, _solve_modp
 from framecalc.displays import _gauss_local
-from framecalc.rings import dual_numbers, prime_field
+from framecalc.rings import dual_numbers, prime_field, truncated_poly_ring
 
 
 def _mat_vec_modp(p, M, x):
@@ -92,6 +92,39 @@ def test_unit_pivot_solve_2x2_over_dual_numbers():
             assert len(sols) == 1 and x == sols[0]
         elif not sols:
             assert x is None
+
+
+def test_local_solve_finds_solutions_without_unit_pivots():
+    # M = e I has no unit entry, yet x = (1, 0) solves M x = (e, 0)
+    R = dual_numbers(3)
+    e, z = R.gen(), R.zero()
+    M = [[e, z], [z, e]]
+    x = _gauss_local(R, M, [e, z])
+    assert x is not None
+    assert [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)] == [e, z]
+    assert _gauss_local(R, M, [R.one(), z]) is None
+
+
+@pytest.mark.parametrize("ring", [dual_numbers(3), truncated_poly_ring(2, "x", 3)])
+def test_local_solve_is_complete_on_2x2_systems(ring):
+    els = list(ring.elements())
+    rng = random.Random(1)
+
+    def apply(M, x):
+        return [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)]
+
+    for _ in range(150):
+        # non-unit entries are the interesting ones: draw them half the time
+        M = [[rng.choice([a for a in els if not a.is_unit()] if rng.random() < 0.5
+                         else els) for _ in range(2)] for _ in range(2)]
+        x0 = [rng.choice(els) for _ in range(2)]
+        rhs = apply(M, x0) if rng.random() < 0.7 else [rng.choice(els) for _ in range(2)]
+        solvable = any(apply(M, list(x)) == rhs
+                       for x in itertools.product(els, repeat=2))
+        x = _gauss_local(ring, M, rhs)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert apply(M, x) == rhs
 
 
 def test_span_contains_matches_brute_force_over_dual_numbers():

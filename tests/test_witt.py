@@ -68,6 +68,9 @@ def test_frozen_values_w2_f3():
     assert W(1, 0) + W(2, 0) == W(0, 0)
     assert W(1, 1) * W(1, 1) == W(1, 2)
     assert -W(1, 0) == W(2, 0)
+    # the constants are built once per interned ring
+    assert wr.zero() is WittRing(R, 2).zero() and wr.zero() == W(0, 0)
+    assert wr.one() is WittRing(R, 2).one() and wr.one() == W(1, 0)
 
 
 def test_teichmuller_is_multiplicative():
