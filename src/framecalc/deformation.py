@@ -28,16 +28,9 @@ from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
 # ---------------------------------------------------------------------------
 
 def _solve_modp(p, cols, rhs):
-    """Coefficients x with sum x_j cols[j] = rhs mod p, or None."""
-    ncols = len(cols)
-    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
-    pivots = linalg.rref_modp(p, aug, ncols)
-    if any(row[ncols] for row in aug[len(pivots):]):
-        return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return x
+    """linalg.solve_modp for the kernel solves of this module, under the
+    name that perfbench's tracer counts."""
+    return linalg.solve_modp(p, cols, rhs)
 
 
 def _rank_modp(p, cols):
@@ -605,7 +598,8 @@ class LiftTower(Sequence):
 
     Entry k is (g0, ghat): g0 over the zip frame, in group enumeration
     order, and ghat its lift over the Witt frame, which build(params[k])
-    makes from the Teichmueller parameters of g0 and the tower then keeps.
+    makes from the Teichmueller lifts of the parameters of g0 (its entries,
+    when params[k] is g0 itself) and the tower then keeps.
     transporter(z1, z2) is memoized too, so the tower holds at most len()
     lifts and one index list per queried pair of zip displays.
     """
@@ -630,11 +624,6 @@ class LiftTower(Sequence):
             ghat = self._lifts[k] = self._build(self._params[k])
         return self._elements[k], ghat
 
-    @property
-    def lifted(self):
-        """The indices whose lifts have been built, increasing."""
-        return sorted(self._lifts)
-
     def transporter(self, z1, z2):
         """The indices k with z1.act(g0_k) == z2, increasing."""
         key = (z1, z2)
@@ -652,13 +641,13 @@ def witt_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     zf = ZipFrame(zring)
     s0 = wframe.s0
 
-    def build(grid):
+    def build(g0):
         return GradedMatrix.from_payloads(
             wframe, mu, [[s0.teichmuller(lift_scalar(e)) for e in row]
-                         for row in grid])
+                         for row in g0.payload_grid()])
 
     elements = list(group_elements(zf, mu))
-    return LiftTower(zf, elements, [g0.payload_grid() for g0 in elements], build)
+    return LiftTower(zf, elements, elements, build)
 
 
 def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):

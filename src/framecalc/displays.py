@@ -539,41 +539,11 @@ def _alpha_apply(z, i, w_frob, above_C):
 def _gauss_local(ring, M, rhs):
     """One exact solution of M x = rhs over a finite local ArtinRing, or None.
 
-    Unit-pivot elimination is complete over a field.  Over a ring with
-    nilpotents it can miss solutions, so when its answer fails there, M x =
-    rhs is solved as an F_p-linear system in the F_p-coordinates of x.
+    M x = rhs is solved as F_p-linear algebra in the F_p-coordinates of x,
+    in the F_p-basis (monomial, t^e) of the ring.  That is complete over
+    rings with nilpotents too, where unit-pivot elimination can miss
+    solutions.  The solution is then checked exactly.
     """
-    ncols = len(M[0]) if M else 0
-    aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    pivots = linalg.rref_units(aug, ncols)
-    if all(row[ncols].is_zero() for row in aug[len(pivots):]):
-        x = [ring.zero()] * ncols
-        for r, col in enumerate(pivots):
-            x[col] = aug[r][ncols]
-        # exact verification (unit-pivot elimination can miss non-unit obstructions)
-        if _solves(ring, M, x, rhs):
-            return x
-    if len(ring.basis) == 1:
-        return None
-    x = _solve_fp(ring, M, rhs)
-    if x is not None and not _solves(ring, M, x, rhs):
-        raise AssertionError("F_p-linear solution failed exact verification")
-    return x
-
-
-def _solves(ring, M, x, rhs):
-    for row, b in zip(M, rhs):
-        acc = ring.zero()
-        for m, v in zip(row, x):
-            acc = acc + m * v
-        if acc != b:
-            return False
-    return True
-
-
-def _solve_fp(ring, M, rhs):
-    """M x = rhs as F_p-linear algebra in the F_p-basis (monomial, t^e) of
-    the ring, or None; complete."""
     f = ring.field.f
     fzero = (0,) * f
 
@@ -584,21 +554,19 @@ def _solve_fp(ring, M, rhs):
     basis = [ring.el({mo: [0] * e + [1]}) for mo in ring.basis for e in range(f)]
     k = len(basis)
     nvars = len(M[0]) if M else 0
-    ncols = nvars * k
     # the column of x_j = b: the coordinates of column j of M times b
     cols = [[c for row in M for c in coords(row[j] * b)]
             for j in range(nvars) for b in basis]
-    target = [c for b in rhs for c in coords(b)]
-    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
-    pivots = linalg.rref_modp(ring.p, aug, ncols)
-    if any(row[ncols] for row in aug[len(pivots):]):
+    sol = linalg.solve_modp(ring.p, cols, [c for b in rhs for c in coords(b)])
+    if sol is None:
         return None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return [ring.el({mo: sol[j * k + i * f:j * k + (i + 1) * f]
-                     for i, mo in enumerate(ring.basis)})
-            for j in range(nvars)]
+    x = [ring.el({mo: sol[j * k + i * f:j * k + (i + 1) * f]
+                  for i, mo in enumerate(ring.basis)})
+         for j in range(nvars)]
+    for row, b in zip(M, rhs):
+        if sum((m * v for m, v in zip(row, x)), ring.zero()) != b:
+            raise AssertionError("F_p-linear solution failed exact verification")
+    return x
 
 
 def classify_fzips(frame, mu, cap=10 ** 7):

@@ -98,6 +98,19 @@ def rref_modp(p, rows, ncols):
     return pivots
 
 
+def solve_modp(p, cols, rhs):
+    """Coefficients x with sum x_j cols[j] = rhs mod p, or None."""
+    ncols = len(cols)
+    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
+    pivots = rref_modp(p, aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
+    x = [0] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][ncols]
+    return x
+
+
 def rref_units(rows, ncols):
     """Reduced row echelon form with unit pivots over a field or a finite
     local ring, in place, on rows of elements with is_unit/invert/is_zero.

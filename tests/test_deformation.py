@@ -296,7 +296,7 @@ def test_orth_tower_lifts_match_eager_construction(k3_tower):
     _, _, _, tower, eager = k3_tower
     for k, (g0, ghat) in enumerate(eager):
         assert tower[k] == (g0, ghat)
-    assert tower.lifted == list(range(len(eager)))
+    assert sorted(tower._lifts) == list(range(len(eager)))
     assert tower[-1] == eager[-1]
     with pytest.raises(IndexError):
         tower[len(eager)]
@@ -317,7 +317,7 @@ def test_gl_tower_matches_eager_construction():
     for a in zs:
         for b in zs:
             assert tower.transporter(a, b) == _brute_transporter(eager, a, b)
-    assert tower.lifted == []
+    assert sorted(tower._lifts) == []
     assert list(tower) == eager
 
 
@@ -334,11 +334,11 @@ def test_isomorphism_query_lifts_only_transporter_elements():
     z1 = project_witt_display(tower.frame, resmap, defs[0])
     z2 = project_witt_display(tower.frame, resmap, defs[1])
     # a negative answer lifts the whole transporter and nothing else
-    assert tower.lifted == tower.transporter(z1, z2)
-    assert len(tower.lifted) < len(tower)
+    assert sorted(tower._lifts) == tower.transporter(z1, z2)
+    assert len(sorted(tower._lifts)) < len(tower)
     assert is_isomorphic_witt(coords, tower, resmap, defs[2], defs[2],
                               orth=True)
-    assert set(tower.lifted) == set(tower.transporter(z1, z2))
+    assert set(sorted(tower._lifts)) == set(tower.transporter(z1, z2))
 
 
 def test_stabilizer_lifts_match_eager_search():
@@ -361,7 +361,7 @@ def test_stabilizer_lifts_match_eager_search():
             expected.append(ghat * z)
     assert stabs == expected
     assert len(stabs) == 6
-    assert tower.lifted == tower.transporter(z0, z0)
+    assert sorted(tower._lifts) == tower.transporter(z0, z0)
 
 
 def _dense_columns(coords, left, right, basis_vectors):
