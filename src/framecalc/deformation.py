@@ -745,7 +745,7 @@ def stabilizer_lifts(d, tower, coords_res, orth=False):
     component of the stabilizer.
 
     The components are the transporter of the zip-level reduction z0 of d
-    to itself in the LiftTower tower; only those elements get lifted.
+    to itself in tower (a LiftTower); only those elements get lifted.
     Kernel components of the stabilizer act trivially on J-supported
     perturbations after base change (their entries multiply J-supported
     Witt vectors to zero), so one representative per component is enough.

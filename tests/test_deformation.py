@@ -317,7 +317,7 @@ def test_gl_tower_matches_eager_construction():
     for a in zs:
         for b in zs:
             assert tower.transporter(a, b) == _brute_transporter(eager, a, b)
-    assert sorted(tower._lifts) == []
+    assert not tower._lifts
     assert list(tower) == eager
 
 
@@ -335,10 +335,10 @@ def test_isomorphism_query_lifts_only_transporter_elements():
     z2 = project_witt_display(tower.frame, resmap, defs[1])
     # a negative answer lifts the whole transporter and nothing else
     assert sorted(tower._lifts) == tower.transporter(z1, z2)
-    assert len(sorted(tower._lifts)) < len(tower)
+    assert len(tower._lifts) < len(tower)
     assert is_isomorphic_witt(coords, tower, resmap, defs[2], defs[2],
                               orth=True)
-    assert set(sorted(tower._lifts)) == set(tower.transporter(z1, z2))
+    assert set(tower._lifts) == set(tower.transporter(z1, z2))
 
 
 def test_stabilizer_lifts_match_eager_search():
