@@ -47,6 +47,9 @@ class WittRing:
         # memoize binary operations when the ring is small enough that the
         # operation tables fit comfortably (enumeration-heavy workloads)
         self._memo = {} if self.size <= 4096 else None
+        # Witt vectors are never mutated, so the constants are built once
+        self._zero = self.el([0] * m)
+        self._one = self.el([1] + [0] * (m - 1))
         self._ready = True
 
     def __eq__(self, other):
@@ -67,22 +70,11 @@ class WittRing:
             raise ValueError(f"expected {self.m} components")
         return WittVector(self, comps)
 
-    # Witt vectors are never mutated, so the constants are built once, on
-    # first use: built in __init__, among the temporaries of the polynomial
-    # derivation, they kept about 0.5 MiB of freed memory from the allocator
     def zero(self):
-        try:
-            return self._zero
-        except AttributeError:
-            self._zero = self.el([0] * self.m)
-            return self._zero
+        return self._zero
 
     def one(self):
-        try:
-            return self._one
-        except AttributeError:
-            self._one = self.el([1] + [0] * (self.m - 1))
-            return self._one
+        return self._one
 
     def from_int(self, n):
         # the additive order of 1 divides p^m since R is an F_p-algebra
