@@ -454,9 +454,7 @@ def cmd_selftest(args):
 
     F2 = prime_field(2)
     w22 = WittRing(F2, 2)
-    elems = list(w22.elements()) if hasattr(w22, "elements") else None
-    if elems is None:
-        elems = [w22.el([a, b]) for a in F2.elements() for b in F2.elements()]
+    elems = list(w22.elements())
     ok = True
     for x in elems:
         for y in elems:

@@ -222,7 +222,7 @@ class WittKernelCoords:
         elif kind == "resfield":
             if m != 2:
                 raise ValueError("resfield coordinates require m = 2")
-            nilp = [mo for mo in ring.basis if mo != ring._one_mono()]
+            nilp = [mo for mo in ring.basis if any(mo)]
             for m1 in nilp:
                 for m2 in nilp:
                     if not (ring.el({m1: 1}) * ring.el({m2: 1})).is_zero():
@@ -236,7 +236,9 @@ class WittKernelCoords:
             raise ValueError(kind)
         self.value_basis = [(c, mo) for c, monos in enumerate(comp_monos)
                             for mo in monos]
-        self._value_pos = {cm: k for k, cm in enumerate(self.value_basis)}
+        # (component, coordinate position) -> value coordinate
+        self._value_pos = {(c, ring.coord_index(mo)): k
+                           for k, (c, mo) in enumerate(self.value_basis)}
         n = len(self.mu)
         self.slots = []
         for i in range(n):
@@ -290,11 +292,12 @@ class WittKernelCoords:
             for e in row:
                 v = [0] * len(self.value_basis)
                 for c_idx, comp in enumerate(e.comps):
-                    for mo, c in comp.coeffs.items():
-                        pos = self._value_pos.get((c_idx, mo))
-                        if pos is None:
-                            raise ValueError("value outside the kernel space")
-                        v[pos] = c.coeffs[0]
+                    for i, c in enumerate(comp.coeffs):
+                        if c:
+                            pos = self._value_pos.get((c_idx, i))
+                            if pos is None:
+                                raise ValueError("value outside the kernel space")
+                            v[pos] = c
                 out.extend(v)
         return out
 

@@ -539,30 +539,20 @@ def _alpha_apply(z, i, w_frob, above_C):
 def _gauss_local(ring, M, rhs):
     """One exact solution of M x = rhs over a finite local ArtinRing, or None.
 
-    M x = rhs is solved as F_p-linear algebra in the F_p-coordinates of x,
-    in the F_p-basis (monomial, t^e) of the ring.  That is complete over
-    rings with nilpotents too, where unit-pivot elimination can miss
-    solutions.  The solution is then checked exactly.
+    M x = rhs is solved as F_p-linear algebra in the F_p-coordinates of x.
+    That is complete over rings with nilpotents too, where unit-pivot
+    elimination can miss solutions.  The solution is then checked exactly.
     """
-    f = ring.field.f
-    fzero = (0,) * f
-
-    def coords(a):
-        return [c for mo in ring.basis
-                for c in (a.coeffs[mo].coeffs if mo in a.coeffs else fzero)]
-
-    basis = [ring.el({mo: [0] * e + [1]}) for mo in ring.basis for e in range(f)]
-    k = len(basis)
+    k = ring.dim
+    basis = [ring.from_coords([int(i == c) for i in range(k)]) for c in range(k)]
     nvars = len(M[0]) if M else 0
     # the column of x_j = b: the coordinates of column j of M times b
-    cols = [[c for row in M for c in coords(row[j] * b)]
+    cols = [[c for row in M for c in (row[j] * b).coeffs]
             for j in range(nvars) for b in basis]
-    sol = linalg.solve_modp(ring.p, cols, [c for b in rhs for c in coords(b)])
+    sol = linalg.solve_modp(ring.p, cols, [c for b in rhs for c in b.coeffs])
     if sol is None:
         return None
-    x = [ring.el({mo: sol[j * k + i * f:j * k + (i + 1) * f]
-                  for i, mo in enumerate(ring.basis)})
-         for j in range(nvars)]
+    x = [ring.from_coords(sol[j * k:(j + 1) * k]) for j in range(nvars)]
     for row, b in zip(M, rhs):
         if sum((m * v for m, v in zip(row, x)), ring.zero()) != b:
             raise AssertionError("F_p-linear solution failed exact verification")

@@ -69,14 +69,14 @@ def fixture_frames():
 
 def rand_ring_elem(ring, rng):
     fld = ring.field
-    return ring.el({m: fld.el([rng.randrange(fld.p) for _ in range(fld.f)])
+    return ring.el({m: [rng.randrange(fld.p) for _ in range(fld.f)]
                     for m in ring.basis})
 
 
 def rand_kernel_elem(ext, rng):
     """Random element of the square-zero ideal J of B."""
     fld = ext.B.field
-    return ext.B.el({m: fld.el([rng.randrange(fld.p) for _ in range(fld.f)])
+    return ext.B.el({m: [rng.randrange(fld.p) for _ in range(fld.f)]
                      for m in ext.J_basis})
 
 

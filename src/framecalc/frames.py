@@ -40,9 +40,6 @@ class Frame:
     def p_neg(self, x):
         raise NotImplementedError
 
-    def p_sub(self, x, y):
-        return self.p_add(x, self.p_neg(y))
-
     def p_is_zero(self, x):
         return x == self.p_zero()
 
@@ -577,9 +574,6 @@ class HodgeThickening:
         self.m = m
         self.s_prime = WittFrame(ext.B, m)
         self.s_rel = RelativeFrame(ext, m)
-
-    def alpha0(self, s):
-        return s
 
     def alphaP(self, a):
         return (a, self.ext.B.zero())

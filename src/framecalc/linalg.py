@@ -3,9 +3,13 @@
 Matrices are plain lists of lists of ring elements; "ring" means any object
 with the small protocol used throughout the package (zero/one/from_int,
 to_residue/lift_residue, residue_field), which both ArtinRing and WittRing
-provide.  Inversion over a local ring is residue inversion followed by
-Newton correction on the nilpotent error, which converges in finitely many
-steps and is verified exactly.
+provide.  The residue field is itself an ArtinRing, the one without
+variables, so its elements are RingElems like any other and the field path
+(`field_inverse`, `rref_units`) runs on them.  Inversion over a local ring
+is residue inversion followed by Newton correction on the nilpotent error,
+which converges in finitely many steps and is verified exactly.  Solving
+over F_p works on ints mod p (`rref_modp`), such as the flat F_p-coordinates
+of ring elements.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ def rref_units(rows, ncols):
 
 
 def field_inverse(field, M):
-    """Inverse of a matrix over a finite field, or None if singular."""
+    """Inverse of a matrix over a finite field (an ArtinRing without
+    variables), or None if singular."""
     n = len(M)
     aug = [list(row) + [field.one() if i == j else field.zero()
                         for j in range(n)] for i, row in enumerate(M)]

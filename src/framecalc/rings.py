@@ -1,14 +1,20 @@
 """Finite fields F_q and finite local F_p-algebras presented as monomial quotients.
 
-Every base ring in this package has the shape
+Every ring in this package has the shape
 
     R = F_q[x_1, ..., x_r] / I
 
-where F_q = F_p[t]/(modulus) and I is a cofinite monomial ideal.  This is
-restrictive but covers everything we compute with (F_p, F_q, dual numbers,
-small truncated polynomial rings), and it keeps canonical forms and
-exhaustive enumeration trivial: elements are coefficient maps supported on
-the finite monomial basis.
+where F_q = F_p[t]/(modulus) and I is a cofinite monomial ideal; F_q itself
+is the ring with no variables, and it is the residue field of every ring
+over it.  This is restrictive but covers everything we compute with (F_p,
+F_q, dual numbers, small truncated polynomial rings).
+
+An element is stored flat, as the tuple of its F_p-coordinates in the
+F_p-basis (monomial, t^e): monomial-major in the lexicographic monomial
+basis, then e = 0..f-1.  Only this module knows that order.  Each ring
+builds one structure-constant table for products and one F_p-linear table
+for Frobenius; enumerating coordinate tuples lexicographically fixes the
+element order.
 """
 
 from __future__ import annotations
@@ -79,7 +85,8 @@ def _default_modulus(p, f):
 
 
 class Field:
-    """The finite field F_q with q = p^f, as F_p[t]/(modulus)."""
+    """The parameters p, f, q = p^f and modulus of F_q = F_p[t]/(modulus),
+    validated; its elements live in the ArtinRing without variables."""
 
     def __init__(self, p, f=1, modulus=None):
         if not _is_prime(p):
@@ -111,118 +118,6 @@ class Field:
             return f"F_{self.p}"
         return f"F_{self.q}"
 
-    def el(self, coeffs):
-        """Build an element from an int or a coefficient list (low degree first)."""
-        if isinstance(coeffs, FieldElem):
-            if coeffs.field != self:
-                raise ValueError("field mismatch")
-            return coeffs
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.f:
-            coeffs = _poly_mod(coeffs, list(self.modulus), self.p)
-        coeffs = coeffs + [0] * (self.f - len(coeffs))
-        return FieldElem(self, tuple(coeffs[:self.f]))
-
-    def zero(self):
-        return self.el(0)
-
-    def one(self):
-        return self.el(1)
-
-    def gen(self):
-        return self.el([0, 1]) if self.f > 1 else self.el(1)
-
-    def elements(self):
-        """All q elements in deterministic (lexicographic coefficient) order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.f):
-            yield FieldElem(self, coeffs)
-
-
-class FieldElem:
-    """Element of F_q stored as a coefficient tuple in the power basis of t."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem) and self.coeffs == other.coeffs
-                and (self.field is other.field or self.field == other.field))
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.field.f == 1:
-            return str(self.coeffs[0])
-        return "(" + "+".join(f"{c}t^{i}" if i else str(c)
-                              for i, c in enumerate(self.coeffs) if c) + ")" if any(self.coeffs) else "0"
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        if not self.field == other.field:  # cheaper than != on this hot path
-            raise AssertionError("field mismatch")
-        p = self.field.p
-        return FieldElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not self.field == other.field:  # cheaper than != on this hot path
-            raise AssertionError("field mismatch")
-        p = self.field.p
-        return FieldElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        if not self.field == other.field:  # cheaper than != on this hot path
-            raise AssertionError("field mismatch")
-        p, f = self.field.p, self.field.f
-        if f == 1:
-            return FieldElem(self.field, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = [0] * (2 * f - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        rem = _poly_mod(prod, list(self.field.modulus), p)
-        rem = rem + [0] * (f - len(rem))
-        return FieldElem(self.field, tuple(rem[:f]))
-
-    def __pow__(self, n):
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def frobenius(self):
-        """The p-th power; the identity on the prime field."""
-        return self if self.field.f == 1 else self ** self.field.p
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert zero")
-        return self ** (self.field.q - 2)
-
-    # the unit protocol of ring elements, for unit-pivot elimination
-
-    def is_unit(self):
-        return not self.is_zero()
-
-    def invert(self):
-        return self.inverse()
-
 
 # ---------------------------------------------------------------------------
 # Monomial-quotient Artin local rings
@@ -251,7 +146,7 @@ class ArtinRing:
     The ideal is given by a list of monomials (exponent tuples).  Cofiniteness
     requires a pure power of every variable among the generators; the monomial
     basis of R is computed once at construction and fixed in lexicographic
-    order, which also fixes the global enumeration order of elements.
+    order, so basis[0] is the monomial 1.
     """
 
     def __init__(self, field, variables=(), ideal_gens=()):
@@ -274,25 +169,35 @@ class ArtinRing:
                 raise ValueError(
                     f"ideal is not cofinite: no pure power of {self.vars[i]}")
             caps.append(min(pure))
-        self.caps = tuple(caps)
         basis = []
         for expo in itertools.product(*[range(c) for c in caps]) if caps else [()]:
-            if not any(_divides(g, expo) for g in self.ideal_gens):
+            if not self.in_ideal(expo):
                 basis.append(expo)
         self.basis = tuple(sorted(basis))
-        self.size = self.field.q ** len(self.basis)
+        self.size = field.q ** len(self.basis)
         self.p = field.p
-        # products and p-th powers of basis monomials, None where the result
-        # lies in the ideal; RingElem multiplication and Frobenius read these
-        self._mono_mul = {}
-        for m1 in self.basis:
-            for m2 in self.basis:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                self._mono_mul[m1, m2] = None if self.in_ideal(m) else m
-        self._mono_frob = {}
-        for m in self.basis:
-            mp = tuple(self.p * a for a in m)
-            self._mono_frob[m] = None if self.in_ideal(mp) else mp
+        self.dim = field.f * len(self.basis)
+        self._f = field.f
+        self._index = {m: k for k, m in enumerate(self.basis)}
+        # coordinates of the product of F_p-basis members i and j, and of
+        # the p-th power of member i, as sparse [(position, coefficient)]
+        fp_basis = [(m, e) for m in self.basis for e in range(field.f)]
+        self._mul = [[self._basis_coords(tuple(a + b for a, b in zip(m1, m2)), e1 + e2)
+                      for m2, e2 in fp_basis] for m1, e1 in fp_basis]
+        self._frob = [self._basis_coords(tuple(self.p * a for a in m), self.p * e)
+                      for m, e in fp_basis]
+        # elements are never mutated, so the constants are built once
+        self._zero = RingElem(self, (0,) * self.dim)
+        self._one = RingElem(self, (1,) + (0,) * (self.dim - 1))
+        self.residue_field = ArtinRing(field) if self.vars else self
+
+    def _basis_coords(self, mono, e):
+        """Sparse coordinates of t^e * mono: zero in the ideal, else t^e
+        reduced by the modulus at the position of mono."""
+        if self.in_ideal(mono):
+            return []
+        rem = _poly_mod([0] * e + [1], list(self.field.modulus), self.p)
+        return [(self.coord_index(mono, i), c) for i, c in enumerate(rem) if c]
 
     def __eq__(self, other):
         return self is other or (
@@ -309,86 +214,72 @@ class ArtinRing:
             return repr(self.field)
         return f"{self.field}[{','.join(self.vars)}]/(monomial ideal, dim {len(self.basis)})"
 
-    # -- element construction ------------------------------------------------
+    # -- coordinates and element construction ----------------------------------
+
+    def coord_index(self, mono, e=0):
+        """Position of the coordinate of t^e * mono in an element's coeffs."""
+        return self._index[mono] * self._f + e
+
+    def from_coords(self, coords):
+        """The element with the given F_p-coordinates (reduced mod p)."""
+        coords = tuple(c % self.p for c in coords)
+        if len(coords) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates")
+        return RingElem(self, coords)
 
     def el(self, coeffs):
-        """Build an element from an int, a field element, or a {monomial: coeff} map."""
+        """Build an element from an int or a {monomial: coefficient} map; a
+        coefficient is an int or a list over t^0, t^1, ... (low degree
+        first, reduced by the modulus when longer than f)."""
         if isinstance(coeffs, RingElem):
             if coeffs.ring != self:
                 raise RingMismatch("ring mismatch")
             return coeffs
-        if isinstance(coeffs, (int, FieldElem)):
-            c = self.field.el(coeffs) if isinstance(coeffs, int) else coeffs
-            return self._make({self._one_mono(): c})
-        out = {}
+        if isinstance(coeffs, int):
+            coeffs = {self.basis[0]: coeffs}
+        p, f = self.p, self._f
+        out = [0] * self.dim
         for mono, c in coeffs.items():
+            c = [c % p] if isinstance(c, int) else [v % p for v in c]
+            if len(c) > f:
+                c = _poly_mod(c, list(self.field.modulus), p)
+            if not any(c):
+                continue
             mono = tuple(mono)
-            c = self.field.el(c) if not isinstance(c, FieldElem) else c
-            if mono in out:
-                c = out[mono] + c
-            out[mono] = c
-        return self._make(out)
-
-    def _one_mono(self):
-        return (0,) * len(self.vars)
-
-    def _make(self, coeffs):
-        clean = {m: c for m, c in coeffs.items() if not c.is_zero()}
-        for m in clean:
-            if m not in self._basis_set():
-                raise ValueError(f"monomial {m} not in the basis")
-        return RingElem(self, clean)
-
-    def _basis_set(self):
-        try:
-            return self._bset
-        except AttributeError:
-            self._bset = frozenset(self.basis)
-            return self._bset
-
-    # elements are never mutated, so the constants are built once
+            if mono not in self._index:
+                raise ValueError(f"monomial {mono} not in the basis")
+            for e, v in enumerate(c):
+                out[self.coord_index(mono, e)] += v
+        return RingElem(self, tuple(v % p for v in out))
 
     def zero(self):
-        try:
-            return self._zero
-        except AttributeError:
-            self._zero = self.el(0)
-            return self._zero
+        return self._zero
 
     def one(self):
-        try:
-            return self._one
-        except AttributeError:
-            self._one = self.el(1)
-            return self._one
+        return self._one
 
     def from_int(self, n):
-        return self.el(n)
+        return RingElem(self, (n % self.p,) + self._zero.coeffs[1:])
 
     def gen(self, i=0):
         if not self.vars:
-            raise ValueError("ring has no polynomial variables; use field_gen()")
+            raise ValueError("ring has no polynomial variables")
         expo = tuple(1 if j == i else 0 for j in range(len(self.vars)))
         return self.el({expo: 1})
-
-    def field_gen(self):
-        """The residue-field generator t, embedded as a constant."""
-        return self.el(self.field.gen())
 
     def in_ideal(self, mono):
         return any(_divides(g, mono) for g in self.ideal_gens)
 
     # -- residue field interface ---------------------------------------------
 
-    @property
-    def residue_field(self):
-        return self.field
-
     def to_residue(self, a):
-        return a.coeffs.get(self._one_mono(), self.field.zero())
+        return RingElem(self.residue_field, a.coeffs[:self._f])
 
     def lift_residue(self, c):
-        return self.el(c)
+        res = self.residue_field
+        if c.ring is not res and c.ring != res:
+            raise RingMismatch("expected an element of the residue field")
+        return RingElem(self, c.coeffs + self._zero.coeffs[self._f:])
 
     # -- enumeration ----------------------------------------------------------
 
@@ -396,10 +287,8 @@ class ArtinRing:
         """Every element exactly once, deterministic lexicographic order."""
         if self.size > cap:
             raise EnumerationTooLarge(f"|R| = {self.size} exceeds cap {cap}")
-        fld = list(self.field.elements())
-        for combo in itertools.product(fld, repeat=len(self.basis)):
-            yield RingElem(self, {m: c for m, c in zip(self.basis, combo)
-                                  if not c.is_zero()})
+        for coeffs in itertools.product(range(self.p), repeat=self.dim):
+            yield RingElem(self, coeffs)
 
     def units(self, cap=10 ** 7):
         for a in self.elements(cap):
@@ -407,87 +296,88 @@ class ArtinRing:
                 yield a
 
 
-class RingElem:
-    """Element of an ArtinRing: a canonical coefficient map on basis monomials."""
+def _coeff_repr(cs):
+    if len(cs) == 1:
+        return str(cs[0])
+    return "(" + "+".join(f"{c}t^{i}" if i else str(c)
+                          for i, c in enumerate(cs) if c) + ")"
 
-    __slots__ = ("ring", "coeffs", "_key")
+
+class RingElem:
+    """Element of an ArtinRing: the tuple of its F_p-coordinates."""
+
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = coeffs
-        self._key = None
-
-    def key(self):
-        if self._key is None:
-            self._key = tuple(sorted((m, c.coeffs) for m, c in self.coeffs.items()))
-        return self._key
 
     def __eq__(self, other):
-        # coefficient maps are canonical (no zero entries), so comparing the
-        # maps is comparing keys
-        return (isinstance(other, RingElem)
-                and (self.ring is other.ring or self.ring == other.ring)
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, RingElem) and self.coeffs == other.coeffs
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for m in sorted(self.coeffs):
-            c = self.coeffs[m]
+        for m, cs in self.terms():
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.ring.vars, m) if e)
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+            parts.append(_coeff_repr(cs) + (f"*{mono}" if mono else ""))
+        return " + ".join(parts) if parts else "0"
+
+    def terms(self):
+        """(monomial, coefficients over t^0..t^(f-1)) for every monomial
+        with a nonzero coefficient, in basis order."""
+        f = self.ring._f
+        for k, m in enumerate(self.ring.basis):
+            cs = self.coeffs[k * f:(k + 1) * f]
+            if any(cs):
+                yield m, cs
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def __add__(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("ring mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return RingElem(self.ring, out)
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise RingMismatch(f"ring mismatch: {ring!r} and {other.ring!r}")
+        p = ring.p
+        return RingElem(ring, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        return RingElem(self.ring, {m: -c for m, c in self.coeffs.items()})
+        p = self.ring.p
+        return RingElem(self.ring, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-other)
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
+            raise RingMismatch(f"ring mismatch: {ring!r} and {other.ring!r}")
+        p = ring.p
+        return RingElem(ring, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other):
         ring = self.ring
         if ring is not other.ring and ring != other.ring:
-            raise RingMismatch("ring mismatch")
-        table = ring._mono_mul
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = table[m1, m2]
-                if m is None:
-                    continue
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return RingElem(ring, out)
+            raise RingMismatch(f"ring mismatch: {ring!r} and {other.ring!r}")
+        p = ring.p
+        a, b = self.coeffs, other.coeffs
+        if ring.dim == 1:
+            return RingElem(ring, (a[0] * b[0] % p,))
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * ring.dim
+        for i, x in enumerate(a):
+            if x:
+                row = ring._mul[i]
+                for j, y in nonzero:
+                    for k, c in row[j]:
+                        out[k] += x * y * c
+        return RingElem(ring, tuple([v % p for v in out]))
 
     def __pow__(self, n):
         # base-p digits of n: x^n = prod_i (x^(p^i))^(d_i), and x -> x^p is
-        # the cheap additive Frobenius
+        # the cheap F_p-linear Frobenius
         p = self.ring.p
         result = None
         base = self
@@ -500,24 +390,28 @@ class RingElem:
         return self.ring.one() if result is None else result
 
     def frobenius(self):
-        """x -> x^p, additive in characteristic p: (sum c_m x^m)^p = sum c_m^p x^(pm)."""
-        table = self.ring._mono_frob
-        out = {}
-        for m, c in self.coeffs.items():
-            mp = table[m]
-            if mp is not None:
-                out[mp] = c.frobenius()
-        return RingElem(self.ring, out)
+        """x -> x^p, F_p-linear in characteristic p: the sum of the
+        coordinates times the p-th powers of the basis members."""
+        ring = self.ring
+        if ring.dim == 1:
+            return self
+        out = [0] * ring.dim
+        for x, col in zip(self.coeffs, ring._frob):
+            if x:
+                for k, c in col:
+                    out[k] += x * c
+        return RingElem(ring, tuple([v % ring.p for v in out]))
 
     def is_unit(self):
-        return not self.ring.to_residue(self).is_zero()
+        return any(self.coeffs[:self.ring._f])
 
     def invert(self):
-        """Residue inverse times the geometric series on the nilpotent part."""
+        """Residue inverse (x^(q-2) in F_q) times the geometric series on
+        the nilpotent part."""
         if not self.is_unit():
             raise NotAUnit(f"{self!r} is not a unit")
         ring = self.ring
-        u0 = ring.lift_residue(ring.to_residue(self).inverse())
+        u0 = ring.lift_residue(ring.to_residue(self) ** (ring.field.q - 2))
         err = ring.one() - self * u0
         total = ring.one()
         term = ring.one()
@@ -542,45 +436,52 @@ class SquareZeroExtension:
     """A surjection of monomial quotients B -> A with kernel J, J^2 = 0.
 
     A is presented as B modulo finitely many extra monomials, so the
-    projection just drops the coefficients on J-monomials and the canonical
+    projection just drops the coordinates on J-monomials and the canonical
     section (used by the deterministic lifting of displays) reinterprets an
-    A-element as the B-element with the same coefficient map.
+    A-element as the B-element with the same monomial coefficients.
     """
 
     def __init__(self, B, extra_ideal_gens=()):
         self.B = B
         extra = [tuple(g) for g in extra_ideal_gens]
         self.A = ArtinRing(B.field, B.vars, list(B.ideal_gens) + extra) if extra else B
-        self.J_basis = tuple(m for m in B.basis if m not in self.A._basis_set())
+        self.J_basis = tuple(m for m in B.basis if m not in self.A._index)
         # J^2 = 0, checked exhaustively on basis monomial pairs
         for m1 in self.J_basis:
             for m2 in self.J_basis:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 if not B.in_ideal(m):
                     raise ValueError("kernel does not square to zero")
+        # B-coordinates of the A-monomials and of the J-monomials
+        f = B.field.f
+        self._a_pos = [B.coord_index(m, e) for m in self.A.basis for e in range(f)]
+        self._j_pos = [B.coord_index(m, e) for m in self.J_basis for e in range(f)]
 
     def proj(self, b):
         """The projection B -> A (drop kernel monomials)."""
         if b.ring != self.B:
             raise RingMismatch("expected an element of B")
-        return RingElem(self.A, {m: c for m, c in b.coeffs.items()
-                                 if m not in self.J_basis})
+        return RingElem(self.A, tuple([b.coeffs[k] for k in self._a_pos]))
+
+    def _place(self, positions, values):
+        out = [0] * self.B.dim
+        for k, v in zip(positions, values):
+            out[k] = v
+        return RingElem(self.B, tuple(out))
 
     def section(self, a):
         """The monomial-basis section A -> B (a ring-module splitting, not a ring map)."""
         if a.ring != self.A:
             raise RingMismatch("expected an element of A")
-        return RingElem(self.B, dict(a.coeffs))
+        return self._place(self._a_pos, a.coeffs)
 
     def in_kernel(self, b):
-        return all(m in self.J_basis for m in b.coeffs)
+        return not any(b.coeffs[k] for k in self._a_pos)
 
     def j_elements(self):
         """All elements of J in deterministic order."""
-        fld = list(self.B.field.elements())
-        for combo in itertools.product(fld, repeat=len(self.J_basis)):
-            yield RingElem(self.B, {m: c for m, c in zip(self.J_basis, combo)
-                                    if not c.is_zero()})
+        for combo in itertools.product(range(self.B.p), repeat=len(self._j_pos)):
+            yield self._place(self._j_pos, combo)
 
     @property
     def j_size(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .rings import ArtinRing, Field, RingElem, SquareZeroExtension
+from .rings import ArtinRing, Field, SquareZeroExtension
 from .witt import WittRing, WittVector
 from .frames import (RelativeFrame, TautologicalFrame, WittFrame, ZipFrame)
 from .displays import Display
@@ -50,7 +50,10 @@ def mono_from_str(variables, s):
         part = part.strip()
         if "^" in part:
             name, _, power = part.partition("^")
-            e = int(power)
+            try:
+                e = int(power)
+            except ValueError:
+                raise SchemaError(f"bad exponent in monomial {s!r}")
         else:
             name, e = part, 1
         if name not in variables:
@@ -115,11 +118,19 @@ def ext_from_dict(desc):
 # ---------------------------------------------------------------------------
 
 def elem_to_dict(e):
-    out = {}
-    for mono, c in e.coeffs.items():
-        if not c.is_zero():
-            out[mono_to_str(e.ring.vars, mono)] = list(c.coeffs)
-    return out
+    return {mono_to_str(e.ring.vars, mono): list(cs) for mono, cs in e.terms()}
+
+
+def _coeff_from_json(c):
+    if isinstance(c, str):
+        try:
+            return int(c)
+        except ValueError:
+            raise SchemaError(f"coefficient {c!r} is not an integer")
+    if isinstance(c, int) or (isinstance(c, list)
+                              and all(isinstance(v, int) for v in c)):
+        return c
+    raise SchemaError(f"coefficient {c!r} must be an int or a list of ints")
 
 
 def elem_from_dict(ring, desc):
@@ -127,14 +138,12 @@ def elem_from_dict(ring, desc):
         return ring.el(desc)
     if not isinstance(desc, dict):
         raise SchemaError("element must be an int or a {monomial: coeffs} map")
-    out = {}
-    for mono, c in desc.items():
-        if isinstance(c, str):
-            c = int(c)
-        if isinstance(c, int):
-            c = [c]
-        out[mono_from_str(ring.vars, mono)] = ring.field.el(list(c))
-    return ring.el(out)
+    out = {mono_from_str(ring.vars, mono): _coeff_from_json(c)
+           for mono, c in desc.items()}
+    try:
+        return ring.el(out)
+    except ValueError as exc:
+        raise SchemaError(f"element {desc!r}: {exc}")
 
 
 def witt_to_list(w):

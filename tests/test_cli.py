@@ -52,6 +52,22 @@ def test_bad_schema_exits_2(tmp_path):
     assert main(["ring", "--spec", spec]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("x0", [{"e^2": [1]}, {"1": ["a"]}, {"e^x": [1]}],
+                         ids=["monomial-in-the-ideal", "non-integer-coefficient",
+                              "non-integer-exponent"])
+def test_malformed_element_exits_2(tmp_path, capsys, x0):
+    spec = _write(tmp_path, "spec.json", {
+        "ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
+        "m": 2,
+        "x": [x0, {"1": [0]}],
+        "y": [{"1": [1]}, {"1": [0]}],
+    })
+    assert main(["witt", "add", "--spec", spec]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_witt_add_frozen_value(tmp_path, capsys):
     spec = _write(tmp_path, "spec.json", {
         "ring": {"p": 3},

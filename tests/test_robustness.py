@@ -20,12 +20,12 @@ def test_exactness_check_survives_optimize_mode():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("from framecalc.rings import Field\n"
-            "print(Field(3).one() + Field(5).one())\n")
+    code = ("from framecalc.rings import prime_field\n"
+            "print(prime_field(3).one() + prime_field(5).one())\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0, proc.stdout
-    assert "field mismatch" in proc.stderr
+    assert "ring mismatch" in proc.stderr
 
 
 def test_orth_classify_checks_the_display_cap_before_the_group(monkeypatch):

@@ -2,8 +2,9 @@
 
 - No `assert` statement: `python -O` strips them, and the package's
   exactness checks must run in every mode.
-- No dead code: every module-level function and class is referenced
-  somewhere in src/, tests/ or perfbench/ outside its own definition.
+- No dead code: every module-level function and class, and every public
+  non-dunder method of a class, is referenced by name somewhere in src/,
+  tests/ or perfbench/ outside its own definition.
 """
 
 import ast
@@ -26,7 +27,7 @@ def test_no_assert_statements():
     assert not found, f"assert statements (stripped by python -O): {found}"
 
 
-def test_every_module_level_definition_is_referenced():
+def _references():
     refs = {}
     for path, tree in _trees("src", "tests", "perfbench"):
         for node in ast.walk(tree):
@@ -39,14 +40,36 @@ def test_every_module_level_definition_is_referenced():
             else:
                 continue
             refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _unreferenced(refs, path, node, label):
+    outside = [(p, line) for p, line in refs.get(node.name, [])
+               if p != path or not node.lineno <= line <= node.end_lineno]
+    return [] if outside else [f"{path.name}:{node.lineno} {label}"]
+
+
+def test_every_module_level_definition_is_referenced():
+    refs = _references()
     unused = []
     for path, tree in _trees("src/framecalc"):
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            outside = [(p, line) for p, line in refs.get(node.name, [])
-                       if p != path or not node.lineno <= line <= node.end_lineno]
-            if not outside:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                unused += _unreferenced(refs, path, node, node.name)
     assert not unused, f"module-level definitions nothing references: {unused}"
+
+
+def test_every_public_method_is_referenced():
+    refs = _references()
+    unused = []
+    for path, tree in _trees("src/framecalc"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    unused += _unreferenced(refs, path, node,
+                                            f"{cls.name}.{node.name}")
+    assert not unused, f"public methods nothing references: {unused}"

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
-from framecalc.rings import (dual_number_extension, extension_field,
-                             prime_field, truncated_poly_ring)
+from framecalc import witt
+from framecalc.rings import (dual_number_extension, dual_numbers,
+                             extension_field, prime_field,
+                             truncated_poly_ring)
 from framecalc.witt import (LogCoords, NotInIdeal, TruncationUnderflow,
                             WittRing, divided_frobenius, frobenius_fixed,
                             log_elements, log_from_witt, log_shift,
@@ -113,8 +115,7 @@ def test_fixed_length_frobenius_char_p():
         assert frobenius_fixed(x) == x
     ring9 = extension_field(3, 2)
     wr9 = WittRing(ring9, 2)
-    x = wr9.el([ring9.el(ring9.field.el([1, 1])),
-                ring9.el(ring9.field.el([0, 2]))])
+    x = wr9.el([ring9.el({(): [1, 1]}), ring9.el({(): [0, 2]})])
     fx = frobenius_fixed(x)
     assert fx.comps[0] == x.comps[0] ** 3
     assert fx.comps[1] == x.comps[1] ** 3
@@ -157,3 +158,23 @@ def test_log_shift_is_nilpotent():
         for _ in range(3):
             y = log_shift(y)
         assert y.is_zero()
+
+
+def test_memo_stops_growing_at_the_cap(monkeypatch):
+    # a fresh memoized W_2(F_3[e]/e^2) with a small cap against a fresh one
+    # without a memo; the second pass also reads the capped memo's hits
+    monkeypatch.setattr(witt, "MEMO_CAP", 50)
+    monkeypatch.setattr(WittRing, "_instances", {})
+    capped = WittRing(dual_numbers(3), 2)
+    monkeypatch.setattr(WittRing, "_instances", {})
+    plain = WittRing(dual_numbers(3), 2)
+    plain._memo = None
+    assert capped is not plain and capped._memo == {}
+    els = list(capped.elements())
+    for _ in range(2):
+        for x in els[:20]:
+            for y in els:
+                assert capped.add(x, y) == plain.add(x, y)
+                assert capped.mul(x, y) == plain.mul(x, y)
+                assert len(capped._memo) <= 50
+    assert len(capped._memo) == 50
