@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import linalg, serialize
-from .serialize import SchemaError, dumps
+from .serialize import SchemaError, dumps, require
 from .rings import prime_field
 from .witt import WittRing, teichmuller, verschiebung, witt_frobenius
 from .frames import (Thickening, WittFrame, ZipFrame, check_zip_projection,
@@ -45,17 +45,14 @@ def _load_spec(args, required=True):
         return None
     try:
         with open(args.spec) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read spec: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {args.spec}: {exc}")
-
-
-def _get(spec, key, where="spec"):
-    if not isinstance(spec, dict) or key not in spec:
-        raise InputError(f"{where}: missing required field {key!r}")
-    return spec[key]
+    if not isinstance(spec, dict):
+        raise InputError(f"{args.spec}: the spec must be a JSON object")
+    return spec
 
 
 def _emit(args, report):
@@ -121,24 +118,24 @@ def cmd_ring(args):
 
 def cmd_witt(args):
     spec = _load_spec(args)
-    ring = serialize.ring_from_dict(_get(spec, "ring"))
-    m = int(_get(spec, "m"))
+    ring = serialize.ring_from_dict(require(spec, "ring"))
+    m = serialize.to_int(require(spec, "m"), "m", low=1)
     wring = WittRing(ring, m)
     op = args.op
     if op in ("add", "mul"):
-        x = serialize.witt_from_list(wring, _get(spec, "x"))
-        y = serialize.witt_from_list(wring, _get(spec, "y"))
+        x = serialize.witt_from_list(wring, require(spec, "x"))
+        y = serialize.witt_from_list(wring, require(spec, "y"))
         res = x + y if op == "add" else x * y
     elif op == "frob":
         if m < 2:
             raise InputError("frob lowers the length; need m >= 2")
-        x = serialize.witt_from_list(wring, _get(spec, "x"))
+        x = serialize.witt_from_list(wring, require(spec, "x"))
         res = witt_frobenius(x)
     elif op == "v":
-        x = serialize.witt_from_list(wring, _get(spec, "x"))
+        x = serialize.witt_from_list(wring, require(spec, "x"))
         res = verschiebung(x)
     else:  # teich
-        a = serialize.elem_from_dict(ring, _get(spec, "a"))
+        a = serialize.elem_from_dict(ring, require(spec, "a"))
         res = teichmuller(a, m)
     report = {
         "command": f"witt {op}",
@@ -199,8 +196,8 @@ def cmd_display(args):
     op = args.op
     cap = args.budget or 10 ** 7
     if op == "classify":
-        frame = serialize.frame_from_dict(_get(spec, "frame"))
-        mu = tuple(int(w) for w in _get(spec, "mu"))
+        frame = serialize.frame_from_dict(require(spec, "frame"))
+        mu = serialize.int_tuple(require(spec, "mu"), "mu")
         try:
             orbits = classify_orbits(frame, mu, cap)
         except ValueError as exc:
@@ -215,23 +212,25 @@ def cmd_display(args):
             "passed": True,
         }
     elif op == "iso":
-        d1 = serialize.display_from_dict(_get(spec, "first"))
-        d2 = serialize.display_from_dict(_get(spec, "second"))
+        d1 = serialize.display_from_dict(require(spec, "first"))
+        d2 = serialize.display_from_dict(require(spec, "second"))
         report = {
             "command": "display iso",
             "isomorphic": is_isomorphic_bruteforce(d1, d2, cap),
             "passed": True,
         }
     elif op == "act":
-        d = serialize.display_from_dict(_get(spec, "display"))
-        g = serialize.graded_from_dict(d.frame, _get(spec, "element"), d.mu)
+        d = serialize.display_from_dict(require(spec, "display"))
+        g = serialize.graded_from_dict(d.frame, require(spec, "element"), d.mu)
+        if g.mu_col != d.mu:
+            raise InputError("element: weights differ from the display's")
         report = {
             "command": "display act",
             "result": serialize.display_to_dict(d.act(g)),
             "passed": True,
         }
     elif op == "hodge":
-        d = serialize.display_from_dict(_get(spec, "display"))
+        d = serialize.display_from_dict(require(spec, "display"))
         filt = d.hodge_filtration()
         report = {
             "command": "display hodge",
@@ -239,15 +238,15 @@ def cmd_display(args):
             "passed": True,
         }
     elif op == "tensor":
-        d1 = serialize.display_from_dict(_get(spec, "first"))
-        d2 = serialize.display_from_dict(_get(spec, "second"))
+        d1 = serialize.display_from_dict(require(spec, "first"))
+        d2 = serialize.display_from_dict(require(spec, "second"))
         report = {
             "command": "display tensor",
             "result": serialize.display_to_dict(tensor(d1, d2)),
             "passed": True,
         }
     else:  # dual
-        d = serialize.display_from_dict(_get(spec, "display"))
+        d = serialize.display_from_dict(require(spec, "display"))
         report = {
             "command": "display dual",
             "result": serialize.display_to_dict(dual(d)),
@@ -264,22 +263,22 @@ def cmd_zip(args):
     spec = _load_spec(args)
     op = args.op
     if op == "to":
-        d = serialize.display_from_dict(_get(spec, "display"))
+        d = serialize.display_from_dict(require(spec, "display"))
         report = {
             "command": "zip to",
             "result": serialize.fzip_to_dict(to_fzip(d)),
             "passed": True,
         }
     elif op == "from":
-        z = serialize.fzip_from_dict(_get(spec, "zip"))
-        frame = serialize.frame_from_dict(_get(spec, "frame"))
+        z = serialize.fzip_from_dict(require(spec, "zip"))
+        frame = serialize.frame_from_dict(require(spec, "frame"))
         report = {
             "command": "zip from",
             "result": serialize.display_to_dict(from_fzip(z, frame)),
             "passed": True,
         }
     else:  # roundtrip
-        d = serialize.display_from_dict(_get(spec, "display"))
+        d = serialize.display_from_dict(require(spec, "display"))
         back = from_fzip(to_fzip(d), d.frame)
         ok = back == d
         report = {
@@ -299,18 +298,18 @@ def cmd_ortho(args):
     spec = _load_spec(args)
     op = args.op
     if op == "check":
-        d = serialize.display_from_dict(_get(spec, "display"))
+        d = serialize.display_from_dict(require(spec, "display"))
         ok = verify_orth(d)
         report = {"command": "ortho check", "orthogonal": ok, "passed": ok}
     elif op == "normalize":
-        frame = serialize.frame_from_dict(_get(spec, "frame"))
-        mu = tuple(int(w) for w in _get(spec, "mu"))
+        frame = serialize.frame_from_dict(require(spec, "frame"))
+        mu = serialize.int_tuple(require(spec, "mu"), "mu")
         if "gram" in spec:
             B = serialize.graded_from_dict(frame, spec["gram"], mu)
             grams = [B]
         else:
             rng = random.Random(args.seed)
-            count = int(spec.get("count", 1))
+            count = serialize.to_int(spec.get("count", 1), "count")
             grams = [fixtures.rand_gram_perturbation(frame, mu, rng)
                      for _ in range(count)]
         results = []
@@ -329,8 +328,8 @@ def cmd_ortho(args):
         report = {"command": "ortho normalize", "results": results,
                   "count": len(grams), "passed": ok}
     else:  # classify
-        frame = serialize.frame_from_dict(_get(spec, "frame"))
-        mu = tuple(int(w) for w in _get(spec, "mu"))
+        frame = serialize.frame_from_dict(require(spec, "frame"))
+        mu = serialize.int_tuple(require(spec, "mu"), "mu")
         try:
             orbits = classify_orth_orbits(frame, mu, args.budget or 10 ** 7)
         except ValueError as exc:
@@ -346,7 +345,7 @@ def cmd_ortho(args):
 
 def cmd_k3(args):
     spec = _load_spec(args)
-    d = serialize.display_from_dict(_get(spec, "display"))
+    d = serialize.display_from_dict(require(spec, "display"))
     shift = 1 if args.op == "pack" else -1
     t = twist(d, shift)
     out = serialize.display_to_dict(t)
@@ -370,12 +369,13 @@ def _deform_inputs(args):
     if spec is None:
         th, d = fixtures.k3_fixture() if args.op == "k3" else fixtures.gl2_fixture()
         return th, d, isinstance(d, OrthDisplay)
-    ext = serialize.ext_from_dict(_get(spec, "ext"))
-    m = int(spec.get("m", 2))
+    ext = serialize.ext_from_dict(require(spec, "ext"))
+    m = serialize.to_int(spec.get("m", 2), "m", low=2)
     th = Thickening(ext, m)
     selfdual = bool(spec.get("selfdual")) or args.op == "k3"
-    desc = dict(_get(spec, "display"))
-    desc.setdefault("selfdual", selfdual)
+    desc = require(spec, "display")
+    if isinstance(desc, dict):
+        desc = {"selfdual": selfdual, **desc}
     d = serialize.display_from_dict(desc, frame=th.target)
     return th, d, selfdual
 

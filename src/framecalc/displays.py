@@ -247,8 +247,12 @@ class Display:
         self.frame = frame
         self.mu = mu
         self.phi = [list(row) for row in phi]
-        if check and not linalg.is_invertible(frame.s0, self.phi):
-            raise ValueError("structure matrix is not invertible")
+        if check:
+            n = len(mu)
+            if len(self.phi) != n or any(len(row) != n for row in self.phi):
+                raise ValueError(f"structure matrix must be {n}x{n}")
+            if not linalg.is_invertible(frame.s0, self.phi):
+                raise ValueError("structure matrix is not invertible")
 
     @property
     def n(self):
@@ -436,10 +440,6 @@ def is_isomorphic_bruteforce(d1, d2, cap=10 ** 7):
     return False
 
 
-def _frobenius_vec(ring, v, p):
-    return [c ** p for c in v]
-
-
 def fzip_isomorphic(z1, z2, cap=10 ** 7):
     """F-zip isomorphism by raw filtered semilinear algebra.
 
@@ -450,66 +450,29 @@ def fzip_isomorphic(z1, z2, cap=10 ** 7):
         return False
     R = z1.ring
     n = z1.n
-    p = R.p
-    base = list(R.elements(cap))
-    for combo in itertools.product(base, repeat=n * n):
+
+    def image(g, v):
+        return [sum((g[r][k] * v[k] for k in range(n)), R.zero())
+                for r in range(n)]
+
+    def preserves_filtrations(g):
+        return all(linalg.span_contains(R, F2[i], image(g, c))
+                   for F1, F2 in ((z1.C, z2.C), (z1.D, z2.D))
+                   for i, cols in F1.items() for c in cols)
+
+    def commutes(g, i, r, v):
+        # alpha2(gr g^(p) (r)) == gr g (alpha1(r))  modulo D_{i-1}: the class
+        # of gr mod C^{i+1} determines alpha2 of its Frobenius twist
+        img2 = _alpha_apply(z2, i, [c.frobenius() for c in image(g, r)],
+                            z2.C.get(i + 1, []))
+        return img2 is not None and linalg.span_contains(
+            R, z2.D.get(i - 1, []), [x - y for x, y in zip(img2, image(g, v))])
+
+    for combo in itertools.product(R.elements(cap), repeat=n * n):
         g = [[combo[i * n + j] for j in range(n)] for i in range(n)]
-        if not linalg.is_invertible(R, g):
-            continue
-        ok = True
-        for i, cols in z1.C.items():
-            target = z2.C[i]
-            for c in cols:
-                gc = [sum((g[r][k] * c[k] for k in range(n)), R.zero())
-                      for r in range(n)]
-                if not (linalg.span_contains(R, target, gc) if target
-                        else all(v.is_zero() for v in gc)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for i, cols in z1.D.items():
-                target = z2.D[i]
-                for c in cols:
-                    gc = [sum((g[r][k] * c[k] for k in range(n)), R.zero())
-                          for r in range(n)]
-                    if not (linalg.span_contains(R, target, gc) if target
-                            else all(v.is_zero() for v in gc)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            continue
-        # semilinear compatibility on each graded piece:
-        # alpha2(gr g^(p) (r)) == gr g (alpha1(r))  modulo D_{i-1} + C^{i+1}
-        for i, pairs in z1.alpha.items():
-            below_D = z2.D.get(i - 1, [])
-            above_C = z2.C.get(i + 1, [])
-            for r, v in pairs:
-                gr = [sum((g[a][k] * r[k] for k in range(n)), R.zero())
-                      for a in range(n)]
-                gr_frob = _frobenius_vec(R, gr, p)
-                # express the Frobenius-twisted image through alpha2: the class
-                # of gr mod C^{i+1} determines it, so solve in representatives
-                img2 = _alpha_apply(z2, i, gr_frob, above_C)
-                if img2 is None:
-                    ok = False
-                    break
-                gv = [sum((g[a][k] * v[k] for k in range(n)), R.zero())
-                      for a in range(n)]
-                diff = [x - y for x, y in zip(img2, gv)]
-                if below_D:
-                    if not linalg.span_contains(R, below_D, diff):
-                        ok = False
-                        break
-                elif not all(x.is_zero() for x in diff):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if (linalg.is_invertible(R, g) and preserves_filtrations(g)
+                and all(commutes(g, i, r, v) for i, pairs in z1.alpha.items()
+                        for r, v in pairs)):
             return True
     return False
 
@@ -517,46 +480,20 @@ def fzip_isomorphic(z1, z2, cap=10 ** 7):
 def _alpha_apply(z, i, w_frob, above_C):
     """Image under alpha_i of the class of w (already Frobenius-twisted).
 
-    Writes w^(p) as a combination of rep^(p) classes mod (C^{i+1})^(p) using
-    residue-field linear algebra, then takes that combination of images.
+    Writes w^(p) as a combination of rep^(p) classes mod (C^{i+1})^(p) by
+    one exact linear solve over R, then takes that combination of images.
     """
     R = z.ring
-    n = z.n
-    p = R.p
     pairs = z.alpha[i]
-    cols = [_frobenius_vec(R, r, p) for r, _ in pairs]
-    cols = cols + [_frobenius_vec(R, c, p) for c in above_C]
-    M = [[cols[cj][r] for cj in range(len(cols))] for r in range(n)]
-    coeffs = _gauss_local(R, M, list(w_frob))
+    cols = [[c.frobenius() for c in v] for v in [r for r, _ in pairs] + above_C]
+    M = [[col[r] for col in cols] for r in range(z.n)]
+    coeffs = linalg.solve_local(R, M, w_frob)
     if coeffs is None:
         return None
-    out = [R.zero()] * n
+    out = [R.zero()] * z.n
     for c, (_, img) in zip(coeffs[: len(pairs)], pairs):
         out = [o + c * v for o, v in zip(out, img)]
     return out
-
-
-def _gauss_local(ring, M, rhs):
-    """One exact solution of M x = rhs over a finite local ArtinRing, or None.
-
-    M x = rhs is solved as F_p-linear algebra in the F_p-coordinates of x.
-    That is complete over rings with nilpotents too, where unit-pivot
-    elimination can miss solutions.  The solution is then checked exactly.
-    """
-    k = ring.dim
-    basis = [ring.from_coords([int(i == c) for i in range(k)]) for c in range(k)]
-    nvars = len(M[0]) if M else 0
-    # the column of x_j = b: the coordinates of column j of M times b
-    cols = [[c for row in M for c in (row[j] * b).coeffs]
-            for j in range(nvars) for b in basis]
-    sol = linalg.solve_modp(ring.p, cols, [c for b in rhs for c in b.coeffs])
-    if sol is None:
-        return None
-    x = [ring.from_coords(sol[j * k:(j + 1) * k]) for j in range(nvars)]
-    for row, b in zip(M, rhs):
-        if sum((m * v for m, v in zip(row, x)), ring.zero()) != b:
-            raise AssertionError("F_p-linear solution failed exact verification")
-    return x
 
 
 def classify_fzips(frame, mu, cap=10 ** 7):

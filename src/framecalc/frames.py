@@ -71,7 +71,7 @@ class Frame:
     def reduce(self, s):
         raise NotImplementedError
 
-    def p_int(self, s0=None):
+    def p_int(self):
         """The element p of S0."""
         return self.s0.from_int(self.p)
 

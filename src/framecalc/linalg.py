@@ -3,13 +3,13 @@
 Matrices are plain lists of lists of ring elements; "ring" means any object
 with the small protocol used throughout the package (zero/one/from_int,
 to_residue/lift_residue, residue_field), which both ArtinRing and WittRing
-provide.  The residue field is itself an ArtinRing, the one without
-variables, so its elements are RingElems like any other and the field path
-(`field_inverse`, `rref_units`) runs on them.  Inversion over a local ring
-is residue inversion followed by Newton correction on the nilpotent error,
-which converges in finitely many steps and is verified exactly.  Solving
-over F_p works on ints mod p (`rref_modp`), such as the flat F_p-coordinates
-of ring elements.
+provide.  There is one elimination routine, `rref_modp`, on ints mod p.  A
+system over an ArtinRing (a field is the one without variables) is solved
+as F_p-linear algebra in the F_p-coordinates of the unknowns, through one
+encoder (`_fp_columns`), and every solution is checked exactly.  Inversion
+over a local ring is residue inversion followed by Newton correction on the
+nilpotent error, which converges in finitely many steps and is verified
+exactly.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ def mat_apply(f, A):
 
 
 # ---------------------------------------------------------------------------
-# The two elimination routines
+# The elimination routine and the solves built on it
 # ---------------------------------------------------------------------------
 #
-# Both run Gauss-Jordan elimination in place over the first ncols columns
-# with one pivot rule: columns left to right, pivoting on the first row at
-# or below the current rank whose entry is a unit; a column without one is
-# skipped.  Both return the pivot columns, so rows[:len(pivots)] are the
-# pivot rows.  Every solution, echelon basis and coset label downstream
+# `rref_modp` runs Gauss-Jordan elimination in place over the first ncols
+# columns with one pivot rule: columns left to right, pivoting on the first
+# row at or below the current rank whose entry is nonzero; a column without
+# one is skipped.  It returns the pivot columns, so rows[:len(pivots)] are
+# the pivot rows.  Every solution, inverse, echelon basis and coset label
 # depends on that rule, so no other code searches for pivots.
 
 def rref_modp(p, rows, ncols):
@@ -115,41 +115,55 @@ def solve_modp(p, cols, rhs):
     return x
 
 
-def rref_units(rows, ncols):
-    """Reduced row echelon form with unit pivots over a field or a finite
-    local ring, in place, on rows of elements with is_unit/invert/is_zero.
+def _fp_columns(ring, M):
+    """The F_p-matrix of x -> M x over an ArtinRing, as columns.
 
-    Over a local ring a skipped column may still hold nonzero non-units, so
-    a solution read off the result must be verified by the caller.
+    Unknown j times the F_p-basis member b is one column: the
+    F_p-coordinates of column j of M times b, row by row.
     """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        for piv in range(rank, len(rows)):
-            if rows[piv][col].is_unit():
-                break
-        else:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].invert()
-        prow = rows[rank] = [inv * v for v in rows[rank]]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != rank and not f.is_zero():
-                rows[r] = [v - f * w for v, w in zip(row, prow)]
-        pivots.append(col)
-    return pivots
+    k = ring.dim
+    basis = [ring.from_coords([int(i == c) for i in range(k)]) for c in range(k)]
+    return [[c for row in M for c in (row[j] * b).coeffs]
+            for j in range(len(M[0]) if M else 0) for b in basis]
+
+
+def solve_local(ring, M, rhs):
+    """One exact solution of M x = rhs over a finite local ArtinRing, or None.
+
+    F_p-linear in the F_p-coordinates of x, so it is complete over rings
+    with nilpotents too; the solution is then checked exactly.
+    """
+    k = ring.dim
+    cols = _fp_columns(ring, M)
+    sol = solve_modp(ring.p, cols, [c for b in rhs for c in b.coeffs])
+    if sol is None:
+        return None
+    x = [ring.from_coords(sol[j:j + k]) for j in range(0, len(sol), k)]
+    for row, b in zip(M, rhs):
+        if sum((m * v for m, v in zip(row, x)), ring.zero()) != b:
+            raise AssertionError("F_p-linear solution failed exact verification")
+    return x
+
+
+def span_contains(ring, cols, vec):
+    """Whether vec lies in the span of cols over a finite local ArtinRing."""
+    M = [[c[r] for c in cols] for r in range(len(vec))]
+    return solve_local(ring, M, vec) is not None
 
 
 def field_inverse(field, M):
-    """Inverse of a matrix over a finite field (an ArtinRing without
-    variables), or None if singular."""
-    n = len(M)
-    aug = [list(row) + [field.one() if i == j else field.zero()
-                        for j in range(n)] for i, row in enumerate(M)]
-    if len(rref_units(aug, n)) < n:
+    """Inverse of a square matrix over a finite field (an ArtinRing without
+    variables), or None if it is singular or not square."""
+    n, k = len(M), field.dim
+    cols = _fp_columns(field, M)
+    # the right-hand sides are the F_p-coordinates of the columns of I
+    aug = [list(row) + [int(i == j * k) for j in range(n)]
+           for i, row in enumerate(zip(*cols))]
+    if len(cols) != n * k or len(rref_modp(field.p, aug, n * k)) < n * k:
         return None
-    return [row[n:] for row in aug]
+    # full rank: the pivot rows are the coordinates of the inverse in order
+    return [[field.from_coords([aug[r * k + c][n * k + j] for c in range(k)])
+             for j in range(n)] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +193,3 @@ def mat_inverse(ring, A):
         # X <- X (2I - A X)
         X = mat_mul(ring, X, mat_sub(mat_add(I, I), AX))
     raise AssertionError("Newton iteration failed to converge")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Summand utilities over local rings (for Hodge filtrations)
-# ---------------------------------------------------------------------------
-
-def span_contains(ring, cols, vec):
-    """Whether vec lies in the span of cols (free-summand columns) over a local ring."""
-    if not cols:
-        return all(v.is_zero() for v in vec)
-    k = len(cols)
-    rows = [[c[r] for c in cols] + [v] for r, v in enumerate(vec)]
-    if len(rref_units(rows, k)) < k:
-        raise SingularMatrix("columns do not span a free summand")
-    # every column has a unit pivot, so the rows below them are zero but
-    # for the reduced vec
-    return all(row[k].is_zero() for row in rows[k:])

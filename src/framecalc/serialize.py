@@ -27,6 +27,45 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
+def require(desc, key, what="spec"):
+    """desc[key] of a descriptor object; a SchemaError names what lacks it."""
+    if not isinstance(desc, dict):
+        raise SchemaError(f"{what} must be an object")
+    if key not in desc:
+        raise SchemaError(f"{what}: missing {key!r}")
+    return desc[key]
+
+
+def to_int(value, what, low=None):
+    """An integer field, given as a JSON int or a string of one, and at
+    least low if given; anything else (null, a bool, a float, other text)
+    is a SchemaError."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SchemaError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def int_tuple(values, what):
+    """A list of integer fields, such as the weights mu."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list of integers")
+    return tuple(to_int(v, what) for v in values)
+
+
+def str_list(values, what):
+    """A list of names or monomial strings."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise SchemaError(f"{what} must be a list of strings")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
@@ -77,16 +116,14 @@ def ring_to_dict(ring):
 
 
 def ring_from_dict(desc):
-    if not isinstance(desc, dict):
-        raise SchemaError("ring descriptor must be an object")
-    try:
-        p = int(desc["p"])
-    except KeyError:
-        raise SchemaError("ring descriptor: missing 'p'")
-    f = int(desc.get("f", 1))
+    p = to_int(require(desc, "p", "ring descriptor"), "ring descriptor 'p'")
+    f = to_int(desc.get("f", 1), "ring descriptor 'f'")
     modulus = desc.get("modulus")
-    variables = tuple(desc.get("vars", ()))
-    ideal = [mono_from_str(variables, g) for g in desc.get("ideal", ())]
+    if modulus is not None:
+        modulus = int_tuple(modulus, "ring descriptor 'modulus'")
+    variables = tuple(str_list(desc.get("vars", []), "ring descriptor 'vars'"))
+    ideal = [mono_from_str(variables, g)
+             for g in str_list(desc.get("ideal", []), "ring descriptor 'ideal'")]
     try:
         field = Field(p, f, modulus)
         return ArtinRing(field, variables, ideal)
@@ -103,10 +140,9 @@ def ext_to_dict(ext):
 
 
 def ext_from_dict(desc):
-    if not isinstance(desc, dict) or "ring" not in desc:
-        raise SchemaError("extension descriptor must carry 'ring'")
-    B = ring_from_dict(desc["ring"])
-    extra = [mono_from_str(B.vars, g) for g in desc.get("extra", ())]
+    B = ring_from_dict(require(desc, "ring", "extension descriptor"))
+    extra = [mono_from_str(B.vars, g)
+             for g in str_list(desc.get("extra", []), "extension descriptor 'extra'")]
     try:
         return SquareZeroExtension(B, extra)
     except ValueError as exc:
@@ -122,15 +158,9 @@ def elem_to_dict(e):
 
 
 def _coeff_from_json(c):
-    if isinstance(c, str):
-        try:
-            return int(c)
-        except ValueError:
-            raise SchemaError(f"coefficient {c!r} is not an integer")
-    if isinstance(c, int) or (isinstance(c, list)
-                              and all(isinstance(v, int) for v in c)):
-        return c
-    raise SchemaError(f"coefficient {c!r} must be an int or a list of ints")
+    if isinstance(c, list):
+        return list(int_tuple(c, "coefficient"))
+    return to_int(c, "coefficient")
 
 
 def elem_from_dict(ring, desc):
@@ -174,7 +204,8 @@ def matrix_to_json(s0, M):
 
 
 def matrix_from_json(s0, desc):
-    if not isinstance(desc, list) or not desc:
+    if (not isinstance(desc, list) or not desc
+            or not all(isinstance(row, list) for row in desc)):
         raise SchemaError("matrix must be a non-empty list of rows")
     return [[s0_elem_from_json(s0, e) for e in row] for row in desc]
 
@@ -206,18 +237,22 @@ def graded_to_dict(A):
 
 def graded_from_dict(frame, desc, mu=None):
     from .displays import GradedMatrix
-    if not isinstance(desc, dict) or "grid" not in desc:
-        raise SchemaError("graded matrix descriptor must carry 'grid'")
-    mu = tuple(int(w) for w in desc.get("mu", mu or ()))
+    grid = require(desc, "grid", "graded matrix descriptor")
+    if "mu" in desc:
+        mu = int_tuple(desc["mu"], "graded matrix 'mu'")
     if not mu:
         raise SchemaError("graded matrix descriptor must carry 'mu'")
+    n = len(mu)
+    if (not isinstance(grid, list) or len(grid) != n
+            or any(not isinstance(row, list) or len(row) != n for row in grid)):
+        raise SchemaError(f"graded matrix grid must be {n}x{n}")
     grid = [[payload_from_json(frame, mu[j] - mu[i], e)
              for j, e in enumerate(row)]
-            for i, row in enumerate(desc["grid"])]
+            for i, row in enumerate(grid)]
     return GradedMatrix.from_payloads(frame, mu, grid)
 
 
-def vector_to_json(ring, v):
+def vector_to_json(v):
     return [elem_to_dict(c) for c in v]
 
 
@@ -226,11 +261,11 @@ def fzip_to_dict(z):
         "ring": ring_to_dict(z.ring),
         "n": z.n,
         "weights": list(z.weights),
-        "C": {str(i): [vector_to_json(z.ring, v) for v in cols]
+        "C": {str(i): [vector_to_json(v) for v in cols]
               for i, cols in z.C.items()},
-        "D": {str(i): [vector_to_json(z.ring, v) for v in cols]
+        "D": {str(i): [vector_to_json(v) for v in cols]
               for i, cols in z.D.items()},
-        "alpha": {str(i): [[vector_to_json(z.ring, r), vector_to_json(z.ring, v)]
+        "alpha": {str(i): [[vector_to_json(r), vector_to_json(v)]
                            for r, v in pairs]
                   for i, pairs in z.alpha.items()},
     }
@@ -238,18 +273,30 @@ def fzip_to_dict(z):
 
 def fzip_from_dict(desc):
     from .displays import FZip
-    if not isinstance(desc, dict) or "alpha" not in desc:
-        raise SchemaError("F-zip descriptor must carry 'alpha'")
-    ring = ring_from_dict(desc["ring"])
+    what = "F-zip descriptor"
+    require(desc, "alpha", what)
+    ring = ring_from_dict(require(desc, "ring", what))
+    n = to_int(require(desc, "n", what), f"{what} 'n'", low=1)
 
     def vec(v):
+        if not isinstance(v, list) or len(v) != n:
+            raise SchemaError(f"{what}: vectors must have {n} entries")
         return [elem_from_dict(ring, c) for c in v]
 
-    C = {int(i): [vec(v) for v in cols] for i, cols in desc.get("C", {}).items()}
-    D = {int(i): [vec(v) for v in cols] for i, cols in desc.get("D", {}).items()}
-    alpha = {int(i): [(vec(pair[0]), vec(pair[1])) for pair in pairs]
-             for i, pairs in desc["alpha"].items()}
-    return FZip(ring, int(desc["n"]), C, D, alpha)
+    def pieces(key, build):
+        m = desc.get(key, {})
+        if not isinstance(m, dict):
+            raise SchemaError(f"{what}: {key!r} must map indices to lists")
+        return {to_int(i, f"{what} index"): [build(v) for v in vs]
+                for i, vs in m.items()}
+
+    def pair(v):
+        if not isinstance(v, list) or len(v) != 2:
+            raise SchemaError(f"{what}: alpha entries must be pairs")
+        return vec(v[0]), vec(v[1])
+
+    return FZip(ring, n, pieces("C", vec), pieces("D", vec),
+                pieces("alpha", pair))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +316,18 @@ def frame_to_dict(frame):
 
 
 def frame_from_dict(desc):
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise SchemaError("frame descriptor must carry 'kind'")
-    kind = desc["kind"]
+    what = "frame descriptor"
+    kind = require(desc, "kind", what)
     if kind == "witt":
-        return WittFrame(ring_from_dict(desc["ring"]), int(desc.get("m", 1)))
+        return WittFrame(ring_from_dict(require(desc, "ring", what)),
+                         to_int(desc.get("m", 1), f"{what} 'm'", low=1))
     if kind == "zip":
-        return ZipFrame(ring_from_dict(desc["ring"]))
+        return ZipFrame(ring_from_dict(require(desc, "ring", what)))
     if kind == "relative":
-        return RelativeFrame(ext_from_dict(desc["ext"]), int(desc.get("m", 2)))
+        return RelativeFrame(ext_from_dict(require(desc, "ext", what)),
+                             to_int(desc.get("m", 2), f"{what} 'm'", low=2))
     if kind == "tautological":
-        return TautologicalFrame(ring_from_dict(desc["ring"]))
+        return TautologicalFrame(ring_from_dict(require(desc, "ring", what)))
     raise SchemaError(f"frame descriptor: unknown kind {kind!r}")
 
 
@@ -297,12 +345,12 @@ def display_to_dict(d):
 
 
 def display_from_dict(desc, frame=None):
-    if not isinstance(desc, dict) or "mu" not in desc or "phi" not in desc:
-        raise SchemaError("display descriptor must carry 'mu' and 'phi'")
+    what = "display descriptor"
+    mu = int_tuple(require(desc, "mu", what), f"{what} 'mu'")
+    phi = require(desc, "phi", what)
     if frame is None:
-        frame = frame_from_dict(desc["frame"])
-    mu = tuple(int(w) for w in desc["mu"])
-    phi = matrix_from_json(frame.s0, desc["phi"])
+        frame = frame_from_dict(require(desc, "frame", what))
+    phi = matrix_from_json(frame.s0, phi)
     cls = OrthDisplay if desc.get("selfdual") else Display
     try:
         return cls(frame, mu, phi, check=True)

@@ -8,6 +8,7 @@ from framecalc import serialize
 from framecalc.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from framecalc.rings import prime_field
 from framecalc.frames import ZipFrame
+from framecalc.displays import to_fzip, unit_display
 
 
 def _write(tmp_path, name, payload):
@@ -179,3 +180,81 @@ def test_failed_verification_exits_1(tmp_path, capsys):
     assert main(["ortho", "check", "--spec", spec, "--json"]) == EXIT_FAIL
     report = json.loads(capsys.readouterr().out)
     assert report["orthogonal"] is False
+
+
+def _el(c):
+    return {"1": [c]}
+
+
+_ZIP_F3 = {"kind": "zip", "ring": {"p": 3}}
+_WITT_ADD = {"ring": {"p": 3}, "m": 2, "x": [_el(1), _el(0)],
+             "y": [_el(2), _el(0)]}
+
+
+def _display(mu, rows, cols):
+    return {"frame": _ZIP_F3, "mu": mu,
+            "phi": [[_el(int(i == j)) for j in range(cols)]
+                    for i in range(rows)]}
+
+
+def _zip_without(key):
+    zf = ZipFrame(prime_field(3))
+    desc = serialize.fzip_to_dict(to_fzip(unit_display(zf, 2, 1)))
+    del desc[key]
+    return {"zip": desc, "frame": _ZIP_F3}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["witt", "add"], {**_WITT_ADD, "ring": {"p": "a"}}),
+    (["witt", "add"], {**_WITT_ADD, "m": "two"}),
+    (["witt", "add"], {**_WITT_ADD, "m": 0}),
+    (["ring"], {"ring": {"p": None}}),
+    (["ring"], [3]),
+    (["display", "classify"], {"frame": _ZIP_F3, "mu": ["x", 0]}),
+    (["display", "classify"],
+     {"frame": {"kind": "witt", "ring": {"p": 3}, "m": "z"}, "mu": [1, 0]}),
+    (["display", "classify"], {"frame": {"kind": "witt"}, "mu": [1, 0]}),
+    (["zip", "from"], _zip_without("ring")),
+    (["zip", "from"], _zip_without("n")),
+    (["display", "act"],
+     {"display": _display([1, 0], 2, 2),
+      "element": {"mu": [0, 1], "grid": [[_el(1), _el(0)], [_el(0), _el(1)]]}}),
+    (["ring"], {"p": 3, "vars": 5}),
+    (["ortho", "normalize"],
+     {"frame": {"kind": "relative", "m": 1,
+                "ext": {"ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
+                        "extra": ["e"]}},
+      "mu": [1, 0, 0, -1]}),
+], ids=["ring-p-not-an-integer", "m-not-an-integer", "m-zero", "ring-p-null",
+        "spec-is-a-list", "mu-not-integers", "frame-m-not-an-integer",
+        "witt-frame-without-ring", "zip-without-ring", "zip-without-n",
+        "act-element-weights-differ", "ring-vars-not-a-list",
+        "relative-frame-m-1"])
+def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(argv + ["--spec", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["display", "hodge"], {"display": _display([1, 0], 2, 3)}),
+    (["zip", "roundtrip"], {"display": _display([1, 0], 2, 3)}),
+    (["display", "dual"], {"display": _display([1, 0], 2, 3)}),
+    (["display", "dual"], {"display": _display([1, 0, 0], 2, 2)}),
+    (["zip", "to"], {"display": _display([1, 0, 0], 2, 2)}),
+    (["display", "act"], {"display": _display([1, 0], 2, 2),
+                          "element": {"grid": [[_el(1), _el(0)]]}}),
+    (["display", "act"], {"display": _display([1, 0], 2, 2),
+                          "element": {"grid": [[_el(1), _el(0), _el(0)],
+                                               [_el(0), _el(1), _el(0)]]}}),
+], ids=["hodge-2x3-phi", "roundtrip-2x3-phi", "dual-2x3-phi",
+        "dual-2x2-phi-for-3-weights", "zip-to-2x2-phi-for-3-weights",
+        "act-1x2-element", "act-2x3-element"])
+def test_wrong_shape_matrix_exits_2(tmp_path, capsys, argv, spec):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(argv + ["--spec", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
-"""The two elimination routines, cross-checked against brute force."""
+"""The one elimination routine, `rref_modp`, and the solves built on it
+(mod-p solve, rank and echelon; `solve_local`, `field_inverse` and
+`span_contains` on F_p-coordinates), cross-checked against brute force."""
 
 import itertools
 import random
@@ -7,8 +9,8 @@ import pytest
 
 from framecalc import linalg
 from framecalc.deformation import _echelon, _rank_modp, _solve_modp
-from framecalc.displays import _gauss_local
-from framecalc.rings import dual_numbers, prime_field, truncated_poly_ring
+from framecalc.rings import (ArtinRing, Field, dual_numbers, extension_field,
+                             prime_field, truncated_poly_ring)
 
 
 def _mat_vec_modp(p, M, x):
@@ -55,9 +57,7 @@ def test_modp_solve_rank_kernel_every_2x3_matrix(p):
                        if j != k)
 
 
-def test_field_inverse_every_2x2_matrix_over_f3():
-    R = prime_field(3)
-    F = R.residue_field
+def _check_field_inverse_every_2x2(F):
     els = list(F.elements())
     for a, b, c, d in itertools.product(els, repeat=4):
         M = [[a, b], [c, d]]
@@ -66,13 +66,29 @@ def test_field_inverse_every_2x2_matrix_over_f3():
         if det.is_zero():
             assert inv is None
         else:
-            prod = [[sum((M[i][k] * inv[k][j] for k in range(2)), F.zero())
-                     for j in range(2)] for i in range(2)]
-            assert prod == [[F.one(), F.zero()], [F.zero(), F.one()]]
+            assert linalg.mat_mul(F, M, inv) == linalg.identity(F, 2)
+
+
+def test_field_inverse_every_2x2_matrix_over_f3():
+    _check_field_inverse_every_2x2(prime_field(3).residue_field)
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=["F4", "F9"])
+def test_field_inverse_every_2x2_matrix_over_f_p_squared(p):
+    # f = 2: each entry is two F_p-coordinates of the encoded system
+    _check_field_inverse_every_2x2(extension_field(p, 2))
+
+
+def test_field_inverse_rejects_non_square_matrices():
+    F = prime_field(3)
+    one, zero = F.one(), F.zero()
+    assert linalg.field_inverse(F, [[one, zero, zero], [zero, one, zero]]) is None
+    assert linalg.field_inverse(F, [[one, zero], [zero, one], [zero, zero]]) is None
+    assert linalg.field_inverse(F, []) == []
 
 
 def test_unit_pivot_solve_2x2_over_dual_numbers():
-    # _gauss_local against brute force over F_3[e]/e^2, and F_2[x]/x^3
+    # solve_local against brute force over F_3[e]/e^2, and F_2[x]/x^3
     def apply(M, x):
         return [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)]
 
@@ -89,7 +105,7 @@ def test_unit_pivot_solve_2x2_over_dual_numbers():
                    else [rng.choice(els) for _ in range(2)])
             sols = [list(x) for x in itertools.product(els, repeat=2)
                     if apply(M, list(x)) == rhs]
-            x = _gauss_local(ring, M, rhs)
+            x = linalg.solve_local(ring, M, rhs)
             assert (x is not None) == bool(sols)
             if x is not None:
                 assert apply(M, x) == rhs
@@ -103,21 +119,43 @@ def test_local_solve_finds_solutions_without_unit_pivots():
     R = dual_numbers(3)
     e, z = R.gen(), R.zero()
     M = [[e, z], [z, e]]
-    x = _gauss_local(R, M, [e, z])
+    x = linalg.solve_local(R, M, [e, z])
     assert x is not None
     assert [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)] == [e, z]
-    assert _gauss_local(R, M, [R.one(), z]) is None
+    assert linalg.solve_local(R, M, [R.one(), z]) is None
+
+
+def test_solve_local_matches_brute_force_over_f4_dual_numbers():
+    # F_4[x]/(x^2): f = 2 and a variable, so 4 F_p-coordinates per entry
+    ring = ArtinRing(Field(2, 2), ("x",), ((2,),))
+    els = list(ring.elements())
+    rng = random.Random(1)
+    found = 0
+    for _ in range(150):
+        M = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
+        image = {}
+        for x in itertools.product(els, repeat=2):
+            rhs = tuple(M[i][0] * x[0] + M[i][1] * x[1] for i in range(2))
+            image.setdefault(rhs, list(x))
+        rhs = (list(rng.choice(list(image))) if rng.random() < 0.7
+               else [rng.choice(els) for _ in range(2)])
+        x = linalg.solve_local(ring, M, rhs)
+        assert (x is not None) == (tuple(rhs) in image)
+        if x is not None:
+            found += 1
+            assert [M[i][0] * x[0] + M[i][1] * x[1] for i in range(2)] == rhs
+    assert 0 < found < 150
 
 
 def test_span_contains_matches_brute_force_over_dual_numbers():
+    # every column, units or not, against the set of its multiples
     R = dual_numbers(3)
     els = list(R.elements())
-    for col in itertools.product(els, repeat=2):
-        col = list(col)
-        if not any(c.is_unit() for c in col):
-            with pytest.raises(linalg.SingularMatrix):
-                linalg.span_contains(R, [col], [R.one(), R.zero()])
-            continue
-        multiples = {tuple(c * x for x in col) for c in els}
-        for vec in itertools.product(els, repeat=2):
-            assert linalg.span_contains(R, [col], list(vec)) == (vec in multiples)
+    vecs = [list(v) for v in itertools.product(els, repeat=2)]
+    for col in vecs:
+        multiples = [[c * x for x in col] for c in els]
+        for vec in vecs:
+            assert linalg.span_contains(R, [col], vec) == (vec in multiples)
+    # the empty span holds only the zero vector
+    for vec in vecs:
+        assert linalg.span_contains(R, [], vec) == all(v.is_zero() for v in vec)

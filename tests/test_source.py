@@ -5,6 +5,9 @@
 - No dead code: every module-level function and class, and every public
   non-dunder method of a class, is referenced by name somewhere in src/,
   tests/ or perfbench/ outside its own definition.
+- No dead parameter: every parameter of a module-level function is read in
+  its body.  Methods are left out, because the frame classes implement one
+  interface whose members need not use every argument.
 """
 
 import ast
@@ -73,3 +76,19 @@ def test_every_public_method_is_referenced():
                     unused += _unreferenced(refs, path, node,
                                             f"{cls.name}.{node.name}")
     assert not unused, f"public methods nothing references: {unused}"
+
+
+def test_every_function_parameter_is_read():
+    unread = []
+    for path, tree in _trees("src/framecalc"):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                x for x in (a.vararg, a.kwarg) if x is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({arg.arg})"
+                       for arg in params if arg.arg not in read]
+    assert not unread, f"parameters never read: {unread}"
