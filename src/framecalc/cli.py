@@ -16,7 +16,7 @@ import sys
 
 from . import linalg, serialize
 from .serialize import SchemaError, dumps, require
-from .rings import prime_field
+from .rings import EnumerationTooLarge, prime_field
 from .witt import WittRing, teichmuller, verschiebung, witt_frobenius
 from .frames import (Thickening, WittFrame, ZipFrame, check_zip_projection,
                      frame_axiom_check)
@@ -53,6 +53,17 @@ def _load_spec(args, required=True):
     if not isinstance(spec, dict):
         raise InputError(f"{args.spec}: the spec must be a JSON object")
     return spec
+
+
+def _within_budget(classify, frame, mu, cap):
+    """classify(frame, mu, cap), with an enumeration past the cap reported
+    as the budget it exceeded and any other bad input as itself."""
+    try:
+        return classify(frame, mu, cap)
+    except EnumerationTooLarge as exc:
+        raise InputError(f"budget exceeded: {exc}")
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _emit(args, report):
@@ -198,10 +209,7 @@ def cmd_display(args):
     if op == "classify":
         frame = serialize.frame_from_dict(require(spec, "frame"))
         mu = serialize.int_tuple(require(spec, "mu"), "mu")
-        try:
-            orbits = classify_orbits(frame, mu, cap)
-        except ValueError as exc:
-            raise InputError(f"budget exceeded: {exc}")
+        orbits = _within_budget(classify_orbits, frame, mu, cap)
         reps = [serialize.display_to_dict(min(o, key=lambda d: str(d.phi)))
                 for o in orbits]
         report = {
@@ -330,10 +338,8 @@ def cmd_ortho(args):
     else:  # classify
         frame = serialize.frame_from_dict(require(spec, "frame"))
         mu = serialize.int_tuple(require(spec, "mu"), "mu")
-        try:
-            orbits = classify_orth_orbits(frame, mu, args.budget or 10 ** 7)
-        except ValueError as exc:
-            raise InputError(f"budget exceeded: {exc}")
+        orbits = _within_budget(classify_orth_orbits, frame, mu,
+                                args.budget or 10 ** 7)
         report = {
             "command": "ortho classify",
             "orbits": len(orbits),

@@ -17,10 +17,11 @@ import itertools
 from collections.abc import Sequence
 
 from . import linalg
-from .displays import Display, GradedElem, GradedMatrix
+from .displays import Display, GradedElem, GradedMatrix, orbit_search
 from .frames import WittFrame, ZipFrame
 from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
-                         o2_elements, standard_J, verify_orth)
+                         levi_element, orth_group_factors, standard_J,
+                         verify_orth)
 
 
 # ---------------------------------------------------------------------------
@@ -31,13 +32,6 @@ def _solve_modp(p, cols, rhs):
     """linalg.solve_modp for the kernel solves of this module, under the
     name that perfbench's tracer counts."""
     return linalg.solve_modp(p, cols, rhs)
-
-
-def _rank_modp(p, cols):
-    if not cols:
-        return 0
-    rows = [list(r) for r in zip(*cols)]
-    return len(linalg.rref_modp(p, rows, len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +312,13 @@ class WittKernelCoords:
 # The affine-linear isomorphism solver
 # ---------------------------------------------------------------------------
 
-def _combine_sparse(coords, combo):
-    """A sparse integer combination [(idx, coeff)] as a coordinate vector."""
-    vec = [0] * coords.dim
-    for idx, c in combo:
-        vec[idx] = (vec[idx] + c) % coords.p
-    return vec
-
-
 def skew_basis(coords):
-    """Sparse basis of the orthogonality-kernel condition
-    kappa_{n-1-i, j} + kappa_{n-1-j, i} = 0 (self-paired slots drop out)."""
+    """Basis of the orthogonality-kernel condition
+    kappa_{n-1-i, j} + kappa_{n-1-j, i} = 0, as coordinate vectors
+    (self-paired slots drop out)."""
     n = len(coords.mu)
     slot_of = {(i, j): s for s, (i, j, _, _) in enumerate(coords.slots)}
-    combos = []
+    vecs = []
     seen = set()
     for s, (i, j, d, payloads) in enumerate(coords.slots):
         partner = (n - 1 - j, n - 1 - i)
@@ -343,9 +330,19 @@ def skew_basis(coords):
         seen.add(key)
         s2 = slot_of[partner]
         for k in range(len(payloads)):
-            combos.append([(coords.offsets[s] + k, 1),
-                           (coords.offsets[s2] + k, coords.p - 1)])
-    return combos
+            v = [0] * coords.dim
+            v[coords.offsets[s] + k] = 1
+            v[coords.offsets[s2] + k] = coords.p - 1
+            vecs.append(v)
+    return vecs
+
+
+def kernel_basis(coords, orth=False):
+    """The coordinate vectors that span the kernel elements a search runs
+    over: the skew basis for orthogonal displays, else the unit vectors."""
+    if orth:
+        return skew_basis(coords)
+    return [[int(i == k) for i in range(coords.dim)] for k in range(coords.dim)]
 
 
 def _linear_columns(coords, left_phi, right_phi, basis_vectors):
@@ -389,11 +386,7 @@ def solve_identity_iso(coords, d1, d2, basis_vectors=None, verify=True):
     each is a full coordinate vector.
     """
     if basis_vectors is None:
-        basis_vectors = []
-        for k in range(coords.dim):
-            v = [0] * coords.dim
-            v[k] = 1
-            basis_vectors.append(v)
+        basis_vectors = kernel_basis(coords)
     rhs_mat = linalg.mat_sub(d2.phi, d1.phi)
     try:
         rhs = coords.encode_value_matrix(rhs_mat)
@@ -403,11 +396,7 @@ def solve_identity_iso(coords, d1, d2, basis_vectors=None, verify=True):
     sol = _solve_modp(coords.p, cols, rhs)
     if sol is None:
         return None
-    total = [0] * coords.dim
-    for c, bv in zip(sol, basis_vectors):
-        if c % coords.p:
-            total = [(t + c * v) % coords.p for t, v in zip(total, bv)]
-    z = coords.decode(total)
+    z = coords.decode(linalg.combine_modp(coords.p, basis_vectors, sol, coords.dim))
     if verify:
         if not d1.act(z) == Display(d1.frame, d1.mu, d2.phi, check=False):
             raise AssertionError("linear solution failed exact verification")
@@ -516,39 +505,14 @@ def fiber_direction_basis(coords, orth_base=None):
 
     # the condition in the J-supported value coordinates
     cols = [coords.encode_value_matrix(cond(K)) for K in units]
-    # kernel of the condition map, by elimination over F_p
-    rows = [list(r) for r in zip(*cols)]
-    pivots = linalg.rref_modp(p, rows, len(units))
-    free = [c for c in range(len(units)) if c not in pivots]
     basis = []
-    for fc in free:
-        coeffs = [0] * len(units)
-        coeffs[fc] = 1
-        for r, pv in enumerate(pivots):
-            coeffs[pv] = (-rows[r][fc]) % p
+    for coeffs in linalg.kernel_modp(p, cols):
         M = linalg.zeros(s0, n, n)
         for c, K in zip(coeffs, units):
-            if c:
-                for _ in range(c):
-                    M = linalg.mat_add(M, K)
+            for _ in range(c):
+                M = linalg.mat_add(M, K)
         basis.append(M)
     return basis
-
-
-def _echelon(p, vecs):
-    """Reduced echelon basis [(pivot, vector)] of the span of vecs mod p."""
-    rows = [list(v) for v in vecs]
-    pivots = linalg.rref_modp(p, rows, len(rows[0]) if rows else 0)
-    return list(zip(pivots, rows))
-
-
-def _reduce_by(p, basis, vec):
-    v = [x % p for x in vec]
-    for piv, b in basis:
-        if v[piv]:
-            f = v[piv]
-            v = [(x - f * y) % p for x, y in zip(v, b)]
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -655,41 +619,23 @@ def witt_zip_lift_pairs(wframe, mu, zring, lift_scalar):
 
 def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     """Orthogonal analogue of witt_zip_lift_pairs: the orthogonal zip group
-    with exact orthogonal lifts, each built factor by factor (Levi times
-    lower times upper unipotent, Teichmueller parameters throughout)."""
-    zf = ZipFrame(zring)
+    in `orth_group_factors` order, with exact orthogonal lifts, each built
+    from the factors of its g0 (Levi times lower times upper unipotent,
+    Teichmueller parameters throughout)."""
     s0 = wframe.s0
-    n = len(mu)
 
     def teich(a):
         return s0.teichmuller(lift_scalar(a))
 
-    def levi(frame, conv, a, H):
-        grid = [[frame.s0.zero()] * n for _ in range(n)]
-        grid[0][0] = conv(a)
-        grid[n - 1][n - 1] = conv(a.invert())
-        for bi in range(2):
-            for bj in range(2):
-                grid[1 + bi][1 + bj] = conv(H[bi][bj])
-        return GradedMatrix.from_payloads(frame, mu, grid)
-
     def build(params):
         a, H, xm, xp = params
-        lum = levi(wframe, teich, a, H) * exp_minus_orth(
-            wframe, mu, [teich(x) for x in xm])
+        l = levi_element(wframe, mu, teich(a), teich(a.invert()),
+                         [[teich(h) for h in row] for row in H])
+        lum = l * exp_minus_orth(wframe, mu, [teich(x) for x in xm])
         return lum * exp_plus_orth(wframe, mu, [teich(x) for x in xp])
 
-    units = [a for a in zring.elements() if a.is_unit()]
-    elems = list(zring.elements())
-    elements, params = [], []
-    for a in units:
-        for H in o2_elements(zring):
-            l_z = levi(zf, lambda x: x, a, H)
-            for xm in itertools.product(elems, repeat=n - 2):
-                lum_z = l_z * exp_minus_orth(zf, mu, list(xm))
-                for xp in itertools.product(elems, repeat=n - 2):
-                    elements.append(lum_z * exp_plus_orth(zf, mu, list(xp)))
-                    params.append((a, H, xm, xp))
+    zf = ZipFrame(zring)
+    params, elements = zip(*orth_group_factors(zf, mu))
     return LiftTower(zf, elements, params, build)
 
 
@@ -705,10 +651,7 @@ def _tower_search(tower, coords, d, z1, z2, target, orth):
     order: for each transporter element g0 of the zip displays z1 -> z2,
     its lift ghat times the kernel element that the linear solver finds
     for d.act(ghat) -> target, if there is one."""
-    if orth:
-        basis_vectors = [_combine_sparse(coords, c) for c in skew_basis(coords)]
-    else:
-        basis_vectors = None
+    basis_vectors = kernel_basis(coords, orth)
     for k in tower.transporter(z1, z2):
         _, ghat = tower[k]
         z = solve_identity_iso(coords, d.act(ghat), target,
@@ -779,59 +722,35 @@ def classify_witt_fiber(th, d, orth=False):
     if orth and not verify_orth(dhat):
         raise AssertionError("section lift lost orthogonality")
     coords = WittKernelCoords(frame_b, mu, "jsupp", ext=ext)
-    if orth:
-        zeta_basis = [_combine_sparse(coords, c) for c in skew_basis(coords)]
-    else:
-        zeta_basis = []
-        for k in range(coords.dim):
-            v = [0] * coords.dim
-            v[k] = 1
-            zeta_basis.append(v)
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
-    cols = _linear_columns(coords, dhat.phi, dhat.phi, zeta_basis)
+    cols = _linear_columns(coords, dhat.phi, dhat.phi, kernel_basis(coords, orth))
     units = fiber_direction_basis(coords)
     dirs = (fiber_direction_basis(coords, orth_base=dhat.phi)
             if orth else units)
     dir_vecs = [coords.encode_value_matrix(K) for K in dirs]
-    dim_f = _rank_modp(p, dir_vecs)
-    rank_v = _rank_modp(p, cols)
-    if _rank_modp(p, dir_vecs + cols) != dim_f:
+    width = len(mu) ** 2 * len(coords.value_basis)
+    fiber = linalg.Span(p, dir_vecs, width)
+    vspan = linalg.Span(p, cols, width)
+    if any(c not in fiber for c in cols):
         raise AssertionError("kernel action left the fiber")
-    vbasis = _echelon(p, cols)
-
-    def canon(vec):
-        return _reduce_by(p, vbasis, vec)
-
-    # complement of V inside the fiber directions: greedily, each direction
-    # outside the span of V and the directions already chosen
-    chosen = []
-    span = vbasis
-    for v in dir_vecs:
-        if not any(_reduce_by(p, span, v)):
-            continue
-        chosen.append(v)
-        span = _echelon(p, [b for _, b in span] + [v])
-        if len(chosen) == dim_f - rank_v:
-            break
-    # coset labels and representatives
-    reps = {}
-    for combo in itertools.product(range(p), repeat=len(chosen)):
-        vec = [0] * len(dir_vecs[0])
-        for c, base in zip(combo, chosen):
-            if c:
-                vec = [(x + c * y) % p for x, y in zip(vec, base)]
-        lab = canon(vec)
-        if lab in reps:
-            raise AssertionError("coset representatives collided")
-        reps[lab] = vec
+    canon = vspan.reduce
+    # coset labels: canon is a linear projection fixing its image, so the
+    # reduced fiber directions span a complement of V in the fiber whose
+    # vectors are their own labels
+    comp = linalg.Span(p, [canon(v) for v in dir_vecs], width)
+    labels = [canon(linalg.combine_modp(p, comp.rows, combo, width))
+              for combo in itertools.product(range(p), repeat=comp.rank)]
+    label_set = set(labels)
+    if len(label_set) != len(labels):
+        raise AssertionError("coset representatives collided")
     # Hodge deformations and their labels
     deform = enumerate_hodge_deformations(th, d, orth=orth)
     hodge_labels = []
     for dd in deform:
         vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, dhat.phi))
         lab = canon(vec)
-        if lab not in reps:
+        if lab not in label_set:
             raise AssertionError("Hodge deformation left the fiber cosets")
         hodge_labels.append(lab)
     # stabilizer of d over A, one exact lift per zip-level component
@@ -855,34 +774,23 @@ def classify_witt_fiber(th, d, orth=False):
             img = linalg.mat_mul(sb, tau_inv, linalg.mat_mul(sb, K, sig))
             mcols.append(coords.encode_value_matrix(img))
         # sanity: conjugation preserves V
-        for c in cols:
-            if any(canon(_apply_cols(p, mcols, c))):
-                raise AssertionError("stabilizer did not preserve the kernel image")
+        if any(linalg.combine_modp(p, mcols, c, width) not in vspan for c in cols):
+            raise AssertionError("stabilizer did not preserve the kernel image")
         maps.append(mcols)
+
+    def act(lab, mcols):
+        img = canon(linalg.combine_modp(p, mcols, lab, width))
+        if img not in label_set:
+            raise AssertionError("stabilizer left the fiber cosets")
+        return img
+
     # orbits of the stabilizer action on the cosets
-    label_list = list(reps)
-    index = {lab: k for k, lab in enumerate(label_list)}
-    parent = list(range(len(label_list)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mcols in maps:
-        for lab, vec in reps.items():
-            img = canon(_apply_cols(p, mcols, vec))
-            if img not in index:
-                raise AssertionError("stabilizer left the fiber cosets")
-            a, b = find(index[lab]), find(index[img])
-            if a != b:
-                parent[a] = b
-    orbit_of = {lab: find(index[lab]) for lab in label_list}
-    n_classes = len(set(orbit_of.values()))
+    orbits = orbit_search(labels, lambda: maps, act)
+    orbit_of = {lab: k for k, orbit in enumerate(orbits) for lab in orbit}
+    n_classes = len(orbits)
     hodge_orbits = [orbit_of[lab] for lab in hodge_labels]
     label_class = {}
-    for lab in label_list:
+    for lab in labels:
         root = orbit_of[lab]
         hit = [k for k, r in enumerate(hodge_orbits) if r == root]
         label_class[lab] = hit[0] if hit else None
@@ -892,25 +800,16 @@ def classify_witt_fiber(th, d, orth=False):
         "passed": passed,
         "classes": n_classes,
         "hodge_lifts": len(deform),
-        "fiber_dim": dim_f,
-        "action_rank": rank_v,
-        "cosets": len(reps),
+        "fiber_dim": fiber.rank,
+        "action_rank": vspan.rank,
+        "cosets": len(labels),
         "stab_components": len(stabs),
         "deformations": deform,
         "coords": coords,
         "canon": canon,
         "label_class": label_class,
-        "dir_vecs": dir_vecs,
         "lifted_base": dhat,
     }
-
-
-def _apply_cols(p, cols, vec):
-    out = [0] * len(cols[0]) if cols else []
-    for c, col in zip(vec, cols):
-        if c % p:
-            out = [(o + c * x) % p for o, x in zip(out, col)]
-    return out
 
 
 def witt_fiber_member_class(report, member):

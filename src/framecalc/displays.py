@@ -17,7 +17,7 @@ import itertools
 import random
 
 from . import linalg
-from .rings import RingMismatch
+from .rings import EnumerationTooLarge, RingMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def group_elements(frame, mu, cap=10 ** 7):
     for s in slots:
         total *= len(s)
         if total > cap:
-            raise ValueError("display group too large to enumerate")
+            raise EnumerationTooLarge("display group too large to enumerate")
     for combo in itertools.product(*slots):
         grid = [[combo[i * n + j] for j in range(n)] for i in range(n)]
         A = GradedMatrix.from_payloads(frame, mu, grid)
@@ -387,38 +387,35 @@ def all_displays(frame, n, mu, cap=10 ** 7):
     base = list(frame.s0.elements(cap))
     total = len(base) ** (n * n)
     if total > cap:
-        raise ValueError("display space too large to enumerate")
+        raise EnumerationTooLarge("display space too large to enumerate")
     for combo in itertools.product(base, repeat=n * n):
         phi = [[combo[i * n + j] for j in range(n)] for i in range(n)]
         if linalg.is_invertible(frame.s0, phi):
             yield Display(frame, mu, phi, check=False)
 
 
-def orbit_search(displays, make_group):
-    """Orbits of a finite group acting on a stream of displays, as sets.
+def orbit_search(points, make_group, act):
+    """Orbits of a finite group acting on a stream of points, as sets.
 
-    make_group() lists the group; it is called at the first display, so a
-    cap check in the display stream fires before the group is enumerated.
+    act(x, g) is the action.  The orbit of x is {act(x, g) for g in G}, one
+    pass over the group (Holt, Eick, O'Brien, Handbook of Computational
+    Group Theory, ch. 4).  make_group() lists G; it is called at the first
+    point, so a cap check in the point stream fires before the group is
+    enumerated.  An orbit that misses its own point or meets an earlier
+    orbit means make_group() listed no group acting on the points, and
+    raises.
     """
     group = None
     seen = set()
     orbits = []
-    for d in displays:
-        if d in seen:
+    for x in points:
+        if x in seen:
             continue
         if group is None:
             group = list(make_group())
-        orbit = set()
-        frontier = [d]
-        while frontier:
-            cur = frontier.pop()
-            if cur in orbit:
-                continue
-            orbit.add(cur)
-            for g in group:
-                nxt = cur.act(g)
-                if nxt not in orbit:
-                    frontier.append(nxt)
+        orbit = {act(x, g) for g in group}
+        if x not in orbit or not orbit.isdisjoint(seen):
+            raise AssertionError("the group elements do not form a group action")
         orbits.append(orbit)
         seen |= orbit
     return orbits
@@ -427,7 +424,7 @@ def orbit_search(displays, make_group):
 def classify_orbits(frame, mu, cap=10 ** 7):
     """Orbits of the display-group action; returns a list of orbits (sets)."""
     return orbit_search(all_displays(frame, len(mu), mu, cap),
-                        lambda: group_elements(frame, mu, cap))
+                        lambda: group_elements(frame, mu, cap), Display.act)
 
 
 def is_isomorphic_bruteforce(d1, d2, cap=10 ** 7):
@@ -455,18 +452,22 @@ def fzip_isomorphic(z1, z2, cap=10 ** 7):
         return [sum((g[r][k] * v[k] for k in range(n)), R.zero())
                 for r in range(n)]
 
+    # z2's filtration steps as spans on F_p-coordinates, eliminated once
+    targets = [(F1, {i: linalg.ring_span(R, cols, n) for i, cols in F2.items()})
+               for F1, F2 in ((z1.C, z2.C), (z1.D, z2.D))]
+    below = {i: linalg.ring_span(R, z2.D.get(i - 1, []), n) for i in z1.alpha}
+
     def preserves_filtrations(g):
-        return all(linalg.span_contains(R, F2[i], image(g, c))
-                   for F1, F2 in ((z1.C, z2.C), (z1.D, z2.D))
-                   for i, cols in F1.items() for c in cols)
+        return all(linalg.fp_coords(image(g, c)) in F2[i]
+                   for F1, F2 in targets for i, cols in F1.items() for c in cols)
 
     def commutes(g, i, r, v):
         # alpha2(gr g^(p) (r)) == gr g (alpha1(r))  modulo D_{i-1}: the class
         # of gr mod C^{i+1} determines alpha2 of its Frobenius twist
         img2 = _alpha_apply(z2, i, [c.frobenius() for c in image(g, r)],
                             z2.C.get(i + 1, []))
-        return img2 is not None and linalg.span_contains(
-            R, z2.D.get(i - 1, []), [x - y for x, y in zip(img2, image(g, v))])
+        return img2 is not None and linalg.fp_coords(
+            [x - y for x, y in zip(img2, image(g, v))]) in below[i]
 
     for combo in itertools.product(R.elements(cap), repeat=n * n):
         g = [[combo[i * n + j] for j in range(n)] for i in range(n)]

@@ -3,13 +3,15 @@
 Matrices are plain lists of lists of ring elements; "ring" means any object
 with the small protocol used throughout the package (zero/one/from_int,
 to_residue/lift_residue, residue_field), which both ArtinRing and WittRing
-provide.  There is one elimination routine, `rref_modp`, on ints mod p.  A
-system over an ArtinRing (a field is the one without variables) is solved
-as F_p-linear algebra in the F_p-coordinates of the unknowns, through one
-encoder (`_fp_columns`), and every solution is checked exactly.  Inversion
-over a local ring is residue inversion followed by Newton correction on the
-nilpotent error, which converges in finitely many steps and is verified
-exactly.
+provide.  There is one elimination routine, `rref_modp`, on ints mod p, and
+one reduced-basis object built on it, `Span`, whose `reduce` gives coset
+labels and membership.  A system over an ArtinRing (a field is the one
+without variables) is solved as F_p-linear algebra in the F_p-coordinates
+of the unknowns, through one encoder (`_fp_columns`), and every solution is
+checked exactly; `ring_span` is the R-span of columns as a `Span` on those
+coordinates.  Inversion over a local ring is residue inversion followed by
+Newton correction on the nilpotent error, which converges in finitely many
+steps and is verified exactly.
 """
 
 from __future__ import annotations
@@ -115,6 +117,68 @@ def solve_modp(p, cols, rhs):
     return x
 
 
+def kernel_modp(p, cols):
+    """A basis of the x with sum x_j cols[j] = 0 mod p: one vector per
+    non-pivot column, read off the reduced rows."""
+    n = len(cols)
+    rows = [list(r) for r in zip(*cols)]
+    pivots = rref_modp(p, rows, n)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[free] = 1
+        for r, pv in enumerate(pivots):
+            x[pv] = (-rows[r][free]) % p
+        basis.append(x)
+    return basis
+
+
+def combine_modp(p, vecs, coeffs, width):
+    """sum coeffs[j] vecs[j] mod p, a vector of the given width."""
+    out = [0] * width
+    for c, v in zip(coeffs, vecs):
+        if c % p:
+            out = [(o + c * x) % p for o, x in zip(out, v)]
+    return out
+
+
+class Span:
+    """The F_p-span of int vectors of one width, held as the reduced rows
+    and pivots of one `rref_modp` call.
+
+    reduce(vec) clears vec at every pivot: a linear projection that is the
+    same for all of a coset of the span, so it is the coset label, and it is
+    zero exactly on the span (`vec in span`).
+    """
+
+    def __init__(self, p, vecs, width):
+        self.p = p
+        rows = [list(v) for v in vecs]
+        self.pivots = rref_modp(p, rows, width)
+        self.rows = rows[:len(self.pivots)]
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        p = self.p
+        v = [x % p for x in vec]
+        for piv, b in zip(self.pivots, self.rows):
+            f = v[piv]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        return tuple(v)
+
+    def __contains__(self, vec):
+        return not any(self.reduce(vec))
+
+
+def fp_coords(vec):
+    """The F_p-coordinates of a vector over an ArtinRing, entry by entry."""
+    return [c for x in vec for c in x.coeffs]
+
+
 def _fp_columns(ring, M):
     """The F_p-matrix of x -> M x over an ArtinRing, as columns.
 
@@ -123,7 +187,7 @@ def _fp_columns(ring, M):
     """
     k = ring.dim
     basis = [ring.from_coords([int(i == c) for i in range(k)]) for c in range(k)]
-    return [[c for row in M for c in (row[j] * b).coeffs]
+    return [fp_coords(row[j] * b for row in M)
             for j in range(len(M[0]) if M else 0) for b in basis]
 
 
@@ -135,7 +199,7 @@ def solve_local(ring, M, rhs):
     """
     k = ring.dim
     cols = _fp_columns(ring, M)
-    sol = solve_modp(ring.p, cols, [c for b in rhs for c in b.coeffs])
+    sol = solve_modp(ring.p, cols, fp_coords(rhs))
     if sol is None:
         return None
     x = [ring.from_coords(sol[j:j + k]) for j in range(0, len(sol), k)]
@@ -145,10 +209,11 @@ def solve_local(ring, M, rhs):
     return x
 
 
-def span_contains(ring, cols, vec):
-    """Whether vec lies in the span of cols over a finite local ArtinRing."""
-    M = [[c[r] for c in cols] for r in range(len(vec))]
-    return solve_local(ring, M, vec) is not None
+def ring_span(ring, cols, n):
+    """The span of length-n columns over a finite local ArtinRing, as the
+    `Span` of their F_p-multiples: v lies in it iff fp_coords(v) does."""
+    M = [[c[r] for c in cols] for r in range(n)]
+    return Span(ring.p, _fp_columns(ring, M), n * ring.dim)
 
 
 def field_inverse(field, M):

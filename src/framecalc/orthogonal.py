@@ -269,45 +269,50 @@ def o2_elements(ring):
         yield [[ring.zero(), a], [inv, ring.zero()]]
 
 
-def levi_elements(frame, mu):
-    """Degree-0 block-diagonal orthogonal elements for mu = (1, 0, 0, -1)."""
-    s0 = frame.s0
-    units = [u for u in s0.elements() if u.is_unit()]
-    for a in units:
-        a_inv = a.invert()
-        for H in o2_elements(s0):
-            grid = [[s0.zero()] * 4 for _ in range(4)]
-            grid[0][0] = a
-            grid[3][3] = a_inv
-            for i in range(2):
-                for j in range(2):
-                    grid[1 + i][1 + j] = H[i][j]
-            yield GradedMatrix.from_payloads(frame, mu, grid)
+def levi_element(frame, mu, a, a_inv, H):
+    """The degree-0 block-diagonal element diag(a, H, a_inv) of type mu,
+    from its S0 payloads (H a 2x2 grid for the middle block)."""
+    n = len(mu)
+    grid = [[frame.s0.zero()] * n for _ in range(n)]
+    grid[0][0] = a
+    grid[n - 1][n - 1] = a_inv
+    for i in range(2):
+        for j in range(2):
+            grid[1 + i][1 + j] = H[i][j]
+    return GradedMatrix.from_payloads(frame, mu, grid)
 
 
-def orth_group_elements(frame, mu):
-    """All of the orthogonal display group for mu = (1, 0, 0, -1).
+def orth_group_factors(frame, mu):
+    """All of the orthogonal display group for mu = (1, 0, 0, -1), as
+    ((a, H, xm, xp), g) with g = l u- u+: the Levi factor diag(a, H, a^-1)
+    (H in O_2), then exp_minus_orth(xm) and exp_plus_orth(xp).
 
-    Enumerated through the (unique) factorization l u- u+; uniqueness is
-    asserted by deduplication.
+    The factorization is unique; that is checked by deduplication.
     """
     if tuple(mu) != (1, 0, 0, -1):
         raise ValueError("enumeration implemented for the K3 type only")
+    s0 = frame.s0
     p_all = list(frame.p_elements())
-    s_all = list(frame.s0.elements())
+    s_all = list(s0.elements())
     seen = set()
-    for l in levi_elements(frame, mu):
-        for xm in itertools.product(s_all, repeat=2):
-            um = exp_minus_orth(frame, mu, list(xm))
-            lum = l * um
-            for xp in itertools.product(p_all, repeat=2):
-                up = exp_plus_orth(frame, mu, list(xp))
-                g = lum * up
-                key = hash(g)
-                if key in seen:
-                    raise AssertionError("factorization is not unique")
-                seen.add(key)
-                yield g
+    for a in (u for u in s_all if u.is_unit()):
+        for H in o2_elements(s0):
+            l = levi_element(frame, mu, a, a.invert(), H)
+            for xm in itertools.product(s_all, repeat=2):
+                lum = l * exp_minus_orth(frame, mu, list(xm))
+                for xp in itertools.product(p_all, repeat=2):
+                    g = lum * exp_plus_orth(frame, mu, list(xp))
+                    key = hash(g)
+                    if key in seen:
+                        raise AssertionError("factorization is not unique")
+                    seen.add(key)
+                    yield (a, H, xm, xp), g
+
+
+def orth_group_elements(frame, mu):
+    """The elements g of `orth_group_factors`, in its order."""
+    for _, g in orth_group_factors(frame, mu):
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -432,4 +437,4 @@ def all_orth_displays(frame, mu, cap=10 ** 7):
 def classify_orth_orbits(frame, mu, cap=10 ** 7):
     """Orbits of the orthogonal display group; returns a list of orbits (sets)."""
     return orbit_search(all_orth_displays(frame, mu, cap),
-                        lambda: orth_group_elements(frame, mu))
+                        lambda: orth_group_elements(frame, mu), OrthDisplay.act)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from . import wittpoly
-from .rings import NotAUnit, RingMismatch
+from .rings import EnumerationTooLarge, NotAUnit, RingMismatch
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
 # about 55 MiB at some 435 bytes an entry over W_2(F_3[e]/e^2); the largest
@@ -96,7 +96,7 @@ class WittRing:
 
     def elements(self, cap=10 ** 7):
         if self.size > cap:
-            raise ValueError(f"|W_m(R)| = {self.size} exceeds cap {cap}")
+            raise EnumerationTooLarge(f"|W_m(R)| = {self.size} exceeds cap {cap}")
         base = list(self.ring.elements(cap))
         for combo in itertools.product(base, repeat=self.m):
             yield WittVector(self, combo)

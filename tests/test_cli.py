@@ -258,3 +258,18 @@ def test_wrong_shape_matrix_exits_2(tmp_path, capsys, argv, spec):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, mu", [("display", [1, 0]),
+                                         ("ortho", [1, 0, 0, -1])],
+                         ids=["display", "ortho"])
+def test_classify_errors_name_their_cause(tmp_path, capsys, command, mu):
+    # weights out of order are bad input, not an exceeded budget
+    spec = _write(tmp_path, "order.json", {"frame": _ZIP_F3, "mu": [0, 1]})
+    assert main([command, "classify", "--spec", spec]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: weights must be non-increasing\n"
+    # 3^(n^2) matrices past --budget are
+    spec = _write(tmp_path, "cap.json", {"frame": _ZIP_F3, "mu": mu})
+    assert main([command, "classify", "--spec", spec, "--budget", "10"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: budget exceeded: display space too large to enumerate\n")

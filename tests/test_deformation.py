@@ -6,13 +6,14 @@ import random
 import pytest
 
 from framecalc import linalg
-from framecalc.rings import dual_number_extension
+from framecalc.rings import dual_number_extension, prime_field
 from framecalc.frames import RelativeFrame, Thickening, WittFrame, ZipFrame
 from framecalc.displays import Display, GradedMatrix, group_elements
 from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
-                                  o2_elements, verify_orth)
-from framecalc.deformation import (WittKernelCoords, _combine_sparse,
-                                   _linear_columns, project_witt_display,
+                                  o2_elements, orth_group_elements,
+                                  verify_orth)
+from framecalc.deformation import (WittKernelCoords, _linear_columns,
+                                   kernel_basis, project_witt_display,
                                    skew_basis, stabilizer_lifts,
                                    classify_witt_fiber, conj_operator,
                                    enumerate_hodge_deformations,
@@ -302,6 +303,19 @@ def test_orth_tower_lifts_match_eager_construction(k3_tower):
         tower[len(eager)]
 
 
+def test_orth_tower_follows_the_orthogonal_group_enumeration():
+    # the zip level is orth_group_elements in its order, and every lift over
+    # W_2(F_3) reduces to its g0 through the leading Witt coordinate
+    F3 = prime_field(3)
+    mu = (1, 0, 0, -1)
+    tower = witt_orth_zip_lift_pairs(WittFrame(F3, 2), mu, F3, lambda a: a)
+    pairs = list(tower)
+    assert [g0 for g0, _ in pairs] == list(orth_group_elements(ZipFrame(F3), mu))
+    for g0, ghat in pairs:
+        assert [[w.comps[0] for w in row]
+                for row in ghat.payload_grid()] == g0.payload_grid()
+
+
 def test_gl_tower_matches_eager_construction():
     th, d = gl2_fixture()
     ext = th.ext
@@ -351,7 +365,7 @@ def test_stabilizer_lifts_match_eager_search():
     stabs = stabilizer_lifts(d, tower, coords, orth=True)
     # the eager search: every lift pair, filtered at the zip level
     z0 = project_witt_display(tower.frame, lambda w: w.comps[0], d)
-    basis = [_combine_sparse(coords, c) for c in skew_basis(coords)]
+    basis = skew_basis(coords)
     expected = []
     for g0, ghat in _eager_orth_pairs(*args):
         if z0.act(g0) != z0:
@@ -390,8 +404,8 @@ def test_sparse_linear_columns_match_dense_formula(seed):
     n = len(d.mu)
     left = [[rng.choice(els) for _ in range(n)] for _ in range(n)]
     right = [[rng.choice(els) for _ in range(n)] for _ in range(n)]
-    units = [[int(i == k) for i in range(coords.dim)] for k in range(coords.dim)]
-    skew = [_combine_sparse(coords, c) for c in skew_basis(coords)]
+    units = kernel_basis(coords)
+    skew = kernel_basis(coords, orth=True)
     mixed = [[rng.randrange(coords.p) for _ in range(coords.dim)]
              for _ in range(3)]
     for basis in (units, skew, mixed):

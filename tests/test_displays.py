@@ -6,13 +6,14 @@ import random
 import pytest
 
 from framecalc import linalg
-from framecalc.rings import prime_field, extension_field
+from framecalc.rings import EnumerationTooLarge, extension_field, prime_field
 from framecalc.frames import WittFrame, ZipFrame
 from framecalc.displays import (Display, GradedElem, GradedMatrix,
                                 all_displays, classify_fzips, classify_orbits,
                                 dual, from_fzip, group_elements,
                                 in_display_group, is_isomorphic_bruteforce,
-                                tensor, to_fzip, twist, unit_display)
+                                orbit_search, tensor, to_fzip, twist,
+                                unit_display)
 from framecalc.fixtures import rand_group_element
 
 
@@ -108,6 +109,28 @@ def test_orbit_count_rank1_f3():
     zips = classify_fzips(ZF3, (1,))
     assert len(orbits) == 2
     assert len(zips) == 2
+
+
+def test_orbit_search_needs_a_group():
+    # {0, 2} is no subgroup of Z/6: the orbits {0, 2}, {1, 3} and {4, 0}
+    # overlap, and a set without 0 misses the point itself
+    def add(x, g):
+        return (x + g) % 6
+
+    with pytest.raises(AssertionError, match="group action"):
+        orbit_search(range(6), lambda: [0, 2], add)
+    with pytest.raises(AssertionError, match="group action"):
+        orbit_search(range(6), lambda: [2, 4], add)
+    assert orbit_search(range(6), lambda: [0, 2, 4], add) == [{0, 2, 4}, {1, 3, 5}]
+
+
+def test_enumerations_past_the_cap_raise_their_own_error():
+    with pytest.raises(EnumerationTooLarge):
+        next(group_elements(ZF3, (1, 0), cap=10))
+    with pytest.raises(EnumerationTooLarge):
+        next(all_displays(ZF3, 2, (1, 0), cap=10))
+    with pytest.raises(EnumerationTooLarge):
+        next(all_displays(WF3, 2, (1, 0), cap=8))
 
 
 def test_orbit_multiset_is_twist_invariant():

@@ -1,6 +1,6 @@
-"""The one elimination routine, `rref_modp`, and the solves built on it
-(mod-p solve, rank and echelon; `solve_local`, `field_inverse` and
-`span_contains` on F_p-coordinates), cross-checked against brute force."""
+"""The one elimination routine, `rref_modp`, and what is built on it (mod-p
+solve and kernel, the reduced-basis `Span`; `solve_local`, `field_inverse`
+and `ring_span` on F_p-coordinates), cross-checked against brute force."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from framecalc import linalg
-from framecalc.deformation import _echelon, _rank_modp, _solve_modp
+from framecalc.deformation import _solve_modp
 from framecalc.rings import (ArtinRing, Field, dual_numbers, extension_field,
                              prime_field, truncated_poly_ring)
 
@@ -26,35 +26,54 @@ def test_modp_solve_rank_kernel_every_2x3_matrix(p):
         image = {_mat_vec_modp(p, M, x) for x in vectors}
         kernel = {x for x in vectors if not any(_mat_vec_modp(p, M, x))}
         rank = next(r for r in range(3) if p ** r == len(image))
-        assert _rank_modp(p, cols) == rank
+        assert linalg.Span(p, cols, 2).rank == rank
         for rhs in itertools.product(range(p), repeat=2):
             x = _solve_modp(p, cols, list(rhs))
             if rhs in image:
                 assert x is not None and _mat_vec_modp(p, M, x) == rhs
             else:
                 assert x is None
-        # kernel read off the reduced rows, as fiber_direction_basis does
-        rows = [list(r) for r in M]
-        pivots = linalg.rref_modp(p, rows, 3)
-        assert len(pivots) == rank
-        basis = []
-        for fc in (c for c in range(3) if c not in pivots):
-            v = [0] * 3
-            v[fc] = 1
-            for r, pv in enumerate(pivots):
-                v[pv] = (-rows[r][fc]) % p
-            basis.append(v)
+        basis = linalg.kernel_modp(p, cols)
+        assert len(basis) == 3 - rank
         span = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p
                       for i in range(3))
                 for cs in itertools.product(range(p), repeat=len(basis))}
         assert span == kernel
-        # the echelon basis spans the row space and is reduced
-        ech = _echelon(p, M)
-        assert len(ech) == rank
-        for k, (piv, b) in enumerate(ech):
+        # the reduced basis of the row space is in echelon form and reduced
+        rows = linalg.Span(p, M, 3)
+        assert rows.rank == rank == len(rows.rows)
+        for k, (piv, b) in enumerate(zip(rows.pivots, rows.rows)):
             assert b[piv] == 1 and not any(b[:piv])
-            assert all(other[piv] == 0 for j, (_, other) in enumerate(ech)
+            assert all(other[piv] == 0 for j, other in enumerate(rows.rows)
                        if j != k)
+
+
+def test_span_reduce_labels_cosets_over_f3_cubed():
+    # reduce(u) == reduce(v) exactly when u - v lies in the span, for the
+    # span of every pair of vectors of F_3^3 (the empty span and lines too)
+    p = 3
+    space = list(itertools.product(range(p), repeat=3))
+    for gens in itertools.combinations_with_replacement(space, 2):
+        members = {tuple((a * x + b * y) % p for x, y in zip(*gens))
+                   for a in range(p) for b in range(p)}
+        span = linalg.Span(p, gens, 3)
+        assert p ** span.rank == len(members)
+        labels = {u: span.reduce(u) for u in space}
+        for u in space:
+            assert (u in span) == (u in members)
+            for v in space:
+                diff = tuple((a - b) % p for a, b in zip(u, v))
+                assert (labels[u] == labels[v]) == (diff in members)
+
+
+def test_combine_modp_matches_brute_force():
+    p = 5
+    vecs = [[1, 2, 3], [4, 0, 1]]
+    for coeffs in itertools.product(range(-p, 2 * p), repeat=2):
+        expected = [sum(c * v[i] for c, v in zip(coeffs, vecs)) % p
+                    for i in range(3)]
+        assert linalg.combine_modp(p, vecs, coeffs, 3) == expected
+    assert linalg.combine_modp(p, [], [], 2) == [0, 0]
 
 
 def _check_field_inverse_every_2x2(F):
@@ -147,15 +166,17 @@ def test_solve_local_matches_brute_force_over_f4_dual_numbers():
     assert 0 < found < 150
 
 
-def test_span_contains_matches_brute_force_over_dual_numbers():
+def test_ring_span_membership_matches_brute_force_over_dual_numbers():
     # every column, units or not, against the set of its multiples
     R = dual_numbers(3)
     els = list(R.elements())
     vecs = [list(v) for v in itertools.product(els, repeat=2)]
     for col in vecs:
+        span = linalg.ring_span(R, [col], 2)
         multiples = [[c * x for x in col] for c in els]
         for vec in vecs:
-            assert linalg.span_contains(R, [col], vec) == (vec in multiples)
+            assert (linalg.fp_coords(vec) in span) == (vec in multiples)
     # the empty span holds only the zero vector
+    empty = linalg.ring_span(R, [], 2)
     for vec in vecs:
-        assert linalg.span_contains(R, [], vec) == all(v.is_zero() for v in vec)
+        assert (linalg.fp_coords(vec) in empty) == all(v.is_zero() for v in vec)

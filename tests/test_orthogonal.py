@@ -12,7 +12,7 @@ from framecalc.orthogonal import (GramNotSplit, OrthDisplay, decompose,
                                   exp_minus_orth, exp_plus_orth,
                                   form_transform, graded_inverse, gram,
                                   is_orth_matrix, is_self_dual_type,
-                                  levi_elements, normalize_gram, o2_elements,
+                                  levi_element, normalize_gram, o2_elements,
                                   orth_group_elements, standard_J,
                                   standard_gram, unipotent_inverse,
                                   verify_orth)
@@ -84,7 +84,12 @@ def test_unipotent_inverse_roundtrip():
 
 def test_o2_and_levi_counts():
     assert sum(1 for _ in o2_elements(F3)) == 4
-    assert sum(1 for _ in levi_elements(ZF3, K3MU)) == 8
+    # diag(a, H, a^-1): 2 units a times 4 elements H of O_2, all orthogonal
+    levis = {levi_element(ZF3, K3MU, a, a.invert(), H)
+             for a in F3.elements() if a.is_unit() for H in o2_elements(F3)}
+    assert len(levis) == 8
+    G0 = standard_gram(ZF3, K3MU)
+    assert all(form_transform(G0, l) == G0 for l in levis)
 
 
 def test_exp_plus_minus_are_orthogonal():

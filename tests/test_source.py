@@ -5,6 +5,8 @@
 - No dead code: every module-level function and class, and every public
   non-dunder method of a class, is referenced by name somewhere in src/,
   tests/ or perfbench/ outside its own definition.
+- One elimination kernel: inside the package only `linalg` calls
+  `rref_modp`; everything else goes through its solves, kernels and `Span`.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -76,6 +78,13 @@ def test_every_public_method_is_referenced():
                     unused += _unreferenced(refs, path, node,
                                             f"{cls.name}.{node.name}")
     assert not unused, f"public methods nothing references: {unused}"
+
+
+def test_only_linalg_references_the_elimination_routine():
+    outside = [f"{path.name}:{line}"
+               for path, line in _references().get("rref_modp", [])
+               if path.parent == PACKAGE and path.name != "linalg.py"]
+    assert not outside, f"rref_modp referenced outside linalg: {outside}"
 
 
 def test_every_function_parameter_is_read():
