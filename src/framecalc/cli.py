@@ -377,7 +377,10 @@ def _deform_inputs(args):
         return th, d, isinstance(d, OrthDisplay)
     ext = serialize.ext_from_dict(require(spec, "ext"))
     m = serialize.to_int(spec.get("m", 2), "m", low=2)
-    th = Thickening(ext, m)
+    try:
+        th = Thickening(ext, m)
+    except ValueError as exc:
+        raise SchemaError(f"deform spec: {exc}")
     selfdual = bool(spec.get("selfdual")) or args.op == "k3"
     desc = require(spec, "display")
     if isinstance(desc, dict):

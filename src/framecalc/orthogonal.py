@@ -99,17 +99,17 @@ def _blocks(mu):
 
 
 def unipotent_inverse(U):
-    """Inverse of I + N with N supported strictly below the block diagonal."""
+    """Inverse of U = I + N with N nilpotent: I - N + N^2 - ..."""
     frame = U.frame
     I = GradedMatrix.identity(frame, U.mu_col)
     N = U - I
     inv = I
     term = I
-    for _ in range(len(U.mu_col)):
+    for k in range(1, len(U.mu_col) + 1):
         term = term * N
         if all(e.is_zero() for row in term.entries for e in row):
             break
-        inv = inv - term if _ % 2 == 0 else inv + term
+        inv = inv - term if k % 2 else inv + term
     if not all(e.is_zero() for row in ((inv * U) - I).entries for e in row):
         raise AssertionError("unipotent inverse failed exact verification")
     return inv
@@ -171,34 +171,17 @@ def graded_inverse(g):
     q, u = decompose(g)
     u_inv = unipotent_inverse(u)
     # q = D + N with D the block-diagonal (degree-0) part, N above the blocks
-    blocks = _blocks(mu)
-    I = GradedMatrix.identity(frame, mu)
-    D = GradedMatrix.identity(frame, mu)
-    for blk in blocks:
-        for i in blk:
-            for j in blk:
-                D.entries[i][j] = q.entries[i][j]
     D_inv = GradedMatrix.identity(frame, mu)
-    for blk in blocks:
+    for blk in _blocks(mu):
         sub = [[q.entries[i][j].payload for j in blk] for i in blk]
         sub_inv = linalg.mat_inverse(s0, sub)
         for bi, i in enumerate(blk):
             for bj, j in enumerate(blk):
                 D_inv.entries[i][j] = GradedElem(frame, 0, sub_inv[bi][bj])
     M = D_inv * q  # unipotent, strictly above the block diagonal
-    N = M - I
-    M_inv = I
-    term = I
-    sign = -1
-    for _ in range(len(blocks)):
-        term = term * N
-        if all(e.is_zero() for row in term.entries for e in row):
-            break
-        M_inv = M_inv + term if sign > 0 else M_inv - term
-        sign = -sign
-    q_inv = M_inv * D_inv
+    q_inv = unipotent_inverse(M) * D_inv
     out = u_inv * q_inv
-    if not (g * out) == I:
+    if not (g * out) == GradedMatrix.identity(frame, mu):
         raise AssertionError("graded inverse failed exact verification")
     return out
 

@@ -324,8 +324,12 @@ def frame_from_dict(desc):
     if kind == "zip":
         return ZipFrame(ring_from_dict(require(desc, "ring", what)))
     if kind == "relative":
-        return RelativeFrame(ext_from_dict(require(desc, "ext", what)),
-                             to_int(desc.get("m", 2), f"{what} 'm'", low=2))
+        ext = ext_from_dict(require(desc, "ext", what))
+        m = to_int(desc.get("m", 2), f"{what} 'm'", low=2)
+        try:
+            return RelativeFrame(ext, m)
+        except ValueError as exc:
+            raise SchemaError(f"{what}: {exc}")
     if kind == "tautological":
         return TautologicalFrame(ring_from_dict(require(desc, "ring", what)))
     raise SchemaError(f"frame descriptor: unknown kind {kind!r}")

@@ -343,7 +343,6 @@ def log_from_witt(ext, x):
 
 def log_elements(ext, m):
     """All of W_m(J) in deterministic order."""
-    import itertools as _it
     base = list(ext.j_elements())
-    for combo in _it.product(base, repeat=m):
+    for combo in itertools.product(base, repeat=m):
         yield LogCoords(ext, m, combo)

@@ -238,6 +238,26 @@ def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
     assert "Traceback" not in err
 
 
+_EXT_F2 = {"ring": {"p": 2, "vars": ["e"], "ideal": ["e^2"]}, "extra": ["e"]}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["frame", "build"], {"kind": "relative", "m": 2, "ext": _EXT_F2}),
+    (["display", "classify"],
+     {"frame": {"kind": "relative", "m": 2, "ext": _EXT_F2}, "mu": [1, 0]}),
+    (["deform", "lift"],
+     {"ext": _EXT_F2, "m": 2,
+      "display": {"mu": [1, 0], "phi": [[_el(1), _el(0)], [_el(0), _el(1)]]}}),
+], ids=["frame-build", "display-classify", "deform-lift"])
+def test_relative_frame_at_p_2_exits_2(tmp_path, capsys, argv, spec):
+    # relative frames need p >= 3; at p = 2 that is an input error
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(argv + ["--spec", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p >= 3" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["display", "hodge"], {"display": _display([1, 0], 2, 3)}),
     (["zip", "roundtrip"], {"display": _display([1, 0], 2, 3)}),

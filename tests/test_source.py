@@ -10,9 +10,15 @@
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
+- No runtime dependency: every import in the package is standard library or
+  relative, and a CLI run leaves sympy (a test-only dependency) unloaded.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,3 +107,36 @@ def test_every_function_parameter_is_read():
             unread += [f"{path.stem}.{node.name}({arg.arg})"
                        for arg in params if arg.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_every_import_is_standard_library_or_relative():
+    foreign = []
+    for path, tree in _trees("src/framecalc"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, f"imports outside the standard library: {foreign}"
+
+
+def test_witt_add_runs_without_sympy(tmp_path):
+    # the README example: [1] + [2] = 0 in W_2(F_3)
+    spec = tmp_path / "add.json"
+    spec.write_text(json.dumps({"ring": {"p": 3}, "m": 2,
+                                "x": [{"1": [1]}, {"1": [0]}],
+                                "y": [{"1": [2]}, {"1": [0]}]}))
+    code = ("import sys, framecalc\n"
+            "from framecalc import cli\n"
+            f"code = cli.main(['witt', 'add', '--spec', {str(spec)!r}, "
+            f"'--out', {str(tmp_path / 'out.json')!r}])\n"
+            "print(code, 'sympy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout.split() == ["0", "False"], run.stdout + run.stderr
