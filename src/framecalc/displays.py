@@ -6,6 +6,14 @@ sigma(A) for a graded invertible matrix A.  The graded entry in slot (i, j)
 lives in degree mu_j - mu_i: positive degrees carry a P-payload, degree <= -k
 carries an S0-payload standing for s t^k.
 
+`GradedElem.__mul__` is the one definition of a product of graded
+elements.  A graded matrix product computes each entry as the sum of those
+terms, planned once per triple of weights: every S0-valued entry is one
+`s0.dot` of payloads, and so is every P-valued entry over a frame whose P
+is S0 (`Frame.p_is_s0`); terms through t vanish over a frame with t = 0
+(`Frame.t_is_zero`) and are left out.  Any other P-valued entry is the
+sum of its `GradedElem.__mul__` terms.
+
 Over the zip frame a display is the same thing as an F-zip, and `to_fzip` /
 `from_fzip` realize the translation concretely; F-zip isomorphism via raw
 filtered semilinear algebra is the independent cross-check for orbit counts.
@@ -13,10 +21,12 @@ filtered semilinear algebra is the independent cross-check for orbit counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
+import operator
 
 from . import linalg
+from .frames import ZipFrame
 from .rings import EnumerationTooLarge, RingMismatch
 
 
@@ -102,9 +112,10 @@ class GradedElem:
         if self.degree >= 1:
             return fr.sigmadot(self.payload)
         out = fr.sigma0(self.payload)
-        p_elem = fr.p_int()
-        for _ in range(-self.degree):
-            out = p_elem * out
+        if self.degree < 0:
+            p_elem = fr.p_int()
+            for _ in range(-self.degree):
+                out = p_elem * out
         return out
 
     def tau(self):
@@ -166,19 +177,31 @@ class GradedMatrix:
         return f"<graded {len(self.entries)}x{len(self.mu_col)} matrix>"
 
     def __mul__(self, other):
+        """The entrywise sums of `GradedElem.__mul__` terms, each entry one
+        `s0.dot` where the frame allows it (see `_product_plan`)."""
         if self.mu_col != other.mu_row:
             raise ValueError("weight mismatch in graded product")
-        rows, inner, cols = len(self.entries), len(other.entries), len(other.mu_col)
+        fr = self.frame
+        derived, plan = _product_plan(self.mu_row, self.mu_col, other.mu_col,
+                                      fr.t_is_zero, fr.p_is_s0)
+        ents = [e for row in self.entries for e in row]
+        ents += [e for row in other.entries for e in row]
+        vals = [e.payload for e in ents]
+        vals += [ents[k].sigma() if sig else ents[k].tau() for k, sig in derived]
+        dot = fr.s0.dot
         out = []
-        for i in range(rows):
+        for row_plan in plan:
             row = []
-            for j in range(cols):
-                acc = GradedElem.zero(self.frame, other.mu_col[j] - self.mu_row[i])
-                for k in range(inner):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+            for degree, get, m, pairs in row_plan:
+                if pairs is None:
+                    ops = get(vals) if m else ()
+                    row.append(GradedElem(fr, degree, dot(ops[:m], ops[m:])))
+                else:
+                    row.append(functools.reduce(
+                        operator.add, (ents[a] * ents[b] for a, b in pairs),
+                        GradedElem.zero(fr, degree)))
             out.append(row)
-        return GradedMatrix(self.frame, self.mu_row, other.mu_col, out)
+        return GradedMatrix(fr, self.mu_row, other.mu_col, out)
 
     def __add__(self, other):
         return GradedMatrix(self.frame, self.mu_row, self.mu_col,
@@ -203,6 +226,63 @@ class GradedMatrix:
 
     def tau(self):
         return [[e.tau() for e in row] for row in self.entries]
+
+
+@functools.lru_cache(maxsize=1024)
+def _product_plan(mu_row, mu_mid, mu_col, t_is_zero, p_is_s0):
+    """How a graded product computes each entry, from the weights and the
+    frame facts alone (`frames.Frame`).
+
+    Operands are indexed into one list: the payloads of the left factor,
+    then of the right one (row-major), then the `derived` values, each
+    (k, True) for sigma() or (k, False) for tau() of operand k.  The term
+    (i, k, j) follows `GradedElem.__mul__`; when the degrees have mixed
+    signs, s is the factor of degree <= 0 and x the other:
+    - degrees <= 0: the S0 product;
+    - degrees >= 1: nu;
+    - mixed, total >= 1: act(s, x), then -deg(s) times tP;
+    - mixed, total <= 0: s * t1(tP^(deg(x) - 1) x) = s * tau(x).
+    An S0 entry is one dot, and so is a P entry when p_is_s0, where
+    nu(x, y) = x y and tP^r(act(s, x)) = sigma(s) x; terms through t1 or
+    tP vanish when t_is_zero and are left out.  A plan entry is (degree,
+    get, m, pairs): get picks the m left then the m right dot operands.
+    Any other P entry is the sum of the `GradedElem.__mul__` terms of the
+    operand pairs (a, b) in pairs.
+    """
+    rows, inner, cols = len(mu_row), len(mu_mid), len(mu_col)
+    right = rows * inner
+    derived = {}
+
+    def derive(k, sig):
+        return right + inner * cols + derived.setdefault((k, sig), len(derived))
+
+    plan = []
+    for i in range(rows):
+        row_plan = []
+        for j in range(cols):
+            degree = mu_col[j] - mu_row[i]
+            pairs = tuple((i * inner + k, right + k * cols + j) for k in range(inner))
+            if degree >= 1 and not p_is_s0:
+                row_plan.append((degree, None, 0, pairs))
+                continue
+            terms = []
+            for k, (a, b) in enumerate(pairs):
+                d1, d2 = mu_mid[k] - mu_row[i], mu_col[j] - mu_mid[k]
+                if (d1 >= 1) == (d2 >= 1):
+                    terms.append((a, b))
+                    continue
+                s, x, ds = (a, b, d1) if d1 <= 0 else (b, a, d2)
+                if t_is_zero and (ds < 0 or degree <= 0):
+                    continue
+                if degree <= 0:
+                    terms.append((s, derive(x, False)))
+                else:
+                    terms.append((derive(s, True), x))
+            ops = [t[0] for t in terms] + [t[1] for t in terms]
+            get = operator.itemgetter(*ops) if ops else None
+            row_plan.append((degree, get, len(terms), None))
+        plan.append(tuple(row_plan))
+    return tuple(derived), tuple(plan)
 
 
 def in_display_group(A):
@@ -347,7 +427,7 @@ class FZip:
 
 def to_fzip(d):
     """Display over the zip frame -> F-zip with standard C and Phi-column D."""
-    if d.frame.kind != "zip":
+    if not isinstance(d.frame, ZipFrame):
         raise ValueError("to_fzip expects a display over a zip frame")
     R = d.frame.ring
     n = d.n
@@ -449,8 +529,7 @@ def fzip_isomorphic(z1, z2, cap=10 ** 7):
     n = z1.n
 
     def image(g, v):
-        return [sum((g[r][k] * v[k] for k in range(n)), R.zero())
-                for r in range(n)]
+        return [R.dot(row, v) for row in g]
 
     # z2's filtration steps as spans on F_p-coordinates, eliminated once
     targets = [(F1, {i: linalg.ring_span(R, cols, n) for i, cols in F2.items()})

@@ -29,6 +29,14 @@ class Frame:
 
     # subclasses set: s0 (ring-like), r_ring, p (prime), has_p_module
 
+    # Facts about the structure maps, for sums of products of graded
+    # elements (displays.GradedMatrix.__mul__):
+    # - t_is_zero: t1 and tP are the zero maps;
+    # - p_is_s0: P is S0, with nu(x, y) = x y, act(s, x) = sigma0(s) x and
+    #   tP(x) = p x.
+    t_is_zero = False
+    p_is_s0 = False
+
     # -- P-module structure ----------------------------------------------------
 
     def p_zero(self):
@@ -83,6 +91,7 @@ class WittFrame(Frame):
     """The truncated Witt frame: S0 = W_m(R), P = W_m(R) representing I_{m+1} via v."""
 
     kind = "witt"
+    p_is_s0 = True
 
     def __init__(self, ring, m):
         self.ring = ring
@@ -140,6 +149,8 @@ class ZipFrame(Frame):
     """S0 = P = R with t = 0; the final frame for R."""
 
     kind = "zip"
+    t_is_zero = True
+    p_is_s0 = True
 
     def __init__(self, ring):
         self.ring = ring
@@ -179,10 +190,10 @@ class ZipFrame(Frame):
         return x * y
 
     def act(self, s, x):
-        return s ** self.p * x
+        return s.frobenius() * x
 
     def sigma0(self, s):
-        return s ** self.p
+        return s.frobenius()
 
     def sigmadot(self, x):
         return x
@@ -273,6 +284,7 @@ class TautologicalFrame(Frame):
     """S0 = A with zero positive part; sigma extends the Frobenius."""
 
     kind = "tautological"
+    t_is_zero = True
 
     def __init__(self, ring):
         self.ring = ring

@@ -2,8 +2,11 @@
 
 Matrices are plain lists of lists of ring elements; "ring" means any object
 with the small protocol used throughout the package (zero/one/from_int,
-to_residue/lift_residue, residue_field), which both ArtinRing and WittRing
-provide.  There is one elimination routine, `rref_modp`, on ints mod p, and
+dot, to_residue/lift_residue, residue_field), which both ArtinRing and
+WittRing provide.  `mat_mul` computes each entry as one `ring.dot` of a row
+and a column: over an ArtinRing that is one accumulation on
+F_p-coordinates, over a WittRing a fold through its memo.  There is one
+elimination routine, `rref_modp`, on ints mod p, and
 one reduced-basis object built on it, `Span`, whose `reduce` gives coset
 labels and membership.  A system over an ArtinRing (a field is the one
 without variables) is solved as F_p-linear algebra in the F_p-coordinates
@@ -35,17 +38,9 @@ def zeros(ring, rows, cols):
 
 
 def mat_mul(ring, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero()
-            for k in range(inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """A B, each entry one `ring.dot` of a row of A and a column of B."""
+    cols = list(zip(*B))
+    return [[ring.dot(row, col) for col in cols] for row in A]
 
 
 def mat_add(A, B):
@@ -204,7 +199,7 @@ def solve_local(ring, M, rhs):
         return None
     x = [ring.from_coords(sol[j:j + k]) for j in range(0, len(sol), k)]
     for row, b in zip(M, rhs):
-        if sum((m * v for m, v in zip(row, x)), ring.zero()) != b:
+        if ring.dot(row, x) != b:
             raise AssertionError("F_p-linear solution failed exact verification")
     return x
 

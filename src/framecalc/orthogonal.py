@@ -122,6 +122,13 @@ def decompose(g):
     when g is in the display group (the degree-0 diagonal blocks are
     invertible), and the factorization is unique.
     """
+    q, u, _ = _decompose(g)
+    return q, u
+
+
+def _decompose(g):
+    """(q, u, u^-1) of `decompose`; u^-1 is built first, as the product of
+    the block-row clearing steps."""
     frame = g.frame
     mu = g.mu_col
     s0 = frame.s0
@@ -135,14 +142,16 @@ def decompose(g):
         D = [[work.entries[i][j].payload for j in rows] for i in rows]
         D_inv = linalg.mat_inverse(s0, D)
         # X = D^-1 * (block-row entries left of the diagonal), positive degrees
+        w = [mu[i] for i in rows]
+        X = (GradedMatrix(frame, w, w, [[GradedElem(frame, 0, x) for x in row]
+                                        for row in D_inv])
+             * GradedMatrix(frame, w, [mu[j] for j in left],
+                            [[work.entries[k][j] for j in left] for k in rows]))
         step_inv = GradedMatrix.identity(frame, mu)  # will hold I - X
         changed = False
         for bi, i in enumerate(rows):
-            for j in left:
-                acc = GradedElem.zero(frame, mu[j] - mu[i])
-                for bk, k in enumerate(rows):
-                    scal = GradedElem(frame, 0, D_inv[bi][bk])
-                    acc = acc + scal * work.entries[k][j]
+            for bj, j in enumerate(left):
+                acc = X.entries[bi][bj]
                 if not acc.is_zero():
                     changed = True
                 step_inv.entries[i][j] = -acc
@@ -160,7 +169,7 @@ def decompose(g):
                 raise AssertionError("decomposition left a positive entry")
     if not (q * u) == g:
         raise AssertionError("decomposition failed to recompose g")
-    return q, u
+    return q, u, u_inv_total
 
 
 def graded_inverse(g):
@@ -168,8 +177,7 @@ def graded_inverse(g):
     frame = g.frame
     mu = g.mu_col
     s0 = frame.s0
-    q, u = decompose(g)
-    u_inv = unipotent_inverse(u)
+    q, _, u_inv = _decompose(g)
     # q = D + N with D the block-diagonal (degree-0) part, N above the blocks
     D_inv = GradedMatrix.identity(frame, mu)
     for blk in _blocks(mu):
@@ -307,15 +315,12 @@ class GramNotSplit(ValueError):
 
 
 def _form_value(B, x, y):
-    """B(x, y) for graded columns x, y (lists of graded entries)."""
-    frame = B.frame
-    n = len(x)
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            term = x[i] * B.entries[i][j] * y[j]
-            acc = term if acc is None else acc + term
-    return acc
+    """B(x, y) = x^t B y for a Gram form B (rows of weight -mu, columns of
+    weight mu) and columns x, y of a basis change (lists of graded entries)."""
+    mu = B.mu_col
+    X, Y = (GradedMatrix(B.frame, mu, (v[0].degree + mu[0],), [[e] for e in v])
+            for v in (x, y))
+    return (X.transpose() * B * Y).entries[0][0]
 
 
 def normalize_gram(B, max_iter=64):

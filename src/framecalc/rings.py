@@ -14,7 +14,9 @@ F_p-basis (monomial, t^e): monomial-major in the lexicographic monomial
 basis, then e = 0..f-1.  Only this module knows that order.  Each ring
 builds one structure-constant table for products and one F_p-linear table
 for Frobenius; enumerating coordinate tuples lexicographically fixes the
-element order.
+element order.  `ArtinRing.dot` is the one product formula: a sum of
+products accumulates in one int list through the table, and x*y is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -179,11 +181,15 @@ class ArtinRing:
         self.dim = field.f * len(self.basis)
         self._f = field.f
         self._index = {m: k for k, m in enumerate(self.basis)}
-        # coordinates of the product of F_p-basis members i and j, and of
-        # the p-th power of member i, as sparse [(position, coefficient)]
+        # the structure constants: (i, j, k, c) for every nonzero coefficient
+        # c of member k in the product of F_p-basis members i and j; and the
+        # p-th power of member i, as sparse [(position, coefficient)]
         fp_basis = [(m, e) for m in self.basis for e in range(field.f)]
-        self._mul = [[self._basis_coords(tuple(a + b for a, b in zip(m1, m2)), e1 + e2)
-                      for m2, e2 in fp_basis] for m1, e1 in fp_basis]
+        self._mul = [(i, j, k, c)
+                     for i, (m1, e1) in enumerate(fp_basis)
+                     for j, (m2, e2) in enumerate(fp_basis)
+                     for k, c in self._basis_coords(
+                         tuple(a + b for a, b in zip(m1, m2)), e1 + e2)]
         self._frob = [self._basis_coords(tuple(self.p * a for a in m), self.p * e)
                       for m, e in fp_basis]
         # elements are never mutated, so the constants are built once
@@ -281,6 +287,31 @@ class ArtinRing:
             raise RingMismatch("expected an element of the residue field")
         return RingElem(self, c.coeffs + self._zero.coeffs[self._f:])
 
+    # -- products ---------------------------------------------------------------
+
+    def dot(self, xs, ys):
+        """sum x*y over the pairs of xs and ys, accumulated in one int list
+        through the structure-constant table and reduced mod p once."""
+        p = self.p
+        # F_p, whose table is the one constant 1 * 1 = 1: skipping the table
+        # walk takes about 14% off display-census job_s (see CHANGES.md)
+        if self.dim == 1:
+            acc = 0
+            for x, y in zip(xs, ys):
+                if (x.ring is not self or y.ring is not self) and not x.ring == y.ring == self:
+                    raise RingMismatch(f"ring mismatch: {x.ring!r} and {y.ring!r} in {self!r}")
+                acc += x.coeffs[0] * y.coeffs[0]
+            return RingElem(self, (acc % p,))
+        terms = self._mul
+        out = [0] * self.dim
+        for x, y in zip(xs, ys):
+            if (x.ring is not self or y.ring is not self) and not x.ring == y.ring == self:
+                raise RingMismatch(f"ring mismatch: {x.ring!r} and {y.ring!r} in {self!r}")
+            a, b = x.coeffs, y.coeffs
+            for i, j, k, c in terms:
+                out[k] += a[i] * b[j] * c
+        return RingElem(self, tuple([v % p for v in out]))
+
     # -- enumeration ----------------------------------------------------------
 
     def elements(self, cap=10 ** 7):
@@ -358,22 +389,7 @@ class RingElem:
         return RingElem(ring, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other):
-        ring = self.ring
-        if ring is not other.ring and ring != other.ring:
-            raise RingMismatch(f"ring mismatch: {ring!r} and {other.ring!r}")
-        p = ring.p
-        a, b = self.coeffs, other.coeffs
-        if ring.dim == 1:
-            return RingElem(ring, (a[0] * b[0] % p,))
-        nonzero = [(j, y) for j, y in enumerate(b) if y]
-        out = [0] * ring.dim
-        for i, x in enumerate(a):
-            if x:
-                row = ring._mul[i]
-                for j, y in nonzero:
-                    for k, c in row[j]:
-                        out[k] += x * y * c
-        return RingElem(ring, tuple([v % p for v in out]))
+        return self.ring.dot((self,), (other,))
 
     def __pow__(self, n):
         # base-p digits of n: x^n = prod_i (x^(p^i))^(d_i), and x -> x^p is

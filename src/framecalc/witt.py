@@ -141,6 +141,17 @@ class WittRing:
             self._memo[key] = out
         return out
 
+    def dot(self, xs, ys):
+        """sum x*y over the pairs of xs and ys, folded through `mul` and
+        `add`, so through the operation memo."""
+        acc = None
+        for x, y in zip(xs, ys):
+            if (x.wring is not self or y.wring is not self) and not x.wring == y.wring == self:
+                raise RingMismatch("Witt ring mismatch")
+            xy = self.mul(x, y)
+            acc = xy if acc is None else self.add(acc, xy)
+        return self._zero if acc is None else acc
+
     def neg(self, x):
         comps = []
         for n in range(self.m):

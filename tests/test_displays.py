@@ -14,7 +14,7 @@ from framecalc.displays import (Display, GradedElem, GradedMatrix,
                                 in_display_group, is_isomorphic_bruteforce,
                                 orbit_search, tensor, to_fzip, twist,
                                 unit_display)
-from framecalc.fixtures import rand_group_element
+from framecalc.fixtures import fixture_frames, rand_group_element, rand_payload
 
 
 F3 = prime_field(3)
@@ -33,6 +33,46 @@ def test_graded_sigma_tau_are_multiplicative():
             s0 = frame.s0
             assert linalg.mat_eq(C.sigma(), linalg.mat_mul(s0, A.sigma(), B.sigma()))
             assert linalg.mat_eq(C.tau(), linalg.mat_mul(s0, A.tau(), B.tau()))
+
+
+def _rand_graded(frame, mu_row, mu_col, rng):
+    def payload(d):
+        if d >= 1 and not frame.has_p_module:
+            return None  # the tautological frame's P is zero
+        return rand_payload(frame, d, rng)
+    return GradedMatrix(frame, mu_row, mu_col,
+                        [[GradedElem(frame, c - r, payload(c - r)) for c in mu_col]
+                         for r in mu_row])
+
+
+def _entrywise_product(A, B):
+    """The definition: entry (i, j) is the sum over k of the
+    `GradedElem.__mul__` terms A[i][k] * B[k][j]."""
+    return GradedMatrix(A.frame, A.mu_row, B.mu_col, [
+        [sum((A.entries[i][k] * B.entries[k][j] for k in range(len(B.entries))),
+             GradedElem.zero(A.frame, B.mu_col[j] - A.mu_row[i]))
+         for j in range(len(B.mu_col))] for i in range(len(A.mu_row))])
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 0, -1), (2, 1, 0), (1, -1)])
+@pytest.mark.parametrize("frame", fixture_frames(),
+                         ids=lambda f: f.kind + "/" + repr(f.s0))
+def test_fused_graded_product_is_the_entrywise_sum(frame, mu):
+    rng = random.Random(str(mu))
+    neg = tuple(-w for w in mu)
+    for _ in range(3):
+        A = _rand_graded(frame, mu, mu, rng)
+        B = _rand_graded(frame, mu, mu, rng)
+        gram = _rand_graded(frame, neg, mu, rng)
+        x = _rand_graded(frame, mu, (mu[0],), rng)
+        y = _rand_graded(frame, mu, (mu[-1],), rng)
+        rect = _rand_graded(frame, (mu[-1] + 1, mu[0] - 1), mu, rng)
+        # the square product, the shapes of form_transform's A^t B A and of
+        # x^t B y, and a non-square product
+        for left, right in [(A, B), (A.transpose(), gram),
+                            (A.transpose() * gram, A), (x.transpose(), gram),
+                            (x.transpose() * gram, y), (rect, A)]:
+            assert left * right == _entrywise_product(left, right)
 
 
 def test_graded_entry_degrees_enforced():

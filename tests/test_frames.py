@@ -23,6 +23,32 @@ def frames_under_test():
 
 @pytest.mark.parametrize("frame", frames_under_test(),
                          ids=lambda f: f.kind + "/" + repr(f.s0))
+def test_declared_structure_facts_hold(frame):
+    # the facts graded products fold their terms by, checked exhaustively
+    s0s = list(frame.s0.elements())
+    ps = list(frame.p_elements())
+    if frame.t_is_zero:
+        for x in ps:
+            assert frame.t1(x).is_zero() and frame.p_is_zero(frame.tP(x))
+    if frame.p_is_s0:
+        p_elem = frame.p_int()
+        assert set(ps) == set(s0s)
+        for x in ps:
+            assert frame.tP(x) == p_elem * x
+            for y in ps:
+                assert frame.nu(x, y) == x * y
+        for s in s0s:
+            for x in ps:
+                assert frame.act(s, x) == frame.sigma0(s) * x
+
+
+def test_fixture_frames_declare_every_combination_of_facts():
+    facts = {(f.t_is_zero, f.p_is_s0) for f in frames_under_test()}
+    assert facts == {(True, True), (False, True), (False, False), (True, False)}
+
+
+@pytest.mark.parametrize("frame", frames_under_test(),
+                         ids=lambda f: f.kind + "/" + repr(f.s0))
 def test_frame_axioms(frame):
     report = frame_axiom_check(frame, budget=20000, seed=0)
     assert report["passed"], report["failures"][:5]

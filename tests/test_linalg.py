@@ -9,8 +9,10 @@ import pytest
 
 from framecalc import linalg
 from framecalc.deformation import _solve_modp
-from framecalc.rings import (ArtinRing, Field, dual_numbers, extension_field,
-                             prime_field, truncated_poly_ring)
+from framecalc.fixtures import rand_ring_elem
+from framecalc.rings import (ArtinRing, Field, RingMismatch, dual_numbers,
+                             extension_field, prime_field, truncated_poly_ring)
+from framecalc.witt import WittRing
 
 
 def _mat_vec_modp(p, M, x):
@@ -180,3 +182,37 @@ def test_ring_span_membership_matches_brute_force_over_dual_numbers():
     empty = linalg.ring_span(R, [], 2)
     for vec in vecs:
         assert (linalg.fp_coords(vec) in empty) == all(v.is_zero() for v in vec)
+
+
+def _rand_elem(ring, rng):
+    if isinstance(ring, WittRing):
+        return ring.el([rand_ring_elem(ring.ring, rng) for _ in range(ring.m)])
+    return rand_ring_elem(ring, rng)
+
+
+@pytest.mark.parametrize("ring", [
+    prime_field(3), dual_numbers(3), extension_field(3, 2),
+    ArtinRing(Field(2, 2), ("x", "y"), ((2, 0), (1, 1), (0, 3))),
+    WittRing(prime_field(3), 2), WittRing(dual_numbers(3), 2)], ids=repr)
+def test_mat_mul_is_the_sum_of_ring_products(ring):
+    rng = random.Random(8)
+    for rows, inner, cols in [(4, 4, 4), (1, 4, 1), (4, 1, 4), (2, 3, 4)]:
+        A = [[_rand_elem(ring, rng) for _ in range(inner)] for _ in range(rows)]
+        B = [[_rand_elem(ring, rng) for _ in range(cols)] for _ in range(inner)]
+        expected = [[sum((A[i][k] * B[k][j] for k in range(inner)), ring.zero())
+                     for j in range(cols)] for i in range(rows)]
+        assert linalg.mat_mul(ring, A, B) == expected
+    assert ring.dot([], []) == ring.zero()
+
+
+def test_mat_mul_rejects_entries_from_another_ring():
+    F3, D3 = prime_field(3), dual_numbers(3)
+    I3, I5 = linalg.identity(F3, 2), linalg.identity(prime_field(5), 2)
+    mixed = [[F3.one(), D3.one()], [F3.zero(), F3.one()]]
+    for ring, A, B in [(F3, I3, I5), (F3, I5, I5), (F3, mixed, I3),
+                       (D3, linalg.identity(D3, 2), mixed)]:
+        with pytest.raises(RingMismatch):
+            linalg.mat_mul(ring, A, B)
+    W2, W3 = WittRing(F3, 2), WittRing(F3, 3)
+    with pytest.raises(RingMismatch):
+        linalg.mat_mul(W2, linalg.identity(W2, 2), linalg.identity(W3, 2))

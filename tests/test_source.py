@@ -7,6 +7,9 @@
   tests/ or perfbench/ outside its own definition.
 - One elimination kernel: inside the package only `linalg` calls
   `rref_modp`; everything else goes through its solves, kernels and `Span`.
+- One product formula: inside the package only `rings` reads the
+  structure-constant table `_mul`; every other product goes through
+  `ArtinRing.dot` or `RingElem.__mul__`.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -91,6 +94,13 @@ def test_only_linalg_references_the_elimination_routine():
                for path, line in _references().get("rref_modp", [])
                if path.parent == PACKAGE and path.name != "linalg.py"]
     assert not outside, f"rref_modp referenced outside linalg: {outside}"
+
+
+def test_only_rings_reads_the_structure_constant_table():
+    outside = [f"{path.name}:{line}"
+               for path, line in _references().get("_mul", [])
+               if path.parent == PACKAGE and path.name != "rings.py"]
+    assert not outside, f"_mul read outside rings: {outside}"
 
 
 def test_every_function_parameter_is_read():
