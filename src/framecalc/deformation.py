@@ -13,11 +13,13 @@ the direct linear solve; the tests play them against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 
 from . import linalg
-from .displays import Display, GradedElem, GradedMatrix, orbit_search
+from .displays import (Display, GradedElem, GradedMatrix, group_elements,
+                       orbit_search)
 from .frames import WittFrame, ZipFrame
 from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
                          levi_element, orth_group_factors, standard_J,
@@ -559,6 +561,26 @@ def embed_graded(ext, frame_b, A):
 # The zip-level tower over a Witt frame
 # ---------------------------------------------------------------------------
 
+# At most this many zip levels are kept; each holds its group elements and
+# the transporters queried on it.
+_ZIP_LEVEL_CAP = 4
+
+
+@functools.lru_cache(maxsize=_ZIP_LEVEL_CAP)
+def _zip_level(zring, mu, orth):
+    """The zip level shared by every LiftTower over (zring, mu, orth): the
+    ZipFrame of zring, the display group over it in enumeration order
+    (`orth_group_factors` order when orth), the parameters each lift is
+    built from (the factors of g0 when orth, else g0 itself), and the
+    transporter memo."""
+    zf = ZipFrame(zring)
+    if orth:
+        params, elements = zip(*orth_group_factors(zf, mu))
+    else:
+        params = elements = tuple(group_elements(zf, mu))
+    return zf, elements, params, {}
+
+
 class LiftTower(Sequence):
     """The zip-level display group of a residue field with exact lifts to a
     Witt frame, built on first use.
@@ -566,18 +588,18 @@ class LiftTower(Sequence):
     Entry k is (g0, ghat): g0 over the zip frame, in group enumeration
     order, and ghat its lift over the Witt frame, which build(params[k])
     makes from the Teichmueller lifts of the parameters of g0 (its entries,
-    when params[k] is g0 itself) and the tower then keeps.
-    transporter(z1, z2) is memoized too, so the tower holds at most len()
-    lifts and one index list per queried pair of zip displays.
+    when params[k] is g0 itself) and the tower then keeps.  The zip level
+    (frame, elements, params and the memoized transporter) is shared by
+    every tower over the same (zip ring, mu, orth), through a cache of
+    _ZIP_LEVEL_CAP levels, so towers over different Witt frames enumerate
+    the group and answer a transporter query once between them.  A tower
+    holds at most len() lifts of its own.
     """
 
-    def __init__(self, zframe, elements, params, build):
-        self.frame = zframe
-        self._elements = elements
-        self._params = params
+    def __init__(self, level, build):
+        self.frame, self._elements, self._params, self._transporters = level
         self._build = build
         self._lifts = {}
-        self._transporters = {}
 
     def __len__(self):
         return len(self._elements)
@@ -597,15 +619,14 @@ class LiftTower(Sequence):
         hit = self._transporters.get(key)
         if hit is None:
             hit = self._transporters[key] = [
-                k for k, g0 in enumerate(self._elements) if z1.act(g0) == z2]
+                k for k, g0 in enumerate(self._elements) if z1.transports(g0, z2)]
         return hit
 
 
 def witt_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     """The whole zip-level display group over the zip frame of the residue
-    field, with exact Teichmueller lifts over the Witt frame (a LiftTower)."""
-    from .displays import group_elements
-    zf = ZipFrame(zring)
+    field, with exact Teichmueller lifts over the Witt frame (a LiftTower
+    on the shared zip level of (zring, mu))."""
     s0 = wframe.s0
 
     def build(g0):
@@ -613,15 +634,14 @@ def witt_zip_lift_pairs(wframe, mu, zring, lift_scalar):
             wframe, mu, [[s0.teichmuller(lift_scalar(e)) for e in row]
                          for row in g0.payload_grid()])
 
-    elements = list(group_elements(zf, mu))
-    return LiftTower(zf, elements, elements, build)
+    return LiftTower(_zip_level(zring, tuple(mu), False), build)
 
 
 def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     """Orthogonal analogue of witt_zip_lift_pairs: the orthogonal zip group
-    in `orth_group_factors` order, with exact orthogonal lifts, each built
-    from the factors of its g0 (Levi times lower times upper unipotent,
-    Teichmueller parameters throughout)."""
+    in `orth_group_factors` order, shared per (zring, mu), with exact
+    orthogonal lifts, each built from the factors of its g0 (Levi times
+    lower times upper unipotent, Teichmueller parameters throughout)."""
     s0 = wframe.s0
 
     def teich(a):
@@ -634,9 +654,7 @@ def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
         lum = l * exp_minus_orth(wframe, mu, [teich(x) for x in xm])
         return lum * exp_plus_orth(wframe, mu, [teich(x) for x in xp])
 
-    zf = ZipFrame(zring)
-    params, elements = zip(*orth_group_factors(zf, mu))
-    return LiftTower(zf, elements, params, build)
+    return LiftTower(_zip_level(zring, tuple(mu), True), build)
 
 
 def project_witt_display(zf, resmap, d):
@@ -753,7 +771,8 @@ def classify_witt_fiber(th, d, orth=False):
         if lab not in label_set:
             raise AssertionError("Hodge deformation left the fiber cosets")
         hodge_labels.append(lab)
-    # stabilizer of d over A, one exact lift per zip-level component
+    # stabilizer of d over A, one exact lift per zip-level component; the
+    # zip level is shared with any other tower over (A, mu)
     zring = frame_a.ring
     ident = lambda a: a
     if orth:

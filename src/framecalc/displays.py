@@ -82,7 +82,12 @@ class GradedElem:
         return GradedElem(self.frame, self.degree, -self.payload)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in graded difference")
+        if self.degree >= 1:
+            return GradedElem(self.frame, self.degree,
+                              self.frame.p_sub(self.payload, other.payload))
+        return GradedElem(self.frame, self.degree, self.payload - other.payload)
 
     def __mul__(self, other):
         fr = self.frame
@@ -358,6 +363,25 @@ class Display:
                        linalg.mat_mul(s0, linalg.mat_mul(s0, tau_inv, self.phi),
                                       A.sigma()), check=False)
 
+    def transports(self, A, other):
+        """Whether self.act(A) == other.
+
+        Phi sigma(A) == tau(A) Phi' is tested first: it needs no inverse and
+        is equivalent to the action equation when tau(A) is invertible, as
+        it is for every element of the display group.  A match is confirmed
+        through `act`, which raises if tau(A) is singular.
+        """
+        if A.mu_row != self.mu or A.mu_col != self.mu:
+            raise ValueError("group element has the wrong type")
+        if not (isinstance(other, Display) and self.frame == other.frame
+                and self.mu == other.mu):
+            return False
+        s0 = self.frame.s0
+        if not linalg.mat_eq(linalg.mat_mul(s0, self.phi, A.sigma()),
+                             linalg.mat_mul(s0, A.tau(), other.phi)):
+            return False
+        return self.act(A) == other
+
     def hodge_filtration(self):
         """E_k = span of the standard vectors with weight >= k, as index lists."""
         ks = range(min(self.mu), max(self.mu) + 2)
@@ -512,7 +536,7 @@ def is_isomorphic_bruteforce(d1, d2, cap=10 ** 7):
     if d1.frame != d2.frame or d1.mu != d2.mu:
         return False
     for g in group_elements(d1.frame, d1.mu, cap):
-        if d1.act(g) == d2:
+        if d1.transports(g, d2):
             return True
     return False
 

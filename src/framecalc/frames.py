@@ -48,6 +48,9 @@ class Frame:
     def p_neg(self, x):
         raise NotImplementedError
 
+    def p_sub(self, x, y):
+        return self.p_add(x, self.p_neg(y))
+
     def p_is_zero(self, x):
         return x == self.p_zero()
 
@@ -117,6 +120,9 @@ class WittFrame(Frame):
     def p_neg(self, x):
         return -x
 
+    def p_sub(self, x, y):
+        return x - y
+
     def p_is_zero(self, x):
         return x.is_zero()
 
@@ -173,6 +179,9 @@ class ZipFrame(Frame):
 
     def p_neg(self, x):
         return -x
+
+    def p_sub(self, x, y):
+        return x - y
 
     def p_is_zero(self, x):
         return x.is_zero()
@@ -242,6 +251,9 @@ class RelativeFrame(Frame):
 
     def p_neg(self, x):
         return (-x[0], -x[1])
+
+    def p_sub(self, x, y):
+        return (x[0] - y[0], x[1] - y[1])
 
     def p_is_zero(self, x):
         return x[0].is_zero() and x[1].is_zero()

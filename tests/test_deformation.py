@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from framecalc import linalg
+from framecalc import deformation, linalg
 from framecalc.rings import dual_number_extension, prime_field
 from framecalc.frames import RelativeFrame, Thickening, WittFrame, ZipFrame
 from framecalc.displays import Display, GradedMatrix, group_elements
 from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
                                   o2_elements, orth_group_elements,
                                   verify_orth)
-from framecalc.deformation import (WittKernelCoords, _linear_columns,
+from framecalc.deformation import (_ZIP_LEVEL_CAP, WittKernelCoords,
+                                   _linear_columns, _zip_level,
                                    kernel_basis, project_witt_display,
                                    skew_basis, stabilizer_lifts,
                                    classify_witt_fiber, conj_operator,
@@ -376,6 +377,70 @@ def test_stabilizer_lifts_match_eager_search():
     assert stabs == expected
     assert len(stabs) == 6
     assert sorted(tower._lifts) == tower.transporter(z0, z0)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of deformation.<name> from here on."""
+    calls = []
+    real = getattr(deformation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(deformation, name, counted)
+    return calls
+
+
+def _capture_stabilizer_tower(monkeypatch):
+    """The towers classify_witt_fiber hands to stabilizer_lifts."""
+    towers = []
+    real = deformation.stabilizer_lifts
+
+    def capture(d, tower, *args, **kwargs):
+        towers.append(tower)
+        return real(d, tower, *args, **kwargs)
+    monkeypatch.setattr(deformation, "stabilizer_lifts", capture)
+    return towers
+
+
+@pytest.mark.parametrize("orth", [True, False])
+def test_fiber_classification_shares_the_query_zip_level(monkeypatch, orth):
+    # the query tower over W_2(B) and the stabilizer tower over W_2(A) share
+    # one enumeration of the zip-level group and one transporter memo
+    th, d = k3_fixture() if orth else gl2_fixture()
+    ext = th.ext
+    _zip_level.cache_clear()
+    calls = _count_calls(monkeypatch,
+                         "orth_group_factors" if orth else "group_elements")
+    make = witt_orth_zip_lift_pairs if orth else witt_zip_lift_pairs
+    query = make(WittFrame(ext.B, 2), d.mu, ext.A, ext.section)
+    assert len(calls) == 1
+    resmap = lambda w: ext.proj(w.comps[0])
+    z0 = project_witt_display(
+        query.frame, resmap, enumerate_hodge_deformations(th, d, orth=orth)[0])
+    memo = query.transporter(z0, z0)
+    towers = _capture_stabilizer_tower(monkeypatch)
+    report = classify_witt_fiber(th, d, orth=orth)
+    assert report["passed"]
+    assert report["stab_components"] == 6
+    assert len(calls) == 1
+    [tower] = towers
+    assert tower is not query and tower.frame == query.frame
+    assert tower.transporter(z0, z0) is memo
+    # the lifts stay per tower: W_2(A) lifts for the stabilizer only
+    assert not query._lifts
+    assert sorted(tower._lifts) == memo
+
+
+def test_zip_level_cache_stays_at_its_cap():
+    keys = [(prime_field(p), mu) for p in (2, 3) for mu in ((0,), (1,), (1, 0))]
+    assert len(keys) > _ZIP_LEVEL_CAP
+    for zring, mu in keys:
+        tower = witt_zip_lift_pairs(WittFrame(zring, 2), mu, zring, lambda a: a)
+        assert len(tower) == len(list(group_elements(ZipFrame(zring), mu)))
+        assert _zip_level.cache_info().currsize <= _ZIP_LEVEL_CAP
+    assert _zip_level.cache_info().currsize == _ZIP_LEVEL_CAP
+    assert _zip_level.cache_info().maxsize == _ZIP_LEVEL_CAP
 
 
 def _dense_columns(coords, left, right, basis_vectors):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from framecalc import displays as displays_module
 from framecalc import linalg
 from framecalc.rings import EnumerationTooLarge, extension_field, prime_field
 from framecalc.frames import WittFrame, ZipFrame
@@ -73,6 +74,19 @@ def test_fused_graded_product_is_the_entrywise_sum(frame, mu):
                             (A.transpose() * gram, A), (x.transpose(), gram),
                             (x.transpose() * gram, y), (rect, A)]:
             assert left * right == _entrywise_product(left, right)
+
+
+@pytest.mark.parametrize("frame", fixture_frames(),
+                         ids=lambda f: f.kind + "/" + repr(f.s0))
+def test_graded_difference_is_the_sum_with_the_negative(frame):
+    rng = random.Random(7)
+    mu = (2, 1, 0, -1)
+    for _ in range(3):
+        A = _rand_graded(frame, mu, mu, rng)
+        B = _rand_graded(frame, mu, mu, rng)
+        assert A - B == GradedMatrix(frame, mu, mu, [
+            [a + (-b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A.entries, B.entries)])
 
 
 def test_graded_entry_degrees_enforced():
@@ -203,6 +217,45 @@ def test_isomorphic_bruteforce_consistent_with_orbits():
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             assert is_isomorphic_bruteforce(a, b) == (i == j)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_isomorphic_bruteforce_matches_the_action(monkeypatch, p):
+    # every pair of (1,0) displays against the definition through act; the
+    # search gets the enumerated group as a list, in enumeration order, so
+    # the pairs run through its transport test rather than re-enumerating
+    zf = ZipFrame(prime_field(p))
+    mu = (1, 0)
+    group = list(group_elements(zf, mu))
+    monkeypatch.setattr(displays_module, "group_elements",
+                        lambda frame, mu_, cap: iter(group))
+    displays = list(all_displays(zf, 2, mu))
+    for d1 in displays:
+        orbit = {d1.act(g) for g in group}
+        for d2 in displays:
+            assert is_isomorphic_bruteforce(d1, d2) == (d2 in orbit)
+
+
+def test_transports_is_the_action_equation():
+    rng = random.Random(5)
+    mu = (1, 0)
+    for frame in (ZF3, WF3):
+        displays = [Display(frame, mu, rand_group_element(frame, (0, 0), rng).tau())
+                    for _ in range(4)]
+        for d1 in displays:
+            for _ in range(10):
+                g = rand_group_element(frame, mu, rng)
+                assert d1.transports(g, d1.act(g))
+                for d2 in displays:
+                    assert d1.transports(g, d2) == (d1.act(g) == d2)
+        # tau(0) = sigma(0) = 0 passes the inverse-free test; act refuses it
+        zero = GradedMatrix.from_payloads(
+            frame, mu, [[GradedElem.zero(frame, mu[j] - mu[i]).payload
+                         for j in range(2)] for i in range(2)])
+        with pytest.raises(linalg.SingularMatrix):
+            displays[0].transports(zero, displays[1])
+        with pytest.raises(ValueError):
+            displays[0].transports(GradedMatrix.identity(frame, (0, 0)), displays[0])
 
 
 def test_invertibility_is_checked():
