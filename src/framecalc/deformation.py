@@ -40,12 +40,18 @@ def _solve_modp(p, cols, rhs):
 # Lifting and reduction of displays
 # ---------------------------------------------------------------------------
 
+def _map_display(d, frame, f, cls=None):
+    """The display over frame whose matrix is f applied to each entry of
+    d.phi, of class cls (by default d's own: Display or OrthDisplay)."""
+    phi = [[f(e) for e in row] for row in d.phi]
+    return (cls or type(d))(frame, d.mu, phi, check=False)
+
+
 def lift_display(th, d):
     """The monomial-section lift of a display along the thickening."""
     if d.frame != th.target:
         raise ValueError("display is not over the target frame")
-    phi = [[th.lift0(e) for e in row] for row in d.phi]
-    return Display(th.source, d.mu, phi, check=False)
+    return _map_display(d, th.source, th.lift0, Display)
 
 
 def lift_orth_display(th, d):
@@ -73,11 +79,7 @@ def reduce_display(th, d):
     """Push a display over the relative frame down to W_m(A)."""
     if d.frame != th.source:
         raise ValueError("display is not over the source frame")
-    phi = [[th.eps0(e) for e in row] for row in d.phi]
-    out = Display(th.target, d.mu, phi, check=False)
-    if isinstance(d, OrthDisplay):
-        out = OrthDisplay(th.target, d.mu, phi, check=False)
-    return out
+    return _map_display(d, th.target, th.eps0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,33 +474,37 @@ def enumerate_hodge_deformations(th, d, orth=False):
 # Fiber classification (complete, by the coset argument)
 # ---------------------------------------------------------------------------
 
-def fiber_direction_basis(coords, orth_base=None):
-    """Basis of the space of kernel matrices K with base + K in the fiber.
-
-    coords are the "jsupp" coordinates of a Witt frame of B, whose S0 =
-    W_m(B) holds the entries.  For the orthogonal fiber (orth_base = the
-    lifted Phi), K is cut out by the linear condition K^t J Phi + Phi^t J K
-    = 0 (the quadratic term vanishes on kernel entries).
-    """
-    frame, ext = coords.frame, coords.ext
-    s0 = frame.s0
-    m = frame.m
-    B = ext.B
+def _unit_directions(coords):
+    """The kernel matrices with one entry a J-supported unit Witt vector,
+    in the order of coords' value coordinates: unit k encodes to the k-th
+    unit vector of the "jsupp" coordinate space."""
+    s0 = coords.frame.s0
     n = len(coords.mu)
     units = []
     for i in range(n):
         for j in range(n):
-            for c in range(m):
-                for mo in ext.J_basis:
-                    K = linalg.zeros(s0, n, n)
-                    comps = [B.zero()] * m
-                    comps[c] = B.el({mo: 1})
-                    K[i][j] = s0.el(comps)
-                    units.append(K)
+            for c, mo in coords.value_basis:
+                K = linalg.zeros(s0, n, n)
+                K[i][j] = coords._witt_unit(c, mo)
+                units.append(K)
+    return units
+
+
+def fiber_direction_basis(coords, orth_base=None):
+    """Basis of the space of kernel matrices K with base + K in the fiber,
+    as coordinate vectors of the "jsupp" coordinates coords of a Witt frame
+    of B, whose S0 = W_m(B) holds the entries.
+
+    Every kernel matrix is a direction of the plain fiber.  For the
+    orthogonal fiber (orth_base = the lifted Phi), K is cut out by the
+    linear condition K^t J Phi + Phi^t J K = 0 (the quadratic term vanishes
+    on kernel entries).
+    """
+    width = len(coords.mu) ** 2 * len(coords.value_basis)
     if orth_base is None:
-        return units
-    J = standard_J(s0, n)
-    p = frame.p
+        return [[int(k == i) for k in range(width)] for i in range(width)]
+    s0 = coords.frame.s0
+    J = standard_J(s0, len(coords.mu))
 
     def cond(K):
         t1 = linalg.mat_mul(s0, linalg.transpose(K), linalg.mat_mul(s0, J, orth_base))
@@ -506,15 +512,8 @@ def fiber_direction_basis(coords, orth_base=None):
         return linalg.mat_add(t1, t2)
 
     # the condition in the J-supported value coordinates
-    cols = [coords.encode_value_matrix(cond(K)) for K in units]
-    basis = []
-    for coeffs in linalg.kernel_modp(p, cols):
-        M = linalg.zeros(s0, n, n)
-        for c, K in zip(coeffs, units):
-            for _ in range(c):
-                M = linalg.mat_add(M, K)
-        basis.append(M)
-    return basis
+    cols = [coords.encode_value_matrix(cond(K)) for K in _unit_directions(coords)]
+    return linalg.kernel_modp(coords.p, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +528,12 @@ def witt_map(wring_out, f, w):
 def embed_witt_display(ext, frame_b, d):
     """Read a display over W_m(A) as one over W_m(B) through the monomial
     section (a ring homomorphism for split square-zero extensions)."""
-    sb = frame_b.s0
-    phi = [[witt_map(sb, ext.section, e) for e in row] for row in d.phi]
-    cls = OrthDisplay if isinstance(d, OrthDisplay) else Display
-    return cls(frame_b, d.mu, phi, check=False)
+    return _map_display(d, frame_b, lambda e: witt_map(frame_b.s0, ext.section, e))
 
 
 def reduce_witt_display(ext, frame_a, d):
     """Push a display over W_m(B) down to W_m(A) componentwise."""
-    sa = frame_a.s0
-    phi = [[witt_map(sa, ext.proj, e) for e in row] for row in d.phi]
-    cls = OrthDisplay if isinstance(d, OrthDisplay) else Display
-    return cls(frame_a, d.mu, phi, check=False)
+    return _map_display(d, frame_a, lambda e: witt_map(frame_a.s0, ext.proj, e))
 
 
 def embed_graded(ext, frame_b, A):
@@ -660,8 +653,7 @@ def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
 def project_witt_display(zf, resmap, d):
     """Display over W_m(B) -> display over the zip frame of the residue
     field, through resmap on leading Witt coordinates."""
-    phi = [[resmap(e) for e in row] for row in d.phi]
-    return Display(zf, d.mu, phi, check=False)
+    return _map_display(d, zf, resmap, Display)
 
 
 def _tower_search(tower, coords, d, z1, z2, target, orth):
@@ -743,10 +735,7 @@ def classify_witt_fiber(th, d, orth=False):
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
     cols = _linear_columns(coords, dhat.phi, dhat.phi, kernel_basis(coords, orth))
-    units = fiber_direction_basis(coords)
-    dirs = (fiber_direction_basis(coords, orth_base=dhat.phi)
-            if orth else units)
-    dir_vecs = [coords.encode_value_matrix(K) for K in dirs]
+    dir_vecs = fiber_direction_basis(coords, orth_base=dhat.phi if orth else None)
     width = len(mu) ** 2 * len(coords.value_basis)
     fiber = linalg.Span(p, dir_vecs, width)
     vspan = linalg.Span(p, cols, width)
@@ -783,6 +772,7 @@ def classify_witt_fiber(th, d, orth=False):
     stabs = stabilizer_lifts(d, pairs_a, coords_res, orth=orth)
     # induced linear maps on the J-supported value space
     sb = frame_b.s0
+    units = _unit_directions(coords)
     maps = []
     for s in stabs:
         s_b = embed_graded(ext, frame_b, s)

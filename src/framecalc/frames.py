@@ -7,9 +7,12 @@ handled symbolically by tau-payloads in the display layer.
 The four constructors are the truncated Witt frame W_m(R), the zip frame
 (W_1 with its canonical divided structure), the relative frame W_m(B/A) for a
 square-zero extension, and the tautological frame with zero positive part.
-The zip frame is a final object: every frame carries a canonical projection
-to the zip frame of its quotient ring R = S_0/t1(P), checked by
-`check_zip_projection`.
+The Witt and zip frames have P = S0 and take their P-module, nu, act and
+sigmadot from `Frame`; they define only t1, tP, sigma0 and reduce.  The
+relative frame (P = pairs) and the tautological frame (P = 0) override the
+whole P side.  The zip frame is a final object: every frame carries a
+canonical projection to the zip frame of its quotient ring R = S_0/t1(P),
+checked by `check_zip_projection`.
 """
 
 from __future__ import annotations
@@ -17,99 +20,44 @@ from __future__ import annotations
 import itertools
 import random
 
-from .rings import ArtinRing, RingMismatch, SquareZeroExtension
-from .witt import (WittRing, WittVector, divided_frobenius, frobenius_fixed,
-                   verschiebung_trunc)
+from .witt import WittRing, frobenius_fixed, verschiebung_trunc
 
 
 class Frame:
-    """Common interface; concrete frames fill in the structure maps."""
+    """A frame (S0, P, t1, tP, nu, act, sigma0, sigmadot) with reduction to R.
+
+    An instance carries s0 (ring-like: el, zero, one, elements, size),
+    r_ring (the quotient R = S0/t1(P)) and p, and implements
+    - the P-module: p_zero, p_add, p_neg, p_sub, p_is_zero, p_elements;
+    - the structure maps t1: P -> S0, tP: P -> P, nu: P x P -> P,
+      act: S0 x P -> P, sigma0: S0 -> S0 and sigmadot: P -> S0;
+    - reduce: S0 -> R.
+
+    This class writes the P-module and nu, act, sigmadot for P = S0 (the
+    Witt and zip frames): nu is the product, act(s, x) = sigma0(s) x and
+    sigmadot is the identity.  Every frame supplies t1, tP, sigma0 and
+    reduce; the relative and tautological frames also override the P side.
+
+    Facts about the structure maps, for sums of products of graded
+    elements (displays.GradedMatrix.__mul__):
+    - t_is_zero: t1 and tP are the zero maps;
+    - p_is_s0: P is S0 with the maps above, and tP(x) = p x.
+    has_p_module is False only where P = 0 (the tautological frame).
+    """
 
     kind = "abstract"
-
-    # subclasses set: s0 (ring-like), r_ring, p (prime), has_p_module
-
-    # Facts about the structure maps, for sums of products of graded
-    # elements (displays.GradedMatrix.__mul__):
-    # - t_is_zero: t1 and tP are the zero maps;
-    # - p_is_s0: P is S0, with nu(x, y) = x y, act(s, x) = sigma0(s) x and
-    #   tP(x) = p x.
     t_is_zero = False
-    p_is_s0 = False
-
-    # -- P-module structure ----------------------------------------------------
-
-    def p_zero(self):
-        raise NotImplementedError
-
-    def p_add(self, x, y):
-        raise NotImplementedError
-
-    def p_neg(self, x):
-        raise NotImplementedError
-
-    def p_sub(self, x, y):
-        return self.p_add(x, self.p_neg(y))
-
-    def p_is_zero(self, x):
-        return x == self.p_zero()
-
-    def p_elements(self, cap=10 ** 7):
-        raise NotImplementedError
-
-    # -- structure maps ----------------------------------------------------------
-
-    def t1(self, x):
-        raise NotImplementedError
-
-    def tP(self, x):
-        raise NotImplementedError
-
-    def nu(self, x, y):
-        raise NotImplementedError
-
-    def act(self, s, x):
-        raise NotImplementedError
-
-    def sigma0(self, s):
-        raise NotImplementedError
-
-    def sigmadot(self, x):
-        raise NotImplementedError
-
-    # -- quotient to R -----------------------------------------------------------
-
-    def reduce(self, s):
-        raise NotImplementedError
-
-    def p_int(self):
-        """The element p of S0."""
-        return self.s0.from_int(self.p)
-
-    def __repr__(self):
-        return f"<{self.kind} frame over {self.s0!r}>"
-
-
-class WittFrame(Frame):
-    """The truncated Witt frame: S0 = W_m(R), P = W_m(R) representing I_{m+1} via v."""
-
-    kind = "witt"
     p_is_s0 = True
-
-    def __init__(self, ring, m):
-        self.ring = ring
-        self.m = m
-        self.s0 = WittRing(ring, m)
-        self.r_ring = ring
-        self.p = ring.p
-        self.has_p_module = True
-        self._p_elem = self.s0.from_int(self.p)
+    has_p_module = True
 
     def __eq__(self, other):
-        return isinstance(other, WittFrame) and self.s0 == other.s0
+        return self is other or (type(other) is type(self) and self.s0 == other.s0
+                                 and self.r_ring == other.r_ring)
 
     def __hash__(self):
-        return hash(("witt", self.s0))
+        return hash((self.kind, self.s0, self.r_ring))
+
+    # -- P = S0 ----------------------------------------------------------------
 
     def p_zero(self):
         return self.s0.zero()
@@ -129,23 +77,44 @@ class WittFrame(Frame):
     def p_elements(self, cap=10 ** 7):
         return self.s0.elements(cap)
 
+    def nu(self, x, y):
+        return x * y
+
+    def act(self, s, x):
+        return self.sigma0(s) * x
+
+    def sigmadot(self, x):
+        return x
+
+    def p_int(self):
+        """The element p of S0."""
+        return self.s0.from_int(self.p)
+
+    def __repr__(self):
+        return f"<{self.kind} frame over {self.s0!r}>"
+
+
+class WittFrame(Frame):
+    """The truncated Witt frame: S0 = W_m(R), P = W_m(R) representing I_{m+1} via v."""
+
+    kind = "witt"
+
+    def __init__(self, ring, m):
+        self.ring = ring
+        self.m = m
+        self.s0 = WittRing(ring, m)
+        self.r_ring = ring
+        self.p = ring.p
+        self._p_elem = self.s0.from_int(self.p)
+
     def t1(self, x):
         return verschiebung_trunc(x)
 
     def tP(self, x):
         return self._p_elem * x
 
-    def nu(self, x, y):
-        return x * y
-
-    def act(self, s, x):
-        return frobenius_fixed(s) * x
-
     def sigma0(self, s):
         return frobenius_fixed(s)
-
-    def sigmadot(self, x):
-        return x
 
     def reduce(self, s):
         return s.comps[0]
@@ -156,38 +125,12 @@ class ZipFrame(Frame):
 
     kind = "zip"
     t_is_zero = True
-    p_is_s0 = True
 
     def __init__(self, ring):
         self.ring = ring
         self.s0 = ring
         self.r_ring = ring
         self.p = ring.p
-        self.has_p_module = True
-
-    def __eq__(self, other):
-        return isinstance(other, ZipFrame) and self.s0 == other.s0
-
-    def __hash__(self):
-        return hash(("zip", self.s0))
-
-    def p_zero(self):
-        return self.ring.zero()
-
-    def p_add(self, x, y):
-        return x + y
-
-    def p_neg(self, x):
-        return -x
-
-    def p_sub(self, x, y):
-        return x - y
-
-    def p_is_zero(self, x):
-        return x.is_zero()
-
-    def p_elements(self, cap=10 ** 7):
-        return self.ring.elements(cap)
 
     def t1(self, x):
         return self.ring.zero()
@@ -195,17 +138,8 @@ class ZipFrame(Frame):
     def tP(self, x):
         return self.ring.zero()
 
-    def nu(self, x, y):
-        return x * y
-
-    def act(self, s, x):
-        return s.frobenius() * x
-
     def sigma0(self, s):
         return s.frobenius()
-
-    def sigmadot(self, x):
-        return x
 
     def reduce(self, s):
         return s
@@ -222,6 +156,7 @@ class RelativeFrame(Frame):
     """
 
     kind = "relative"
+    p_is_s0 = False
 
     def __init__(self, ext, m):
         if ext.B.p == 2:
@@ -233,15 +168,7 @@ class RelativeFrame(Frame):
         self.s0 = WittRing(ext.B, m)
         self.r_ring = ext.A
         self.p = ext.B.p
-        self.has_p_module = True
         self._p_elem = self.s0.from_int(self.p)
-
-    def __eq__(self, other):
-        return (isinstance(other, RelativeFrame) and self.s0 == other.s0
-                and self.ext.A == other.ext.A)
-
-    def __hash__(self):
-        return hash(("relative", self.s0, self.ext.A))
 
     def p_zero(self):
         return (self.s0.zero(), self.ext.B.zero())
@@ -297,19 +224,14 @@ class TautologicalFrame(Frame):
 
     kind = "tautological"
     t_is_zero = True
+    p_is_s0 = False
+    has_p_module = False
 
     def __init__(self, ring):
         self.ring = ring
         self.s0 = ring
         self.r_ring = ring
         self.p = ring.p
-        self.has_p_module = False
-
-    def __eq__(self, other):
-        return isinstance(other, TautologicalFrame) and self.s0 == other.s0
-
-    def __hash__(self):
-        return hash(("taut", self.s0))
 
     def p_zero(self):
         return None
@@ -318,6 +240,9 @@ class TautologicalFrame(Frame):
         return None
 
     def p_neg(self, x):
+        return None
+
+    def p_sub(self, x, y):
         return None
 
     def p_is_zero(self, x):

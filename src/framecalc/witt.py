@@ -16,7 +16,7 @@ from .rings import EnumerationTooLarge, NotAUnit, RingMismatch
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
 # about 55 MiB at some 435 bytes an entry over W_2(F_3[e]/e^2); the largest
-# benchmark workload fills 16,964.
+# benchmark workload fills 17,089 (add, mul and neg together).
 MEMO_CAP = 1 << 17
 
 
@@ -49,7 +49,7 @@ class WittRing:
         self._prod = [wittpoly.eval_terms(self.p, "prod", n) for n in range(m)]
         self._neg = [wittpoly.eval_terms(self.p, "neg", n) for n in range(m)]
         self._frob = [wittpoly.eval_terms(self.p, "frob", n) for n in range(max(m - 1, 0))]
-        # memoize binary operations when the ring is small enough that the
+        # memoize add, mul and neg when the ring is small enough that the
         # operation tables fit comfortably (enumeration-heavy workloads), up
         # to MEMO_CAP entries
         self._memo = {} if self.size <= 4096 else None
@@ -153,10 +153,18 @@ class WittRing:
         return self._zero if acc is None else acc
 
     def neg(self, x):
+        if self._memo is not None:
+            key = ("-",) + tuple([c.coeffs for c in x.comps])
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
         comps = []
         for n in range(self.m):
             comps.append(wittpoly.eval_poly(self._neg[n], x.comps[: n + 1], self.ring))
-        return WittVector(self, tuple(comps))
+        out = WittVector(self, tuple(comps))
+        if self._memo is not None and len(self._memo) < MEMO_CAP:
+            self._memo[key] = out
+        return out
 
 
 class WittVector:

@@ -11,12 +11,13 @@ from framecalc.frames import RelativeFrame, Thickening, WittFrame, ZipFrame
 from framecalc.displays import Display, GradedMatrix, group_elements
 from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
                                   o2_elements, orth_group_elements,
-                                  verify_orth)
+                                  standard_J, verify_orth)
 from framecalc.deformation import (_ZIP_LEVEL_CAP, WittKernelCoords,
                                    _linear_columns, _zip_level,
                                    kernel_basis, project_witt_display,
                                    skew_basis, stabilizer_lifts,
                                    classify_witt_fiber, conj_operator,
+                                   embed_witt_display, fiber_direction_basis,
                                    enumerate_hodge_deformations,
                                    hodge_lift_matrix, hodge_lift_parameters,
                                    is_isomorphic_witt, k3_deform,
@@ -149,6 +150,37 @@ def test_hodge_deformations_reduce_and_are_distinct():
             reduce_witt_display(th.ext, th.target, dd).phi, d.phi)
         seen.add(hash(dd))
     assert len(seen) == 3
+
+
+@pytest.mark.parametrize("fixture", [gl2_fixture, k3_fixture], ids=["gl2", "k3"])
+def test_fiber_directions_are_jsupp_coordinate_vectors(fixture):
+    th, d = fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    s0 = frame_b.s0
+    coords = WittKernelCoords(frame_b, d.mu, "jsupp", ext=ext)
+    units = deformation._unit_directions(coords)
+    # the unit kernel matrices encode to the unit vectors, in order
+    assert len(units) == 2 * d.n ** 2
+    assert [coords.encode_value_matrix(K) for K in units] == fiber_direction_basis(coords)
+    if not verify_orth(d):
+        return
+    # each orthogonal direction, rebuilt as a matrix from the units, solves
+    # the linearized condition K^t J Phi + Phi^t J K = 0
+    phi = embed_witt_display(ext, frame_b, d).phi
+    J = standard_J(s0, d.n)
+    dirs = fiber_direction_basis(coords, orth_base=phi)
+    assert dirs
+    for vec in dirs:
+        K = linalg.zeros(s0, d.n, d.n)
+        for c, unit in zip(vec, units):
+            for _ in range(c):
+                K = linalg.mat_add(K, unit)
+        cond = linalg.mat_add(
+            linalg.mat_mul(s0, linalg.transpose(K), linalg.mat_mul(s0, J, phi)),
+            linalg.mat_mul(s0, linalg.transpose(phi), linalg.mat_mul(s0, J, K)))
+        assert all(e.is_zero() for row in cond for e in row)
+        assert coords.encode_value_matrix(K) == vec
 
 
 def test_classify_gl_fixture_frozen_report():

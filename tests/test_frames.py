@@ -42,6 +42,22 @@ def test_declared_structure_facts_hold(frame):
                 assert frame.act(s, x) == frame.sigma0(s) * x
 
 
+def test_frame_equality_needs_the_same_kind():
+    F3 = prime_field(3)
+    assert ZipFrame(F3) == ZipFrame(prime_field(3))
+    assert hash(ZipFrame(F3)) == hash(ZipFrame(prime_field(3)))
+    # same s0 and r_ring, different kinds
+    zf, taut = ZipFrame(F3), TautologicalFrame(F3)
+    assert zf.s0 == taut.s0 and zf.r_ring == taut.r_ring
+    assert zf != taut and taut != zf
+    # same s0 = W_2(F_3[e]/e^2), different kinds (and quotient rings)
+    ext = dual_number_extension(3)
+    wf, rel = WittFrame(ext.B, 2), RelativeFrame(ext, 2)
+    assert wf.s0 == rel.s0
+    assert wf != rel and rel != wf
+    assert rel == RelativeFrame(dual_number_extension(3), 2)
+
+
 def test_fixture_frames_declare_every_combination_of_facts():
     facts = {(f.t_is_zero, f.p_is_s0) for f in frames_under_test()}
     assert facts == {(True, True), (False, True), (False, False), (True, False)}

@@ -63,7 +63,9 @@ def test_ext_descriptor_roundtrip():
 ], ids=["witt", "zip", "relative", "tautological"])
 def test_frame_descriptor_roundtrip(frame):
     desc = serialize.frame_to_dict(frame)
-    assert serialize.frame_from_dict(desc) == frame
+    back = serialize.frame_from_dict(desc)
+    assert back == frame
+    assert hash(back) == hash(frame)
 
 
 def test_display_roundtrip_zip_and_witt():

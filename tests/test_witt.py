@@ -176,5 +176,6 @@ def test_memo_stops_growing_at_the_cap(monkeypatch):
             for y in els:
                 assert capped.add(x, y) == plain.add(x, y)
                 assert capped.mul(x, y) == plain.mul(x, y)
+                assert capped.neg(y) == plain.neg(y)
                 assert len(capped._memo) <= 50
     assert len(capped._memo) == 50
