@@ -152,12 +152,21 @@ class GradedMatrix:
         self.entries = [list(row) for row in entries]
 
     @classmethod
+    def _built(cls, frame, mu_row, mu_col, entries):
+        """A matrix whose entry degrees hold by construction (products,
+        sums, the identity, transposes): no re-check, `entries` is kept."""
+        out = cls.__new__(cls)
+        out.frame, out.mu_row, out.mu_col = frame, tuple(mu_row), tuple(mu_col)
+        out.entries = entries
+        return out
+
+    @classmethod
     def identity(cls, frame, mu):
         n = len(mu)
         entries = [[GradedElem.unit(frame) if i == j
                     else GradedElem.zero(frame, mu[j] - mu[i])
                     for j in range(n)] for i in range(n)]
-        return cls(frame, mu, mu, entries)
+        return cls._built(frame, mu, mu, entries)
 
     @classmethod
     def from_payloads(cls, frame, mu, grid):
@@ -206,25 +215,25 @@ class GradedMatrix:
                         operator.add, (ents[a] * ents[b] for a, b in pairs),
                         GradedElem.zero(fr, degree)))
             out.append(row)
-        return GradedMatrix(fr, self.mu_row, other.mu_col, out)
+        return GradedMatrix._built(fr, self.mu_row, other.mu_col, out)
 
     def __add__(self, other):
-        return GradedMatrix(self.frame, self.mu_row, self.mu_col,
-                            [[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.entries, other.entries)])
+        return GradedMatrix._built(self.frame, self.mu_row, self.mu_col,
+                                   [[a + b for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        return GradedMatrix(self.frame, self.mu_row, self.mu_col,
-                            [[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.entries, other.entries)])
+        return GradedMatrix._built(self.frame, self.mu_row, self.mu_col,
+                                   [[a - b for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(self.entries, other.entries)])
 
     def transpose(self):
         n, m = len(self.entries), len(self.mu_col)
-        return GradedMatrix(self.frame,
-                            tuple(-w for w in self.mu_col),
-                            tuple(-w for w in self.mu_row),
-                            [[self.entries[i][j] for i in range(n)]
-                             for j in range(m)])
+        return GradedMatrix._built(self.frame,
+                                   tuple(-w for w in self.mu_col),
+                                   tuple(-w for w in self.mu_row),
+                                   [[self.entries[i][j] for i in range(n)]
+                                    for j in range(m)])
 
     def sigma(self):
         return [[e.sigma() for e in row] for row in self.entries]

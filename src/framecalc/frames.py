@@ -394,30 +394,34 @@ def check_zip_projection(frame, budget=20000, seed=0, samples=100):
     p_all = list(frame.p_elements()) if frame.has_p_module else [None]
     exhaustive = s0_all is not None and len(s0_all) * len(p_all) <= budget
     s0s = s0_all if exhaustive else _sample(s0_all or frame.s0.elements(), rng, samples)
-    ps = p_all if exhaustive else _sample(p_all, rng, samples)
+    xs = p_all if exhaustive else _sample(p_all, rng, samples)
+    # each image once; a sampled check pairs everything with the first 10
+    cut = None if exhaustive else 10
+    img0 = [pi0(s) for s in s0s]
     failures = []
-    for s in s0s:
-        if pi0(frame.sigma0(s)) != target.sigma0(pi0(s)):
+    for s, pi_s in zip(s0s, img0):
+        if pi0(frame.sigma0(s)) != target.sigma0(pi_s):
             failures.append(("sigma0", repr(s)))
-    for a in s0s:
-        for b in (s0s if exhaustive else s0s[:10]):
-            if pi0(a + b) != pi0(a) + pi0(b) or pi0(a * b) != pi0(a) * pi0(b):
+    for a, pa in zip(s0s, img0):
+        for b, pb in zip(s0s[:cut], img0[:cut]):
+            if pi0(a + b) != pa + pb or pi0(a * b) != pa * pb:
                 failures.append(("ring-hom", (repr(a), repr(b))))
     if frame.has_p_module:
-        for x in ps:
+        imgP = [piP(x) for x in xs]
+        for x, px in zip(xs, imgP):
             if not pi0(frame.t1(x)).is_zero():
                 failures.append(("t1", repr(x)))
             if not piP(frame.tP(x)).is_zero():
                 failures.append(("tP", repr(x)))
-            if pi0(frame.sigmadot(x)) != target.sigmadot(piP(x)):
+            if pi0(frame.sigmadot(x)) != target.sigmadot(px):
                 failures.append(("sigmadot", repr(x)))
-        for x in ps:
-            for y in (ps if exhaustive else ps[:10]):
-                if piP(frame.nu(x, y)) != target.nu(piP(x), piP(y)):
+        for x, px in zip(xs, imgP):
+            for y, py in zip(xs[:cut], imgP[:cut]):
+                if piP(frame.nu(x, y)) != target.nu(px, py):
                     failures.append(("nu", (repr(x), repr(y))))
-        for s in s0s:
-            for x in (ps if exhaustive else ps[:10]):
-                if piP(frame.act(s, x)) != target.act(pi0(s), piP(x)):
+        for s, pi_s in zip(s0s, img0):
+            for x, px in zip(xs[:cut], imgP[:cut]):
+                if piP(frame.act(s, x)) != target.act(pi_s, px):
                     failures.append(("act", (repr(s), repr(x))))
     return {"passed": not failures, "failures": failures,
             "mode": "exhaustive" if exhaustive else "sampled"}

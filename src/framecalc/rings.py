@@ -16,7 +16,9 @@ builds one structure-constant table for products and one F_p-linear table
 for Frobenius; enumerating coordinate tuples lexicographically fixes the
 element order.  `ArtinRing.dot` is the one product formula: a sum of
 products accumulates in one int list through the table, and x*y is its
-one-pair case.
+one-pair case.  `ArtinRing.lift_mul` is the product of the flat lift
+W(F_q)[x_1, ..., x_r]/I mod p^k, the same basis with the constants
+reduced mod p^k; the Witt arithmetic works there.
 """
 
 from __future__ import annotations
@@ -181,29 +183,39 @@ class ArtinRing:
         self.dim = field.f * len(self.basis)
         self._f = field.f
         self._index = {m: k for k, m in enumerate(self.basis)}
-        # the structure constants: (i, j, k, c) for every nonzero coefficient
-        # c of member k in the product of F_p-basis members i and j; and the
-        # p-th power of member i, as sparse [(position, coefficient)]
-        fp_basis = [(m, e) for m in self.basis for e in range(field.f)]
-        self._mul = [(i, j, k, c)
-                     for i, (m1, e1) in enumerate(fp_basis)
-                     for j, (m2, e2) in enumerate(fp_basis)
-                     for k, c in self._basis_coords(
-                         tuple(a + b for a, b in zip(m1, m2)), e1 + e2)]
-        self._frob = [self._basis_coords(tuple(self.p * a for a in m), self.p * e)
-                      for m, e in fp_basis]
+        # the structure constants (see `_table`) and the p-th power of
+        # F_p-basis member i, as sparse [(position, coefficient)]
+        self._mul = self._table(self.p)
+        self._frob = [self._basis_coords(tuple(self.p * a for a in m),
+                                         self.p * e, self.p)
+                      for m in self.basis for e in range(field.f)]
+        # the tables of the flat lift mod p^k, built on first use
+        self._lifted = {}
         # elements are never mutated, so the constants are built once
         self._zero = RingElem(self, (0,) * self.dim)
         self._one = RingElem(self, (1,) + (0,) * (self.dim - 1))
         self.residue_field = ArtinRing(field) if self.vars else self
 
-    def _basis_coords(self, mono, e):
-        """Sparse coordinates of t^e * mono: zero in the ideal, else t^e
-        reduced by the modulus at the position of mono."""
+    def _basis_coords(self, mono, e, n):
+        """Sparse coordinates of t^e * mono mod n: zero in the ideal, else
+        t^e reduced by the modulus over Z/n at the position of mono."""
         if self.in_ideal(mono):
             return []
-        rem = _poly_mod([0] * e + [1], list(self.field.modulus), self.p)
+        rem = _poly_mod([0] * e + [1], list(self.field.modulus), n)
         return [(self.coord_index(mono, i), c) for i, c in enumerate(rem) if c]
+
+    def _table(self, n):
+        """(i, j, k, c) for every nonzero coefficient c mod n of member k in
+        the product of F_p-basis members i and j.  With n = p^k this is the
+        table of the flat lift W(F_q)[vars]/I mod p^k, which has the same
+        basis: read over Z, the modulus is a monic lift of itself, and
+        Z/p^k[t]/(modulus) is W_k(F_q)."""
+        fp_basis = [(m, e) for m in self.basis for e in range(self._f)]
+        return [(i, j, k, c)
+                for i, (m1, e1) in enumerate(fp_basis)
+                for j, (m2, e2) in enumerate(fp_basis)
+                for k, c in self._basis_coords(
+                    tuple(a + b for a, b in zip(m1, m2)), e1 + e2, n)]
 
     def __eq__(self, other):
         return self is other or (
@@ -311,6 +323,21 @@ class ArtinRing:
             for i, j, k, c in terms:
                 out[k] += a[i] * b[j] * c
         return RingElem(self, tuple([v % p for v in out]))
+
+    def lift_mul(self, a, b, k):
+        """The product in the flat lift W(F_q)[vars]/I mod p^k of two
+        coordinate sequences (ints in the F_p-basis order), as a list of
+        ints in [0, p^k).  The lifted table is built on the first call."""
+        n = self.p ** k
+        if self.dim == 1:
+            return [a[0] * b[0] % n]
+        table = self._lifted.get(k)
+        if table is None:
+            table = self._lifted[k] = self._table(n)
+        out = [0] * self.dim
+        for i, j, pos, c in table:
+            out[pos] += a[i] * b[j] * c
+        return [v % n for v in out]
 
     # -- enumeration ----------------------------------------------------------
 

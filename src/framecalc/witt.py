@@ -5,6 +5,16 @@ Frobenius lowers it; the fixed-length Frobenius lift used by frames is the
 component-wise p-power map (the universal correction terms vanish in
 characteristic p, which the tests check against the ghost-derived
 polynomials).
+
+Sums and products run on ghost components.  R = F_q[x]/I has the flat lift
+R~ = W(F_q)[x]/I with the same basis (`ArtinRing.lift_mul`); R~ has no
+p-torsion, so its ghost map is injective, and W(R~) -> W(R) is onto.  So a
+result's components 1..m-1 come from the ghost components of the operands'
+coordinate lifts, added or multiplied in R~ mod p^m, by inverting the ghost
+map with exact division; component 0 is R's own operation.  The result does
+not depend on the lifts: a = b mod p gives a^(p^k) = b^(p^k) mod p^(k+1).
+Only the Frobenius W_m -> W_{m-1} evaluates the universal polynomials of
+`wittpoly`, which are otherwise the tests' second route.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import wittpoly
-from .rings import EnumerationTooLarge, NotAUnit, RingMismatch
+from .rings import EnumerationTooLarge, NotAUnit, RingElem, RingMismatch
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
 # about 55 MiB at some 435 bytes an entry over W_2(F_3[e]/e^2); the largest
@@ -21,9 +31,10 @@ MEMO_CAP = 1 << 17
 
 
 class WittRing:
-    """Arithmetic context for W_m(R): caches the universal polynomials mod p.
+    """Arithmetic context for W_m(R): the ghost route on the flat lift, the
+    Frobenius term lists and, for a small ring, the operation memo.
 
-    Instances are interned on (ring, m) so the polynomial caches and the
+    Instances are interned on (ring, m) so the term lists and the
     small-ring operation tables are shared by every construction site.
     """
 
@@ -45,9 +56,6 @@ class WittRing:
         self.m = m
         self.p = ring.p
         self.size = ring.size ** m
-        self._sum = [wittpoly.eval_terms(self.p, "sum", n) for n in range(m)]
-        self._prod = [wittpoly.eval_terms(self.p, "prod", n) for n in range(m)]
-        self._neg = [wittpoly.eval_terms(self.p, "neg", n) for n in range(m)]
         self._frob = [wittpoly.eval_terms(self.p, "frob", n) for n in range(max(m - 1, 0))]
         # memoize add, mul and neg when the ring is small enough that the
         # operation tables fit comfortably (enumeration-heavy workloads), up
@@ -60,8 +68,8 @@ class WittRing:
         self._ready = True
 
     def __eq__(self, other):
-        return (isinstance(other, WittRing) and self.ring == other.ring
-                and self.m == other.m)
+        return self is other or (isinstance(other, WittRing)
+                                 and self.ring == other.ring and self.m == other.m)
 
     def __hash__(self):
         return hash((self.ring, self.m))
@@ -117,11 +125,9 @@ class WittRing:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        comps = []
-        for n in range(self.m):
-            sub = x.comps[: n + 1] + y.comps[: n + 1]
-            comps.append(wittpoly.eval_poly(self._sum[n], sub, self.ring))
-        out = WittVector(self, tuple(comps))
+        ghosts = [[a + b for a, b in zip(u, v)]
+                  for u, v in zip(self._ghosts(x), self._ghosts(y))]
+        out = self._from_ghosts(x.comps[0] + y.comps[0], ghosts)
         if self._memo is not None and len(self._memo) < MEMO_CAP:
             self._memo[key] = out
         return out
@@ -132,11 +138,10 @@ class WittRing:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        comps = []
-        for n in range(self.m):
-            sub = x.comps[: n + 1] + y.comps[: n + 1]
-            comps.append(wittpoly.eval_poly(self._prod[n], sub, self.ring))
-        out = WittVector(self, tuple(comps))
+        lift_mul, m = self.ring.lift_mul, self.m
+        ghosts = [lift_mul(u, v, m)
+                  for u, v in zip(self._ghosts(x), self._ghosts(y))]
+        out = self._from_ghosts(x.comps[0] * y.comps[0], ghosts)
         if self._memo is not None and len(self._memo) < MEMO_CAP:
             self._memo[key] = out
         return out
@@ -158,13 +163,65 @@ class WittRing:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        comps = []
-        for n in range(self.m):
-            comps.append(wittpoly.eval_poly(self._neg[n], x.comps[: n + 1], self.ring))
-        out = WittVector(self, tuple(comps))
+        if self.p == 2:
+            ghosts = [[-a for a in u] for u in self._ghosts(x)]
+            out = self._from_ghosts(-x.comps[0], ghosts)
+        else:
+            # -1 = [-1] for odd p, and [a] x = (a x_0, a^p x_1, ...)
+            out = WittVector(self, tuple([-c for c in x.comps]))
         if self._memo is not None and len(self._memo) < MEMO_CAP:
             self._memo[key] = out
         return out
+
+    # -- the ghost route on the flat lift ----------------------------------------
+
+    def _pth(self, a):
+        """a^p on the flat lift mod p^m."""
+        out = a
+        for _ in range(self.p - 1):
+            out = self.ring.lift_mul(out, a, self.m)
+        return out
+
+    def _weighted(self, powers, n):
+        """sum_{i<=n} p^i powers[i][n-i] over the rows of powers, where
+        powers[i][j] is the lift of component i to the power p^j."""
+        out = [0] * self.ring.dim
+        for i, row in enumerate(powers[:n + 1]):
+            pi = self.p ** i
+            out = [a + pi * b for a, b in zip(out, row[n - i])]
+        return out
+
+    def _ghosts(self, x):
+        """w_1..w_{m-1} of x on the flat lift mod p^m, each component lifted
+        by its coordinates: w_n = sum_{i<=n} p^i x_i^(p^(n-i))."""
+        m = self.m
+        powers = []
+        for i, c in enumerate(x.comps):
+            row = [c.coeffs]
+            for _ in range(m - 1 - i):
+                row.append(self._pth(row[-1]))
+            powers.append(row)
+        return [self._weighted(powers, n) for n in range(1, m)]
+
+    def _from_ghosts(self, c0, ghosts):
+        """The Witt vector with component 0 c0 and ghost components
+        ghosts[n-1] = w_n on the flat lift, by inverting the ghost map:
+        c_n = (w_n - sum_{i<n} p^i c_i^(p^(n-i))) / p^n mod p.  The lift of
+        each c_i is its coordinates; the division must be exact."""
+        p, ring = self.p, self.ring
+        comps = [c0]
+        powers = [[c0.coeffs]]
+        for n, w in enumerate(ghosts, 1):
+            for row in powers:
+                row.append(self._pth(row[-1]))
+            q = p ** n
+            num = [a - b for a, b in zip(w, self._weighted(powers, n))]
+            if any(a % q for a in num):
+                raise AssertionError("ghost inversion is not exact")
+            c = RingElem(ring, tuple([a // q % p for a in num]))
+            comps.append(c)
+            powers.append([c.coeffs])
+        return WittVector(self, tuple(comps))
 
 
 class WittVector:
@@ -177,7 +234,8 @@ class WittVector:
         self.comps = comps
 
     def __eq__(self, other):
-        return (isinstance(other, WittVector) and self.wring == other.wring
+        return (isinstance(other, WittVector)
+                and (self.wring is other.wring or self.wring == other.wring)
                 and self.comps == other.comps)
 
     def __hash__(self):
@@ -190,7 +248,7 @@ class WittVector:
         return all(c.is_zero() for c in self.comps)
 
     def _check(self, other):
-        if self.wring != other.wring:
+        if self.wring is not other.wring and self.wring != other.wring:
             raise RingMismatch("Witt ring mismatch")
 
     def __add__(self, other):

@@ -4,8 +4,11 @@ The addition, multiplication, negation and Frobenius polynomials are produced
 once over the integers by inverting the ghost map, with exact division by
 p^n at every stage (integrality is the classical Witt construction).  The
 identities w_n(S(X,Y)) = w_n(X) + w_n(Y) etc., checked exactly over Z, serve
-as the single correctness oracle; evaluation in characteristic p reduces the
-integer coefficients mod p first.
+as the single correctness oracle.  `witt` adds, multiplies and negates on the
+ghost components of a flat lift instead, so these polynomials are the second,
+independent route the tests compare it with; at run time only the Frobenius
+evaluates them, through `eval_terms` (coefficients reduced mod p) and
+`eval_poly`.
 
 Derivation and oracle both run on `ZPoly`, a sparse polynomial over Z: a
 dict from exponent tuple to nonzero int.  Everything at depth n lives in

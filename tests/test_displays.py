@@ -96,6 +96,25 @@ def test_graded_entry_degrees_enforced():
                       [GradedElem(ZF3, 1, F3.zero()), GradedElem(ZF3, 1, F3.zero())]])
 
 
+@pytest.mark.parametrize("frame", fixture_frames(),
+                         ids=lambda f: f.kind + "/" + repr(f.s0))
+def test_built_matrices_have_the_degrees_of_their_weights(frame):
+    # products, sums, differences, transposes and the identity skip the
+    # public constructor's degree check; the public constructor, handed
+    # their entries with other weights, still raises
+    rng = random.Random(11)
+    mu = (2, 1, 0, -1)
+    A = _rand_graded(frame, mu, mu, rng)
+    B = _rand_graded(frame, mu, mu, rng)
+    for M in (A * B, A + B, A - B, A.transpose(), GradedMatrix.identity(frame, mu)):
+        assert all(e.degree == c - r
+                   for r, row in zip(M.mu_row, M.entries)
+                   for c, e in zip(M.mu_col, row))
+        GradedMatrix(frame, M.mu_row, M.mu_col, M.entries)
+        with pytest.raises(ValueError):
+            GradedMatrix(frame, M.mu_row, (3,) + M.mu_col[1:], M.entries)
+
+
 def test_act_is_a_right_action():
     rng = random.Random(5)
     mu = (1, 0)

@@ -10,6 +10,10 @@
 - One product formula: inside the package only `rings` reads the
   structure-constant table `_mul`; every other product goes through
   `ArtinRing.dot` or `RingElem.__mul__`.
+- One Witt arithmetic at run time: inside the package `wittpoly.eval_poly`
+  is called only by `witt.witt_frobenius`, and `eval_terms` only to build
+  `WittRing._frob`; sums, products and negatives run on ghost components,
+  and the universal polynomials stay the tests' second route.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -101,6 +105,37 @@ def test_only_rings_reads_the_structure_constant_table():
                for path, line in _references().get("_mul", [])
                if path.parent == PACKAGE and path.name != "rings.py"]
     assert not outside, f"_mul read outside rings: {outside}"
+
+
+def _scoped_references(name):
+    """(module, enclosing definitions, enclosing statement) of every
+    reference to `name` inside the package."""
+    found = []
+
+    def visit(node, scope, stmt, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            here = child if isinstance(child, ast.stmt) else stmt
+            if ((isinstance(child, ast.Name) and child.id == name)
+                    or (isinstance(child, ast.Attribute) and child.attr == name)):
+                found.append((path.name, ".".join(scope), here))
+            visit(child, inner, here, path)
+
+    for path, tree in _trees("src/framecalc"):
+        visit(tree, (), None, path)
+    return found
+
+
+def test_only_the_frobenius_evaluates_the_witt_polynomials():
+    polys = _scoped_references("eval_poly")
+    assert {(mod, scope) for mod, scope, _ in polys} == {("witt.py", "witt_frobenius")}
+    terms = _scoped_references("eval_terms")
+    assert {(mod, scope) for mod, scope, _ in terms} == {("witt.py", "WittRing.__init__")}
+    for _, _, stmt in terms:
+        assert isinstance(stmt, ast.Assign), ast.unparse(stmt)
+        assert [ast.unparse(t) for t in stmt.targets] == ["self._frob"]
 
 
 def test_every_function_parameter_is_read():

@@ -1,15 +1,18 @@
-"""Truncated Witt ring arithmetic against ring axioms and frozen values."""
+"""Truncated Witt ring arithmetic against ring axioms, frozen values and
+the universal polynomials (the second route of the ghost arithmetic)."""
 
 import itertools
+import random
 
 import pytest
 
-from framecalc import witt
-from framecalc.rings import (dual_number_extension, dual_numbers,
+from framecalc import witt, wittpoly
+from framecalc.rings import (RingMismatch, dual_number_extension, dual_numbers,
                              extension_field, prime_field,
                              truncated_poly_ring)
 from framecalc.witt import (LogCoords, NotInIdeal, TruncationUnderflow,
-                            WittRing, divided_frobenius, frobenius_fixed,
+                            WittRing, WittVector, divided_frobenius,
+                            frobenius_fixed,
                             log_elements, log_from_witt, log_shift,
                             teichmuller, truncate, verschiebung,
                             verschiebung_trunc, witt_frobenius)
@@ -179,3 +182,84 @@ def test_memo_stops_growing_at_the_cap(monkeypatch):
                 assert capped.neg(y) == plain.neg(y)
                 assert len(capped._memo) <= 50
     assert len(capped._memo) == 50
+
+
+# ---------------------------------------------------------------------------
+# The ghost route on the flat lift against the universal polynomials
+# ---------------------------------------------------------------------------
+
+def _polynomial_route(wr, op, *args):
+    """The reference: component n is wittpoly's mod-p term list of op at
+    index n, evaluated at components 0..n of the arguments."""
+    return WittVector(wr, tuple(
+        wittpoly.eval_poly(wittpoly.eval_terms(wr.p, op, n),
+                           sum((x.comps[:n + 1] for x in args), ()), wr.ring)
+        for n in range(wr.m)))
+
+
+def _unmemoized(monkeypatch, ring, m):
+    # a fresh ring without a memo, so every operation takes the lift route
+    monkeypatch.setattr(WittRing, "_instances", {})
+    wr = WittRing(ring, m)
+    wr._memo = None
+    return wr
+
+
+def _assert_routes_agree(wr, pairs):
+    for x, y in pairs:
+        assert wr.add(x, y) == _polynomial_route(wr, "sum", x, y), (x, y)
+        assert wr.mul(x, y) == _polynomial_route(wr, "prod", x, y), (x, y)
+        assert wr.neg(x) == _polynomial_route(wr, "neg", x), x
+
+
+@pytest.mark.parametrize("ring,m", [
+    (prime_field(2), 3), (prime_field(3), 2), (extension_field(3, 2), 2),
+    (dual_numbers(3), 2)], ids=["W3(F2)", "W2(F3)", "W2(F9)", "W2(F3[e]/e2)"])
+def test_lift_route_matches_the_polynomials_exhaustively(monkeypatch, ring, m):
+    wr = _unmemoized(monkeypatch, ring, m)
+    els = list(wr.elements())
+    _assert_routes_agree(wr, itertools.product(els, repeat=2))
+
+
+@pytest.mark.parametrize("ring,m,count", [
+    (prime_field(3), 3, 2000), (dual_numbers(3), 3, 1000),
+    (truncated_poly_ring(2, "e", 3), 3, 1000), (extension_field(2, 2), 3, 1000),
+    (prime_field(5), 3, 1000), (dual_numbers(5), 3, 500)],
+    ids=["W3(F3)", "W3(F3[e]/e2)", "W3(F2[e]/e3)", "W3(F4)", "W3(F5)", "W3(F5[e]/e2)"])
+def test_lift_route_matches_the_polynomials_on_seeded_pairs(monkeypatch, ring, m, count):
+    wr = _unmemoized(monkeypatch, ring, m)
+    rng = random.Random(f"{ring!r}/{m}")
+    base = list(ring.elements())
+
+    def draw():
+        return wr.el([rng.choice(base) for _ in range(m)])
+    _assert_routes_agree(wr, [(draw(), draw()) for _ in range(count)])
+
+
+def test_lifted_table_reduces_the_modulus_over_the_integers():
+    # F_9 = F_3[t]/(t^2 + 1): t * t = -1 is 2 mod 3 and 8 mod 9
+    F9 = extension_field(3, 2, [1, 0, 1])
+    t = F9.el({(): [0, 1]})
+    assert F9._lifted == {}
+    assert (t * t).coeffs == (2, 0) and (1, 1, 0, 2) in F9._mul
+    assert F9.lift_mul(t.coeffs, t.coeffs, 2) == [8, 0]
+    assert (1, 1, 0, 8) in F9._lifted[2]
+    assert sorted((i, j, k) for i, j, k, _ in F9._lifted[2]) == \
+        sorted((i, j, k) for i, j, k, _ in F9._mul)
+
+
+def test_inexact_ghost_inversion_raises():
+    # w_1 = 1 with c_0 = 0 asks for c_1 = 1/3 in W_2(F_3)
+    wr = WittRing(prime_field(3), 2)
+    with pytest.raises(AssertionError):
+        wr._from_ghosts(wr.ring.zero(), [[1]])
+    assert wr._from_ghosts(wr.ring.zero(), [[3]]) == wr.el([0, 1])
+
+
+def test_witt_rings_of_different_rings_do_not_mix():
+    x = WittRing(prime_field(3), 2).one()
+    for other in (WittRing(prime_field(3), 3), WittRing(dual_numbers(3), 2)):
+        with pytest.raises(RingMismatch):
+            x + other.one()
+        assert x != other.one()
+    assert x == WittRing(prime_field(3), 2).el([1, 0])
