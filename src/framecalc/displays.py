@@ -15,8 +15,9 @@ is S0 (`Frame.p_is_s0`); terms through t vanish over a frame with t = 0
 sum of its `GradedElem.__mul__` terms.
 
 Over the zip frame a display is the same thing as an F-zip, and `to_fzip` /
-`from_fzip` realize the translation concretely; F-zip isomorphism via raw
-filtered semilinear algebra is the independent cross-check for orbit counts.
+`from_fzip` realize the translation concretely; F-zip isomorphism, F_p-linear
+algebra on the space Hom(z1, z2) of filtered semilinear morphisms, is the
+independent cross-check for orbit counts.
 """
 
 from __future__ import annotations
@@ -551,43 +552,112 @@ def is_isomorphic_bruteforce(d1, d2, cap=10 ** 7):
 
 
 def fzip_isomorphic(z1, z2, cap=10 ** 7):
-    """F-zip isomorphism by raw filtered semilinear algebra.
+    """F-zip isomorphism by F_p-linear algebra on Hom(z1, z2).
 
-    Enumerates invertible g over R preserving both filtrations and commuting
-    with the graded semilinear maps; independent of the display-group action.
+    A morphism g preserves C and D and commutes with the graded semilinear
+    maps alpha.  Frobenius on R is F_p-linear, so every condition is
+    F_p-linear in the F_p-coordinates of g: Hom(z1, z2) is an F_p-subspace,
+    and z1 and z2 are isomorphic exactly when it holds an invertible g.
+    `_fzip_hom` finds a basis with two `linalg.kernel_modp` calls, one for
+    the filtrations and one for alpha; its p^dim elements are enumerated,
+    and past `cap` that raises EnumerationTooLarge before any is.  An
+    invertible element is confirmed by the full predicate
+    `_is_fzip_morphism`, and a failed confirmation raises, so a wrong
+    kernel can never invent an isomorphism.  Independent of the
+    display-group action.
     """
     if z1.weights != z2.weights or z1.ring != z2.ring:
         return False
-    R = z1.ring
-    n = z1.n
+    R, n = z1.ring, z1.n
+    spans = _fzip_spans(z1, z2)
+    hom = _fzip_hom(z1, z2, spans)
+    if R.p ** len(hom) > cap:
+        raise EnumerationTooLarge(f"|Hom| = {R.p}^{len(hom)} exceeds cap {cap}")
+    for coeffs in itertools.product(range(R.p), repeat=len(hom)):
+        g = _fp_matrix(R, n, linalg.combine_modp(R.p, hom, coeffs, n * n * R.dim))
+        if linalg.is_invertible(R, g):
+            if not _is_fzip_morphism(z1, z2, g, spans):
+                raise AssertionError("an element of the Hom kernel is no F-zip morphism")
+            return True
+    return False
 
-    def image(g, v):
-        return [R.dot(row, v) for row in g]
 
-    # z2's filtration steps as spans on F_p-coordinates, eliminated once
+def _fp_matrix(R, n, vec):
+    """The n x n matrix over R with the F_p-coordinates vec, entry by entry
+    in row-major order."""
+    k = R.dim
+    return [[R.from_coords(vec[(i * n + j) * k:(i * n + j + 1) * k])
+             for j in range(n)] for i in range(n)]
+
+
+def _image(R, g, v):
+    return [R.dot(row, v) for row in g]
+
+
+def _fzip_spans(z1, z2):
+    """z2's filtration steps, paired with z1's, and D2_{i-1} for each alpha
+    step i, as spans on F_p-coordinates."""
+    R, n = z1.ring, z1.n
     targets = [(F1, {i: linalg.ring_span(R, cols, n) for i, cols in F2.items()})
                for F1, F2 in ((z1.C, z2.C), (z1.D, z2.D))]
     below = {i: linalg.ring_span(R, z2.D.get(i - 1, []), n) for i in z1.alpha}
+    return targets, below
 
-    def preserves_filtrations(g):
-        return all(linalg.fp_coords(image(g, c)) in F2[i]
-                   for F1, F2 in targets for i, cols in F1.items() for c in cols)
 
-    def commutes(g, i, r, v):
-        # alpha2(gr g^(p) (r)) == gr g (alpha1(r))  modulo D_{i-1}: the class
-        # of gr mod C^{i+1} determines alpha2 of its Frobenius twist
-        img2 = _alpha_apply(z2, i, [c.frobenius() for c in image(g, r)],
-                            z2.C.get(i + 1, []))
-        return img2 is not None and linalg.fp_coords(
-            [x - y for x, y in zip(img2, image(g, v))]) in below[i]
+def _filtration_defect(R, g, targets):
+    """g's images of the columns of z1's C and D, reduced by z2's steps, as
+    one stream of F_p-coordinates: all zero exactly when g preserves both
+    filtrations, and linear in g (`Span.reduce` is)."""
+    return (x for F1, F2 in targets for i, cols in F1.items() for c in cols
+            for x in F2[i].reduce(linalg.fp_coords(_image(R, g, c))))
 
-    for combo in itertools.product(R.elements(cap), repeat=n * n):
-        g = [[combo[i * n + j] for j in range(n)] for i in range(n)]
-        if (linalg.is_invertible(R, g) and preserves_filtrations(g)
-                and all(commutes(g, i, r, v) for i, pairs in z1.alpha.items()
-                        for r, v in pairs)):
-            return True
-    return False
+
+def _alpha_defects(z1, z2, g, below):
+    """For each (r, v) in z1.alpha[i]: alpha2(gr g^(p)(r)) - g v reduced
+    modulo D2_{i-1}, or None when g r has no class in gr_C^i of z2.  The
+    class of g r mod C2^{i+1} determines alpha2 of its Frobenius twist."""
+    R = z1.ring
+    for i, pairs in z1.alpha.items():
+        for r, v in pairs:
+            img2 = _alpha_apply(z2, i, [c.frobenius() for c in _image(R, g, r)],
+                                z2.C.get(i + 1, []))
+            yield None if img2 is None else below[i].reduce(linalg.fp_coords(
+                [x - y for x, y in zip(img2, _image(R, g, v))]))
+
+
+def _is_fzip_morphism(z1, z2, g, spans):
+    """Whether g preserves both filtrations and commutes with alpha."""
+    targets, below = spans
+    return not any(_filtration_defect(z1.ring, g, targets)) and all(
+        d is not None and not any(d) for d in _alpha_defects(z1, z2, g, below))
+
+
+def _fzip_hom(z1, z2, spans):
+    """A basis of Hom(z1, z2) on F_p-coordinates of length n^2 dim R; basis
+    vector e is the matrix E_ij b for b in R's F_p-basis.
+
+    Stage 1: each basis matrix gives one column, its filtration defect; the
+    kernel is the filtration-preserving subspace V.  Stage 2: each basis
+    vector of V gives one column, its alpha defects; the kernel, in
+    V-coordinates, is Hom.  `_alpha_apply` takes the rref solution with the
+    free variables 0, which is linear in the right-hand side, and on V
+    every g r lies in C2^i, so the solve exists.
+    """
+    R, n = z1.ring, z1.n
+    p, width = R.p, n * n * R.dim
+    targets, below = spans
+    units = ([int(a == b) for a in range(width)] for b in range(width))
+    V = linalg.kernel_modp(p, [list(_filtration_defect(R, _fp_matrix(R, n, e), targets))
+                               for e in units])
+    cols = []
+    for e in V:
+        col = []
+        for d in _alpha_defects(z1, z2, _fp_matrix(R, n, e), below):
+            if d is None:
+                raise AssertionError("a filtration-preserving g leaves gr_C^i")
+            col.extend(d)
+        cols.append(col)
+    return [linalg.combine_modp(p, V, x, width) for x in linalg.kernel_modp(p, cols)]
 
 
 def _alpha_apply(z, i, w_frob, above_C):

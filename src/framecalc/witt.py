@@ -61,6 +61,9 @@ class WittRing:
         # operation tables fit comfortably (enumeration-heavy workloads), up
         # to MEMO_CAP entries
         self._memo = {} if self.size <= 4096 else None
+        # the lifted p-power rows of `_row`, one per element of R, up to
+        # MEMO_CAP of them
+        self._rows = {}
         self.residue_field = ring.residue_field
         # Witt vectors are never mutated, so the constants are built once
         self._zero = self.el([0] * m)
@@ -175,12 +178,21 @@ class WittRing:
 
     # -- the ghost route on the flat lift ----------------------------------------
 
-    def _pth(self, a):
-        """a^p on the flat lift mod p^m."""
-        out = a
-        for _ in range(self.p - 1):
-            out = self.ring.lift_mul(out, a, self.m)
-        return out
+    def _row(self, coeffs):
+        """[x, x^p, ..., x^(p^(m-1))] mod p^m for the lift x of an element
+        of R with the given coordinates, built once per element."""
+        row = self._rows.get(coeffs)
+        if row is None:
+            lift_mul, m = self.ring.lift_mul, self.m
+            row = [coeffs]
+            for _ in range(m - 1):
+                a = out = row[-1]
+                for _ in range(self.p - 1):
+                    out = lift_mul(out, a, m)
+                row.append(out)
+            if len(self._rows) < MEMO_CAP:
+                self._rows[coeffs] = row
+        return row
 
     def _weighted(self, powers, n):
         """sum_{i<=n} p^i powers[i][n-i] over the rows of powers, where
@@ -194,14 +206,8 @@ class WittRing:
     def _ghosts(self, x):
         """w_1..w_{m-1} of x on the flat lift mod p^m, each component lifted
         by its coordinates: w_n = sum_{i<=n} p^i x_i^(p^(n-i))."""
-        m = self.m
-        powers = []
-        for i, c in enumerate(x.comps):
-            row = [c.coeffs]
-            for _ in range(m - 1 - i):
-                row.append(self._pth(row[-1]))
-            powers.append(row)
-        return [self._weighted(powers, n) for n in range(1, m)]
+        powers = [self._row(c.coeffs) for c in x.comps]
+        return [self._weighted(powers, n) for n in range(1, self.m)]
 
     def _from_ghosts(self, c0, ghosts):
         """The Witt vector with component 0 c0 and ghost components
@@ -210,17 +216,15 @@ class WittRing:
         each c_i is its coordinates; the division must be exact."""
         p, ring = self.p, self.ring
         comps = [c0]
-        powers = [[c0.coeffs]]
+        powers = [self._row(c0.coeffs)]
         for n, w in enumerate(ghosts, 1):
-            for row in powers:
-                row.append(self._pth(row[-1]))
             q = p ** n
             num = [a - b for a, b in zip(w, self._weighted(powers, n))]
             if any(a % q for a in num):
                 raise AssertionError("ghost inversion is not exact")
             c = RingElem(ring, tuple([a // q % p for a in num]))
             comps.append(c)
-            powers.append([c.coeffs])
+            powers.append(self._row(c.coeffs))
         return WittVector(self, tuple(comps))
 
 

@@ -1,5 +1,6 @@
 """Graded matrices, the display group action, F-zips, and orbit counts."""
 
+import functools
 import itertools
 import random
 
@@ -7,11 +8,13 @@ import pytest
 
 from framecalc import displays as displays_module
 from framecalc import linalg
-from framecalc.rings import EnumerationTooLarge, extension_field, prime_field
+from framecalc.rings import (EnumerationTooLarge, dual_numbers, extension_field,
+                             prime_field)
 from framecalc.frames import WittFrame, ZipFrame
 from framecalc.displays import (Display, GradedElem, GradedMatrix,
                                 all_displays, classify_fzips, classify_orbits,
-                                dual, from_fzip, group_elements,
+                                dual, from_fzip, fzip_isomorphic,
+                                group_elements,
                                 in_display_group, is_isomorphic_bruteforce,
                                 orbit_search, tensor, to_fzip, twist,
                                 unit_display)
@@ -20,6 +23,7 @@ from framecalc.fixtures import fixture_frames, rand_group_element, rand_payload
 
 F3 = prime_field(3)
 ZF3 = ZipFrame(F3)
+ZF2 = ZipFrame(prime_field(2))
 WF3 = WittFrame(F3, 2)
 
 
@@ -182,6 +186,145 @@ def test_orbit_count_rank1_f3():
     zips = classify_fzips(ZF3, (1,))
     assert len(orbits) == 2
     assert len(zips) == 2
+
+
+@pytest.mark.parametrize("ring,sizes", [
+    (extension_field(2, 2), [12, 12, 12, 144]), (dual_numbers(2), [16, 16, 64])],
+    ids=["F4", "F2[e]/e2"])
+def test_orbit_count_beyond_prime_fields_dual_route(ring, sizes):
+    zf = ZipFrame(ring)
+    orbits = classify_orbits(zf, (1, 0))
+    zips = classify_fzips(zf, (1, 0))
+    assert sorted(len(o) for o in orbits) == sizes
+    assert len(zips) == len(sizes)
+
+
+def _fzip_isomorphic_bruteforce(z1, z2):
+    """The reference route: every n x n matrix over R, tested for the
+    F-zip morphism conditions and invertibility."""
+    if z1.weights != z2.weights or z1.ring != z2.ring:
+        return False
+    R, n = z1.ring, z1.n
+    spans = displays_module._fzip_spans(z1, z2)
+    for combo in itertools.product(list(R.elements()), repeat=n * n):
+        g = [list(combo[i * n:(i + 1) * n]) for i in range(n)]
+        if (displays_module._is_fzip_morphism(z1, z2, g, spans)
+                and linalg.is_invertible(R, g)):
+            return True
+    return False
+
+
+def _random_display(frame, mu, rng):
+    return Display(frame, mu, rand_group_element(frame, (0,) * len(mu), rng).tau())
+
+
+def _act_pairs(frame, count, rng):
+    """(1,0) pairs; every odd-numbered second display is the first one
+    moved by a random element of the display group."""
+    mu = (1, 0)
+    pairs = []
+    for k in range(count):
+        d1 = _random_display(frame, mu, rng)
+        d2 = (d1.act(rand_group_element(frame, mu, rng)) if k % 2
+              else _random_display(frame, mu, rng))
+        pairs.append((d1, d2))
+    return pairs
+
+
+def _drawn_pairs(frame, mu, count, rng):
+    displays = list(all_displays(frame, len(mu), mu))
+    return [(rng.choice(displays), rng.choice(displays)) for _ in range(count)]
+
+
+FZIP_PAIRS = {
+    "F2 (1,0)": lambda rng: list(itertools.product(all_displays(ZF2, 2, (1, 0)),
+                                                   repeat=2)),
+    "F3 (1,0)": lambda rng: _drawn_pairs(ZF3, (1, 0), 300, rng),
+    "F2 (2,1,0)": lambda rng: _drawn_pairs(ZF2, (2, 1, 0), 30, rng),
+    "F9 (1,0)": lambda rng: _act_pairs(ZipFrame(extension_field(3, 2)), 6, rng),
+    "F3[e]/e2 (1,0)": lambda rng: _act_pairs(ZipFrame(dual_numbers(3)), 6, rng),
+}
+ACT_PAIRS = ("F9 (1,0)", "F3[e]/e2 (1,0)")
+
+
+@functools.lru_cache(maxsize=None)
+def _fzip_pairs(name):
+    rng = random.Random(f"fzip pairs {name}")
+    return [(to_fzip(d1), to_fzip(d2)) for d1, d2 in FZIP_PAIRS[name](rng)]
+
+
+def _hom_elements(z1, z2):
+    """Every element of Hom(z1, z2) from the kernel basis, as matrices."""
+    R, n = z1.ring, z1.n
+    hom = displays_module._fzip_hom(z1, z2, displays_module._fzip_spans(z1, z2))
+    return [displays_module._fp_matrix(
+                R, n, linalg.combine_modp(R.p, hom, c, n * n * R.dim))
+            for c in itertools.product(range(R.p), repeat=len(hom))]
+
+
+@pytest.mark.parametrize("name", list(FZIP_PAIRS))
+def test_fzip_isomorphic_matches_the_full_enumeration(name):
+    pairs = _fzip_pairs(name)
+    found = [fzip_isomorphic(z1, z2) for z1, z2 in pairs]
+    assert found == [_fzip_isomorphic_bruteforce(z1, z2) for z1, z2 in pairs]
+    if name in ACT_PAIRS:
+        assert all(found[1::2])
+    assert any(found) and not all(found)
+
+
+@pytest.mark.parametrize("name", list(FZIP_PAIRS))
+def test_fzip_hom_is_a_subspace_of_morphisms(name):
+    # every element of the kernel span is a morphism, so the morphisms the
+    # kernels find are closed under addition; z is isomorphic to itself
+    # through the identity, which Hom(z, z) holds
+    for z1, z2 in _fzip_pairs(name):
+        spans = displays_module._fzip_spans(z1, z2)
+        for g in _hom_elements(z1, z2):
+            assert displays_module._is_fzip_morphism(z1, z2, g, spans)
+        R, n = z1.ring, z1.n
+        assert linalg.identity(R, n) in _hom_elements(z1, z1)
+        assert fzip_isomorphic(z1, z1)
+
+
+def test_fzip_hom_is_every_morphism_over_f2():
+    # all 16 matrices against the kernel span, for all 36 (1,0) pairs
+    def coords(g):
+        return tuple(x.coeffs for row in g for x in row)
+
+    R = prime_field(2)
+    for z1, z2 in _fzip_pairs("F2 (1,0)"):
+        spans = displays_module._fzip_spans(z1, z2)
+        matrices = ([list(c[:2]), list(c[2:])]
+                    for c in itertools.product(list(R.elements()), repeat=4))
+        morphisms = {coords(g) for g in matrices
+                     if displays_module._is_fzip_morphism(z1, z2, g, spans)}
+        assert morphisms == {coords(g) for g in _hom_elements(z1, z2)}
+
+
+def test_fzip_isomorphism_cap_bounds_the_hom_enumeration():
+    # Hom(z, z) holds F_3 times the identity, so it has at least 3 elements
+    z = to_fzip(next(all_displays(ZF3, 2, (1, 0))))
+    with pytest.raises(EnumerationTooLarge):
+        fzip_isomorphic(z, z, cap=2)
+    assert fzip_isomorphic(z, z, cap=3 ** 4)
+
+
+def test_fzip_isomorphism_tests_at_most_the_hom_elements(monkeypatch):
+    # the full enumeration over F_9 could test 9^4 = 6,561 matrices
+    pairs = _fzip_pairs("F9 (1,0)")
+    sizes = [len(_hom_elements(z1, z2)) for z1, z2 in pairs]
+    calls = []
+    real = linalg.is_invertible
+
+    def counted(ring, A):
+        calls.append(1)
+        return real(ring, A)
+    monkeypatch.setattr(linalg, "is_invertible", counted)
+    for (z1, z2), size in zip(pairs, sizes):
+        del calls[:]
+        found = fzip_isomorphic(z1, z2)
+        assert 1 <= len(calls) <= size
+        assert found or len(calls) == size
 
 
 def test_orbit_search_needs_a_group():

@@ -248,6 +248,30 @@ def test_lifted_table_reduces_the_modulus_over_the_integers():
         sorted((i, j, k) for i, j, k, _ in F9._mul)
 
 
+@pytest.mark.parametrize("ring", [dual_numbers(3), truncated_poly_ring(2, "e", 3)],
+                         ids=["W3(F3[e]/e2)", "W3(F2[e]/e3)"])
+def test_lifted_rows_are_the_repeated_products(ring):
+    # row j of an element x is x^(p^j) on the flat lift mod p^3, here the
+    # chain of p^j - 1 products by x; arithmetic leaves the shared rows as
+    # they are
+    wr = WittRing(ring, 3)
+    p = ring.p
+    for x in ring.elements():
+        power, chain = list(x.coeffs), [list(x.coeffs)]
+        for k in range(2, p ** 2 + 1):
+            power = ring.lift_mul(power, x.coeffs, 3)
+            if k in (p, p ** 2):
+                chain.append(power)
+        assert [list(r) for r in wr._row(x.coeffs)] == chain
+        assert wr._row(x.coeffs) is wr._row(x.coeffs)
+    rng = random.Random(7)
+    base = list(ring.elements())
+    for _ in range(200):
+        x, y = (wr.el([rng.choice(base) for _ in range(3)]) for _ in range(2))
+        assert x + y == y + x and x * y == y * x and -(-x) == x
+    assert {len(row) for row in wr._rows.values()} == {3}
+
+
 def test_inexact_ghost_inversion_raises():
     # w_1 = 1 with c_0 = 0 asks for c_1 = 1/3 in W_2(F_3)
     wr = WittRing(prime_field(3), 2)
