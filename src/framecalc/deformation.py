@@ -160,7 +160,7 @@ def tau_inverse_kernel(relframe, mu, Y):
             if e.is_zero():
                 continue
             if d >= 1:
-                pay = (_shift_witt(e), e.comps[0])
+                pay = (_shift_witt(e), e.comp(0))
             else:
                 pay = e
             out.entries[i][j] = out.entries[i][j] + GradedElem(relframe, d, pay)
@@ -706,7 +706,7 @@ def stabilizer_lifts(d, tower, coords_res, orth=False):
     perturbations after base change (their entries multiply J-supported
     Witt vectors to zero), so one representative per component is enough.
     """
-    z0 = project_witt_display(tower.frame, lambda w: w.comps[0], d)
+    z0 = project_witt_display(tower.frame, lambda w: w.comp(0), d)
     target = Display(d.frame, d.mu, d.phi, check=False)
     return list(_tower_search(tower, coords_res, d, z0, z0, target, orth))
 

@@ -278,7 +278,9 @@ def orth_group_factors(frame, mu):
     ((a, H, xm, xp), g) with g = l u- u+: the Levi factor diag(a, H, a^-1)
     (H in O_2), then exp_minus_orth(xm) and exp_plus_orth(xp).
 
-    The factorization is unique; that is checked by deduplication.
+    The factorization is unique; that is checked by deduplication on the
+    payload coordinates of g, read as one integer in base p, so by value
+    and not by hash, at the memory of one integer per element.
     """
     if tuple(mu) != (1, 0, 0, -1):
         raise ValueError("enumeration implemented for the K3 type only")
@@ -293,7 +295,10 @@ def orth_group_factors(frame, mu):
                 lum = l * exp_minus_orth(frame, mu, list(xm))
                 for xp in itertools.product(p_all, repeat=2):
                     g = lum * exp_plus_orth(frame, mu, list(xp))
-                    key = hash(g)
+                    key = 0
+                    for c in itertools.chain.from_iterable(
+                            e.payload.coeffs for row in g.entries for e in row):
+                        key = key * frame.p + c
                     if key in seen:
                         raise AssertionError("factorization is not unique")
                     seen.add(key)

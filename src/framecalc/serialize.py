@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .rings import ArtinRing, Field, SquareZeroExtension
-from .witt import WittRing, WittVector
+from .witt import WittRing
 from .frames import (RelativeFrame, TautologicalFrame, WittFrame, ZipFrame)
 from .displays import Display
 from .orthogonal import OrthDisplay

@@ -1,10 +1,18 @@
 """Truncated Witt vectors W_m(R) over monomial-quotient rings.
 
-W_m stores components with indices 0..m-1.  Verschiebung raises the length,
-Frobenius lowers it; the fixed-length Frobenius lift used by frames is the
-component-wise p-power map (the universal correction terms vanish in
-characteristic p, which the tests check against the ghost-derived
-polynomials).
+W_m stores components with indices 0..m-1.  An element is stored flat, as
+`rings` stores an element of R: one tuple `coeffs` of its components'
+F_p-coordinates, component-major, so component n is coeffs[n*d:(n+1)*d] with
+d = dim R.  Equality, hashing, enumeration, the memo keys and the structure
+maps work on that tuple; `comps` is a read-only view of the components as
+elements of R.  Verschiebung raises the length, Frobenius lowers it; the
+fixed-length Frobenius lift used by frames is the component-wise p-power map
+(the universal correction terms vanish in characteristic p, which the tests
+check against the ghost-derived polynomials).
+
+On a small ring one operation memo per W_m(R), keyed on the operands'
+coordinate tuples, holds sums, products, negatives and the fixed-length
+Frobenius.
 
 Sums and products run on ghost components.  R = F_q[x]/I has the flat lift
 R~ = W(F_q)[x]/I with the same basis (`ArtinRing.lift_mul`); R~ has no
@@ -20,19 +28,22 @@ Only the Frobenius W_m -> W_{m-1} evaluates the universal polynomials of
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import wittpoly
 from .rings import EnumerationTooLarge, NotAUnit, RingElem, RingMismatch
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
-# about 55 MiB at some 435 bytes an entry over W_2(F_3[e]/e^2); the largest
-# benchmark workload fills 17,089 (add, mul and neg together).
+# about 29 MiB at some 230 bytes an entry over W_2(F_3[e]/e^2); the largest
+# benchmark fill is 17,090 on witt-kernel and 13,380 on frame-axioms (add,
+# mul, neg and Frobenius together).
 MEMO_CAP = 1 << 17
 
 
 class WittRing:
     """Arithmetic context for W_m(R): the ghost route on the flat lift, the
-    Frobenius term lists and, for a small ring, the operation memo.
+    Frobenius term lists and, for a small ring, the operation memo of
+    `add`, `mul`, `neg` and `frobenius_fixed`.
 
     Instances are interned on (ring, m) so the term lists and the
     small-ring operation tables are shared by every construction site.
@@ -57,9 +68,15 @@ class WittRing:
         self.p = ring.p
         self.size = ring.size ** m
         self._frob = [wittpoly.eval_terms(self.p, "frob", n) for n in range(max(m - 1, 0))]
-        # memoize add, mul and neg when the ring is small enough that the
-        # operation tables fit comfortably (enumeration-heavy workloads), up
-        # to MEMO_CAP entries
+        # the slice of each component in an element's coeffs, and the split
+        # of coeffs into the tuple of component coordinates
+        d = ring.dim
+        self._cuts = tuple(slice(i, i + d) for i in range(0, m * d, d))
+        self._split = operator.itemgetter(*self._cuts) if m > 1 else (lambda c: (c,))
+        # memoize add, mul, neg and the fixed-length Frobenius, keyed on the
+        # operands' coeffs, when the ring is small enough that the operation
+        # tables fit comfortably (enumeration-heavy workloads), up to
+        # MEMO_CAP entries
         self._memo = {} if self.size <= 4096 else None
         # the lifted p-power rows of `_row`, one per element of R, up to
         # MEMO_CAP of them
@@ -83,10 +100,14 @@ class WittRing:
     # -- construction ---------------------------------------------------------
 
     def el(self, comps):
-        comps = tuple(self.ring.el(c) for c in comps)
-        if len(comps) != self.m:
+        """The Witt vector with the given components (anything `ring.el`
+        takes)."""
+        coeffs = []
+        for c in comps:
+            coeffs += self.ring.el(c).coeffs
+        if len(coeffs) != self.m * self.ring.dim:
             raise ValueError(f"expected {self.m} components")
-        return WittVector(self, comps)
+        return WittVector(self, tuple(coeffs))
 
     def zero(self):
         return self._zero
@@ -108,14 +129,15 @@ class WittRing:
     def elements(self, cap=10 ** 7):
         if self.size > cap:
             raise EnumerationTooLarge(f"|W_m(R)| = {self.size} exceeds cap {cap}")
-        base = list(self.ring.elements(cap))
-        for combo in itertools.product(base, repeat=self.m):
-            yield WittVector(self, combo)
+        # lexicographic in coeffs: the lexicographic order of the component
+        # tuples, each component in the order of `ring.elements`
+        for coeffs in itertools.product(range(self.p), repeat=self.m * self.ring.dim):
+            yield WittVector(self, coeffs)
 
     # -- residue interface (W_m(R) is local with the same residue field) -------
 
     def to_residue(self, x):
-        return self.ring.to_residue(x.comps[0])
+        return self.ring.to_residue(x.comp(0))
 
     def lift_residue(self, c):
         return self.el([self.ring.lift_residue(c)] + [0] * (self.m - 1))
@@ -123,30 +145,32 @@ class WittRing:
     # -- core arithmetic -------------------------------------------------------
 
     def add(self, x, y):
-        if self._memo is not None:
-            key = ("+",) + tuple([c.coeffs for c in x.comps + y.comps])
-            hit = self._memo.get(key)
+        memo = self._memo
+        if memo is not None:
+            key = ("+", x.coeffs, y.coeffs)
+            hit = memo.get(key)
             if hit is not None:
                 return hit
         ghosts = [[a + b for a, b in zip(u, v)]
                   for u, v in zip(self._ghosts(x), self._ghosts(y))]
-        out = self._from_ghosts(x.comps[0] + y.comps[0], ghosts)
-        if self._memo is not None and len(self._memo) < MEMO_CAP:
-            self._memo[key] = out
+        out = self._from_ghosts(x.comp(0) + y.comp(0), ghosts)
+        if memo is not None and len(memo) < MEMO_CAP:
+            memo[key] = out
         return out
 
     def mul(self, x, y):
-        if self._memo is not None:
-            key = ("*",) + tuple([c.coeffs for c in x.comps + y.comps])
-            hit = self._memo.get(key)
+        memo = self._memo
+        if memo is not None:
+            key = ("*", x.coeffs, y.coeffs)
+            hit = memo.get(key)
             if hit is not None:
                 return hit
         lift_mul, m = self.ring.lift_mul, self.m
         ghosts = [lift_mul(u, v, m)
                   for u, v in zip(self._ghosts(x), self._ghosts(y))]
-        out = self._from_ghosts(x.comps[0] * y.comps[0], ghosts)
-        if self._memo is not None and len(self._memo) < MEMO_CAP:
-            self._memo[key] = out
+        out = self._from_ghosts(x.comp(0) * y.comp(0), ghosts)
+        if memo is not None and len(memo) < MEMO_CAP:
+            memo[key] = out
         return out
 
     def dot(self, xs, ys):
@@ -161,19 +185,20 @@ class WittRing:
         return self._zero if acc is None else acc
 
     def neg(self, x):
-        if self._memo is not None:
-            key = ("-",) + tuple([c.coeffs for c in x.comps])
-            hit = self._memo.get(key)
+        memo, p = self._memo, self.p
+        if memo is not None:
+            key = ("-", x.coeffs)
+            hit = memo.get(key)
             if hit is not None:
                 return hit
-        if self.p == 2:
+        if p == 2:
             ghosts = [[-a for a in u] for u in self._ghosts(x)]
-            out = self._from_ghosts(-x.comps[0], ghosts)
+            out = self._from_ghosts(-x.comp(0), ghosts)
         else:
             # -1 = [-1] for odd p, and [a] x = (a x_0, a^p x_1, ...)
-            out = WittVector(self, tuple([-c for c in x.comps]))
-        if self._memo is not None and len(self._memo) < MEMO_CAP:
-            self._memo[key] = out
+            out = WittVector(self, tuple([-a % p for a in x.coeffs]))
+        if memo is not None and len(memo) < MEMO_CAP:
+            memo[key] = out
         return out
 
     # -- the ghost route on the flat lift ----------------------------------------
@@ -206,7 +231,7 @@ class WittRing:
     def _ghosts(self, x):
         """w_1..w_{m-1} of x on the flat lift mod p^m, each component lifted
         by its coordinates: w_n = sum_{i<=n} p^i x_i^(p^(n-i))."""
-        powers = [self._row(c.coeffs) for c in x.comps]
+        powers = [self._row(c) for c in self._split(x.coeffs)]
         return [self._weighted(powers, n) for n in range(1, self.m)]
 
     def _from_ghosts(self, c0, ghosts):
@@ -214,42 +239,59 @@ class WittRing:
         ghosts[n-1] = w_n on the flat lift, by inverting the ghost map:
         c_n = (w_n - sum_{i<n} p^i c_i^(p^(n-i))) / p^n mod p.  The lift of
         each c_i is its coordinates; the division must be exact."""
-        p, ring = self.p, self.ring
-        comps = [c0]
+        p = self.p
+        coeffs = list(c0.coeffs)
         powers = [self._row(c0.coeffs)]
         for n, w in enumerate(ghosts, 1):
             q = p ** n
             num = [a - b for a, b in zip(w, self._weighted(powers, n))]
             if any(a % q for a in num):
                 raise AssertionError("ghost inversion is not exact")
-            c = RingElem(ring, tuple([a // q % p for a in num]))
-            comps.append(c)
-            powers.append(self._row(c.coeffs))
-        return WittVector(self, tuple(comps))
+            c = tuple([a // q % p for a in num])
+            coeffs += c
+            powers.append(self._row(c))
+        return WittVector(self, tuple(coeffs))
 
 
 class WittVector:
-    """Element of W_m(R)."""
+    """Element of W_m(R): the flat tuple `coeffs` of its components'
+    F_p-coordinates, component-major.  Build one through `WittRing.el`,
+    `WittRing.elements` or arithmetic; only this module calls the class.
 
-    __slots__ = ("wring", "comps")
+    `comps` and `comp` read components as elements of R.  The hash is that
+    of the tuple of the components' coordinate tuples, so sets and dicts of
+    Witt vectors keep the order they had when elements were stored as a
+    tuple of ring elements.
+    """
 
-    def __init__(self, wring, comps):
+    __slots__ = ("wring", "coeffs")
+
+    def __init__(self, wring, coeffs):
         self.wring = wring
-        self.comps = comps
+        self.coeffs = coeffs
+
+    @property
+    def comps(self):
+        """The components as elements of R, built on each read."""
+        ring = self.wring.ring
+        return tuple([RingElem(ring, c) for c in self.wring._split(self.coeffs)])
+
+    def comp(self, n):
+        """Component n as an element of R, without building the others."""
+        return RingElem(self.wring.ring, self.coeffs[self.wring._cuts[n]])
 
     def __eq__(self, other):
-        return (isinstance(other, WittVector)
-                and (self.wring is other.wring or self.wring == other.wring)
-                and self.comps == other.comps)
+        return (isinstance(other, WittVector) and self.coeffs == other.coeffs
+                and (self.wring is other.wring or self.wring == other.wring))
 
     def __hash__(self):
-        return hash(tuple([c.coeffs for c in self.comps]))
+        return hash(self.wring._split(self.coeffs))
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.comps) + ")"
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
+        return not any(self.coeffs)
 
     def _check(self, other):
         if self.wring is not other.wring and self.wring != other.wring:
@@ -321,13 +363,14 @@ class NotInIdeal(ValueError):
 
 def verschiebung(x):
     """(x_0,...,x_{m-1}) -> (0, x_0,...,x_{m-1}) in W_{m+1}(R)."""
-    wr = WittRing(x.wring.ring, x.wring.m + 1)
-    return wr.el((x.wring.ring.zero(),) + x.comps)
+    ring = x.wring.ring
+    return WittVector(WittRing(ring, x.wring.m + 1), ring.zero().coeffs + x.coeffs)
 
 
 def verschiebung_trunc(x):
     """Verschiebung followed by truncation back to W_m: (0, x_0,...,x_{m-2})."""
-    return x.wring.el((x.wring.ring.zero(),) + x.comps[:-1])
+    zero = x.wring.ring.zero().coeffs
+    return WittVector(x.wring, zero + x.coeffs[:-len(zero)])
 
 
 def witt_frobenius(x):
@@ -343,8 +386,22 @@ def witt_frobenius(x):
 
 
 def frobenius_fixed(x):
-    """The fixed-length Frobenius lift: component-wise p-power (char p)."""
-    return WittVector(x.wring, tuple(c.frobenius() for c in x.comps))
+    """The fixed-length Frobenius lift: component-wise p-power (char p),
+    through the operation memo of a small W_m(R)."""
+    wr = x.wring
+    memo = wr._memo
+    if memo is not None:
+        key = ("F", x.coeffs)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    coeffs = []
+    for c in x.comps:
+        coeffs += c.frobenius().coeffs
+    out = WittVector(wr, tuple(coeffs))
+    if memo is not None and len(memo) < MEMO_CAP:
+        memo[key] = out
+    return out
 
 
 def teichmuller(a, m):
@@ -353,77 +410,17 @@ def teichmuller(a, m):
 
 def divided_frobenius(x):
     """sigma-dot on the image of v: (0, a_0,...,a_{m-2}) -> (a_0,...,a_{m-2})."""
-    if not x.comps[0].is_zero():
+    wr = x.wring
+    d = wr.ring.dim
+    if any(x.coeffs[:d]):
         raise NotInIdeal("first component must vanish")
-    if x.wring.m < 2:
+    if wr.m < 2:
         raise TruncationUnderflow("divided Frobenius needs length >= 2")
-    target = WittRing(x.wring.ring, x.wring.m - 1)
-    return target.el(x.comps[1:])
+    return WittVector(WittRing(wr.ring, wr.m - 1), x.coeffs[d:])
 
 
 def truncate(x, m):
     if m > x.wring.m:
         raise ValueError("cannot truncate upward")
-    return WittRing(x.wring.ring, m).el(x.comps[:m])
-
-
-# ---------------------------------------------------------------------------
-# Log coordinates on W_m(J) for a square-zero kernel J
-# ---------------------------------------------------------------------------
-
-class LogCoords:
-    """An element of W_m(J), J^2 = 0, in logarithmic coordinates.
-
-    With J^2 = 0 every addition cross-term vanishes and the divided ghost
-    components are the coordinates themselves, so log is the identity on
-    coordinates; addition is component-wise and sigma-dot is the shift.
-    """
-
-    __slots__ = ("ext", "m", "comps")
-
-    def __init__(self, ext, m, comps):
-        comps = tuple(comps)
-        if len(comps) != m:
-            raise ValueError("length mismatch")
-        for c in comps:
-            if not ext.in_kernel(c):
-                raise ValueError("component not in J")
-        self.ext = ext
-        self.m = m
-        self.comps = comps
-
-    def __eq__(self, other):
-        return (isinstance(other, LogCoords) and self.ext is other.ext
-                and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash(tuple([c.coeffs for c in self.comps]))
-
-    def __add__(self, other):
-        return LogCoords(self.ext, self.m,
-                         [a + b for a, b in zip(self.comps, other.comps)])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
-    def embed(self):
-        """The corresponding Witt vector in W_m(B) (component-wise inclusion)."""
-        return WittRing(self.ext.B, self.m).el(self.comps)
-
-
-def log_shift(x):
-    """(j_0,...,j_{m-1}) -> (j_1,...,j_{m-1},0); nilpotent of order <= m."""
-    zero = x.ext.B.zero()
-    return LogCoords(x.ext, x.m, x.comps[1:] + (zero,))
-
-
-def log_from_witt(ext, x):
-    """Read off log coordinates from a J-supported Witt vector over B."""
-    return LogCoords(ext, x.wring.m, x.comps)
-
-
-def log_elements(ext, m):
-    """All of W_m(J) in deterministic order."""
-    base = list(ext.j_elements())
-    for combo in itertools.product(base, repeat=m):
-        yield LogCoords(ext, m, combo)
+    ring = x.wring.ring
+    return WittVector(WittRing(ring, m), x.coeffs[:m * ring.dim])

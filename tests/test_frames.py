@@ -80,6 +80,17 @@ def test_zip_projection_commutes(frame):
     assert report["mode"] == "exhaustive"
 
 
+def test_zip_projection_catches_a_non_additive_projection():
+    # piP = pi0 . sigmadot; with sigmadot(x) = x^2 it is not additive, which
+    # only the additivity condition sees (pi0 . sigmadot equals piP by
+    # definition)
+    frame = WittFrame(prime_field(3), 2)
+    frame.sigmadot = lambda x: x * x
+    report = check_zip_projection(frame, budget=20000, seed=0)
+    assert not report["passed"]
+    assert "additive" in {name for name, _ in report["failures"]}
+
+
 def test_zip_projection_target():
     frame = WittFrame(prime_field(3), 2)
     pi0, piP, target = zip_projection(frame)

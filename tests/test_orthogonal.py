@@ -13,7 +13,8 @@ from framecalc.orthogonal import (GramNotSplit, OrthDisplay, decompose,
                                   form_transform, graded_inverse, gram,
                                   is_orth_matrix, is_self_dual_type,
                                   levi_element, normalize_gram, o2_elements,
-                                  orth_group_elements, standard_J,
+                                  orth_group_elements, orth_group_factors,
+                                  standard_J,
                                   standard_gram, unipotent_inverse,
                                   verify_orth)
 from framecalc.fixtures import rand_gram_perturbation, rand_group_element
@@ -106,6 +107,15 @@ def test_exp_plus_minus_are_orthogonal():
         ys = [rand_s0_elem(rel, rng) for _ in range(2)]
         um = exp_minus_orth(rel, K3MU, ys)
         assert form_transform(G0, um) == G0
+
+
+def test_factorization_uniqueness_is_checked_by_value(monkeypatch):
+    # every element hashes alike; distinct elements still pass the
+    # uniqueness check, which compares payload coordinates
+    expected = list(orth_group_elements(ZF3, K3MU))
+    monkeypatch.setattr(GradedMatrix, "__hash__", lambda self: 0)
+    found = [g for _, g in orth_group_factors(ZF3, K3MU)]
+    assert len(found) == 648 and found == expected
 
 
 def test_orth_group_elements_reject_non_k3_type():

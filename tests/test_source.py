@@ -10,6 +10,10 @@
 - One product formula: inside the package only `rings` reads the
   structure-constant table `_mul`; every other product goes through
   `ArtinRing.dot` or `RingElem.__mul__`.
+- One Witt element layout: inside the package only `witt` calls
+  `WittVector(`; every other module builds Witt vectors through
+  `WittRing.el` or arithmetic, so only `witt` knows the flat coordinate
+  tuple.
 - One Witt arithmetic at run time: inside the package `wittpoly.eval_poly`
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
@@ -105,6 +109,16 @@ def test_only_rings_reads_the_structure_constant_table():
                for path, line in _references().get("_mul", [])
                if path.parent == PACKAGE and path.name != "rings.py"]
     assert not outside, f"_mul read outside rings: {outside}"
+
+
+def test_only_witt_calls_the_witt_vector_class():
+    outside = [f"{path.name}:{node.lineno}"
+               for path, tree in _trees("src/framecalc") if path.name != "witt.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and "WittVector" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    assert not outside, f"WittVector called outside witt: {outside}"
 
 
 def _scoped_references(name):

@@ -7,15 +7,12 @@ import random
 import pytest
 
 from framecalc import witt, wittpoly
-from framecalc.rings import (RingMismatch, dual_number_extension, dual_numbers,
-                             extension_field, prime_field,
-                             truncated_poly_ring)
-from framecalc.witt import (LogCoords, NotInIdeal, TruncationUnderflow,
-                            WittRing, WittVector, divided_frobenius,
-                            frobenius_fixed,
-                            log_elements, log_from_witt, log_shift,
-                            teichmuller, truncate, verschiebung,
-                            verschiebung_trunc, witt_frobenius)
+from framecalc.rings import (RingMismatch, dual_numbers, extension_field,
+                             prime_field, truncated_poly_ring)
+from framecalc.witt import (NotInIdeal, TruncationUnderflow, WittRing,
+                            divided_frobenius, frobenius_fixed, teichmuller,
+                            truncate, verschiebung, verschiebung_trunc,
+                            witt_frobenius)
 
 
 RINGS_SMALL = [
@@ -141,26 +138,75 @@ def test_truncation_and_underflow():
         witt_frobenius(WittRing(prime_field(3), 1).one())
 
 
-def test_log_coordinates_are_additive():
-    ext = dual_number_extension(3)
-    els = list(log_elements(ext, 2))
-    assert len(els) == 9
-    for x in els:
-        for y in els:
-            # Witt addition of J-supported vectors is componentwise: the
-            # cross terms all carry products of kernel elements
-            assert (x.embed() + y.embed()) == (x + y).embed()
-    for x in els:
-        assert log_from_witt(ext, x.embed()) == x
+# ---------------------------------------------------------------------------
+# The flat element: one coordinate tuple, components as a view
+# ---------------------------------------------------------------------------
+
+FLAT_RINGS = [(dual_numbers(3), 2), (extension_field(2, 2), 3),
+              (truncated_poly_ring(3, "x", 4), 2)]
+FLAT_IDS = ["W2(F3[e]/e2)", "W3(F4)", "W2(F3[x]/x4)"]
 
 
-def test_log_shift_is_nilpotent():
-    ext = dual_number_extension(3)
-    for x in log_elements(ext, 3):
-        y = x
-        for _ in range(3):
-            y = log_shift(y)
-        assert y.is_zero()
+def _fresh(monkeypatch, ring, m):
+    # a fresh interned ring, so its memo (if it has one) starts empty
+    monkeypatch.setattr(WittRing, "_instances", {})
+    return WittRing(ring, m)
+
+
+def _flat_sample(wr):
+    # every element, or a seeded sample of 600 beyond |W| = 4096
+    if wr.size <= 4096:
+        return list(wr.elements())
+    rng = random.Random(f"{wr!r}")
+    base = list(wr.ring.elements())
+    return [wr.el([rng.choice(base) for _ in range(wr.m)]) for _ in range(600)]
+
+
+def test_memo_covers_the_small_rings_only():
+    sizes = {FLAT_IDS[k]: WittRing(ring, m).size for k, (ring, m) in enumerate(FLAT_RINGS)}
+    assert sizes == {"W2(F3[e]/e2)": 81, "W3(F4)": 64, "W2(F3[x]/x4)": 6561}
+    assert WittRing(*FLAT_RINGS[2])._memo is None
+    assert all(WittRing(*rm)._memo is not None for rm in FLAT_RINGS[:2])
+
+
+@pytest.mark.parametrize("ring,m", FLAT_RINGS, ids=FLAT_IDS)
+def test_flat_element_is_its_components(monkeypatch, ring, m):
+    wr = _fresh(monkeypatch, ring, m)
+    d = ring.dim
+    for x in _flat_sample(wr):
+        assert len(x.coeffs) == m * d and all(type(a) is int for a in x.coeffs)
+        assert wr.el(x.comps) == x
+        assert x.comps == tuple(x.comp(n) for n in range(m))
+        assert [c.coeffs for c in x.comps] == [x.coeffs[n * d:(n + 1) * d]
+                                               for n in range(m)]
+        # the hash of the component coordinate tuples keeps set and dict
+        # orders, and so the report bytes, as they were
+        assert hash(x) == hash(tuple(c.coeffs for c in x.comps))
+        assert x.is_zero() == all(c.is_zero() for c in x.comps)
+        assert verschiebung_trunc(x) == wr.el([0] + list(x.comps[:-1]))
+
+
+def test_elements_come_in_component_order():
+    for ring, m in FLAT_RINGS[:2]:
+        wr = WittRing(ring, m)
+        expected = [wr.el(combo) for combo in
+                    itertools.product(list(ring.elements()), repeat=m)]
+        assert list(wr.elements()) == expected
+
+
+@pytest.mark.parametrize("ring,m", FLAT_RINGS, ids=FLAT_IDS)
+def test_fixed_frobenius_is_componentwise_on_a_miss_and_a_hit(monkeypatch, ring, m):
+    wr = _fresh(monkeypatch, ring, m)
+    for x in _flat_sample(wr):
+        expected = wr.el([c.frobenius() for c in x.comps])
+        miss = frobenius_fixed(x)
+        assert miss == expected
+        hit = frobenius_fixed(wr.el(x.comps))
+        assert hit == expected
+        if wr._memo is not None:
+            assert wr._memo[("F", x.coeffs)] is miss and hit is miss
+    if wr._memo is not None:
+        assert len(wr._memo) == wr.size
 
 
 def test_memo_stops_growing_at_the_cap(monkeypatch):
@@ -191,16 +237,15 @@ def test_memo_stops_growing_at_the_cap(monkeypatch):
 def _polynomial_route(wr, op, *args):
     """The reference: component n is wittpoly's mod-p term list of op at
     index n, evaluated at components 0..n of the arguments."""
-    return WittVector(wr, tuple(
+    return wr.el([
         wittpoly.eval_poly(wittpoly.eval_terms(wr.p, op, n),
                            sum((x.comps[:n + 1] for x in args), ()), wr.ring)
-        for n in range(wr.m)))
+        for n in range(wr.m)])
 
 
 def _unmemoized(monkeypatch, ring, m):
     # a fresh ring without a memo, so every operation takes the lift route
-    monkeypatch.setattr(WittRing, "_instances", {})
-    wr = WittRing(ring, m)
+    wr = _fresh(monkeypatch, ring, m)
     wr._memo = None
     return wr
 
