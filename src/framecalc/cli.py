@@ -316,6 +316,9 @@ def cmd_ortho(args):
             B = serialize.graded_from_dict(frame, spec["gram"], mu)
             grams = [B]
         else:
+            if frame.kind != "relative":
+                raise InputError('random perturbations need a relative frame; '
+                                 'give a "gram" for any other')
             rng = random.Random(args.seed)
             count = serialize.to_int(spec.get("count", 1), "count")
             grams = [fixtures.rand_gram_perturbation(frame, mu, rng)

@@ -6,9 +6,10 @@ when mu_i + mu_{n-1-i} = 0.  The Gram form of a graded matrix has entry
 Gram form equals J.  Both tau and sigma turn the graded condition into the
 plain matrix condition M^t J M = J over S0.
 
-Also here: the big-cell decomposition g = q u (parabolic times unipotent),
-graded inversion through it, minuscule exponentials for the positive
-unipotent part, and perturbative Gram normalization.
+Also here: the big-cell decomposition g = q u (parabolic times unipotent,
+u = I + sum X_b read off the clearing steps), graded inversion through it
+by Neumann series, minuscule exponentials for the positive unipotent part,
+and perturbative Gram normalization.
 """
 
 from __future__ import annotations
@@ -118,23 +119,18 @@ def unipotent_inverse(U):
 def decompose(g):
     """Factor g = q u with u unipotent of positive degrees and q of degrees <= 0.
 
-    Works block-row by block-row from the lowest weight upward; exists exactly
-    when g is in the display group (the degree-0 diagonal blocks are
-    invertible), and the factorization is unique.
+    Block row b, lowest weight first, is cleared left of its diagonal block
+    by I - X_b, X_b in block row b and the columns left of block b.  For
+    a <= b the columns of X_a miss the rows of X_b, so X_a X_b = 0 and
+    u = (I + X_1) ... (I + X_B) = I + sum X_b.  Unique; exists exactly when
+    the degree-0 diagonal blocks are invertible; q u == g checked each call.
     """
-    q, u, _ = _decompose(g)
-    return q, u
-
-
-def _decompose(g):
-    """(q, u, u^-1) of `decompose`; u^-1 is built first, as the product of
-    the block-row clearing steps."""
     frame = g.frame
     mu = g.mu_col
     s0 = frame.s0
     blocks = _blocks(mu)
     work = GradedMatrix(frame, mu, mu, g.entries)
-    u_inv_total = GradedMatrix.identity(frame, mu)
+    u = GradedMatrix.identity(frame, mu)
     for b in range(len(blocks) - 1, 0, -1):
         rows = blocks[b]
         left = [j for blk in blocks[:b] for j in blk]
@@ -154,13 +150,11 @@ def _decompose(g):
                 acc = X.entries[bi][bj]
                 if not acc.is_zero():
                     changed = True
+                u.entries[i][j] = acc
                 step_inv.entries[i][j] = -acc
-        if not changed:
-            continue
-        # right-multiply by (I - X): clears this block-row's left entries
-        work = work * step_inv
-        u_inv_total = u_inv_total * step_inv
-    u = unipotent_inverse(u_inv_total)
+        if changed:
+            # right-multiply by (I - X): clears this block-row's left entries
+            work = work * step_inv
     q = work
     # sanity: q has no positive-degree entries, and q * u recomposes g
     for i in range(len(mu)):
@@ -169,7 +163,7 @@ def _decompose(g):
                 raise AssertionError("decomposition left a positive entry")
     if not (q * u) == g:
         raise AssertionError("decomposition failed to recompose g")
-    return q, u, u_inv_total
+    return q, u
 
 
 def graded_inverse(g):
@@ -177,7 +171,7 @@ def graded_inverse(g):
     frame = g.frame
     mu = g.mu_col
     s0 = frame.s0
-    q, _, u_inv = _decompose(g)
+    q, u = decompose(g)
     # q = D + N with D the block-diagonal (degree-0) part, N above the blocks
     D_inv = GradedMatrix.identity(frame, mu)
     for blk in _blocks(mu):
@@ -188,7 +182,7 @@ def graded_inverse(g):
                 D_inv.entries[i][j] = GradedElem(frame, 0, sub_inv[bi][bj])
     M = D_inv * q  # unipotent, strictly above the block diagonal
     q_inv = unipotent_inverse(M) * D_inv
-    out = u_inv * q_inv
+    out = unipotent_inverse(u) * q_inv
     if not (g * out) == GradedMatrix.identity(frame, mu):
         raise AssertionError("graded inverse failed exact verification")
     return out
@@ -328,6 +322,14 @@ def _form_value(B, x, y):
     return (X.transpose() * B * Y).entries[0][0]
 
 
+def _form_values(B, cols):
+    """All B(x, y) for x, y in `cols` in two products: C^t B C, C = cols."""
+    mu = B.mu_col
+    weights = [v[0].degree + mu[0] for v in cols]
+    C = GradedMatrix(B.frame, mu, weights, list(zip(*cols)))
+    return (C.transpose() * B * C).entries
+
+
 def normalize_gram(B, max_iter=64):
     """A basis change A with A^t B A = J, for B a perturbation of J.
 
@@ -362,7 +364,6 @@ def normalize_gram(B, max_iter=64):
     t = 0
     while t < n - 1 - t and mu[t] > 0:
         v, w = col(t), col(n - 1 - t)
-        converged = False
         for _ in range(max_iter):
             bvw = _form_value(B, v, w)
             if not bvw.payload.is_unit():
@@ -372,11 +373,10 @@ def normalize_gram(B, max_iter=64):
             w = sub(w, scale(half_g * cw, v))
             cv = _form_value(B, v, v)
             v = sub(v, scale(half_g * cv, w))
-            if (_form_value(B, v, v).is_zero() and _form_value(B, w, w).is_zero()
-                    and _form_value(B, v, w) == one):
-                converged = True
+            G = _form_values(B, [v, w])
+            if G[0][0].is_zero() and G[1][1].is_zero() and G[0][1] == one:
                 break
-        if not converged:
+        else:
             raise GramNotSplit("isotropic iteration did not converge")
         set_col(t, v)
         set_col(n - 1 - t, w)
@@ -391,8 +391,8 @@ def normalize_gram(B, max_iter=64):
         s0 = frame.s0
         J0 = standard_J(s0, len(mids))
         for _ in range(max_iter):
-            M = [[_form_value(B, col(a), col(b)).payload for b in mids]
-                 for a in mids]
+            M = [[e.payload for e in row]
+                 for row in _form_values(B, [col(j) for j in mids])]
             C = linalg.mat_sub(M, J0)
             if all(e.is_zero() for row in C for e in row):
                 break

@@ -225,11 +225,16 @@ def _zip_without(key):
                 "ext": {"ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
                         "extra": ["e"]}},
       "mu": [1, 0, 0, -1]}),
+    (["ortho", "normalize"],
+     {"frame": {"kind": "witt", "ring": {"p": 3}, "m": 2}, "mu": [1, -1],
+      "count": 2}),
+    (["ortho", "normalize"], {"frame": _ZIP_F3, "mu": [1, -1]}),
 ], ids=["ring-p-not-an-integer", "m-not-an-integer", "m-zero", "ring-p-null",
         "spec-is-a-list", "mu-not-integers", "frame-m-not-an-integer",
         "witt-frame-without-ring", "zip-without-ring", "zip-without-n",
         "act-element-weights-differ", "ring-vars-not-a-list",
-        "relative-frame-m-1"])
+        "relative-frame-m-1", "normalize-random-over-witt-frame",
+        "normalize-random-over-zip-frame"])
 def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
     path = _write(tmp_path, "spec.json", spec)
     assert main(argv + ["--spec", path]) == EXIT_INPUT

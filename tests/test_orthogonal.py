@@ -1,14 +1,17 @@
 """Split orthogonal structure: gram matrices, decomposition, normalization."""
 
+import itertools
 import random
 
 import pytest
 
-from framecalc import linalg
-from framecalc.rings import dual_number_extension, prime_field
+from framecalc import linalg, orthogonal
+from framecalc.rings import (dual_number_extension, dual_numbers,
+                             extension_field, prime_field)
 from framecalc.frames import RelativeFrame, WittFrame, ZipFrame
-from framecalc.displays import GradedMatrix
-from framecalc.orthogonal import (GramNotSplit, OrthDisplay, decompose,
+from framecalc.displays import GradedElem, GradedMatrix
+from framecalc.orthogonal import (GramNotSplit, OrthDisplay, _form_value,
+                                  _form_values, decompose,
                                   exp_minus_orth, exp_plus_orth,
                                   form_transform, graded_inverse, gram,
                                   is_orth_matrix, is_self_dual_type,
@@ -64,6 +67,118 @@ def test_decompose_exhaustive_orth_zip_group():
         assert q * u == g
         count += 1
     assert count == 648
+
+
+def _decompose_through_u_inverse(g):
+    """Reference route for `decompose`: multiply the block-row clearing
+    steps I - X_b into u^-1, then invert that by Neumann series."""
+    frame, mu = g.frame, g.mu_col
+    blocks = [list(grp) for _, grp in
+              itertools.groupby(range(len(mu)), key=lambda i: mu[i])]
+    work = g
+    u_inv = GradedMatrix.identity(frame, mu)
+    for b in range(len(blocks) - 1, 0, -1):
+        rows = blocks[b]
+        left = [j for blk in blocks[:b] for j in blk]
+        D_inv = linalg.mat_inverse(
+            frame.s0, [[work.entries[i][j].payload for j in rows] for i in rows])
+        w = [mu[i] for i in rows]
+        X = (GradedMatrix(frame, w, w, [[GradedElem(frame, 0, x) for x in row]
+                                        for row in D_inv])
+             * GradedMatrix(frame, w, [mu[j] for j in left],
+                            [[work.entries[k][j] for j in left] for k in rows]))
+        step = GradedMatrix.identity(frame, mu)
+        for bi, i in enumerate(rows):
+            for bj, j in enumerate(left):
+                step.entries[i][j] = -X.entries[bi][bj]
+        work = work * step
+        u_inv = u_inv * step
+    return work, unipotent_inverse(u_inv)
+
+
+_DECOMPOSE_FRAMES = {
+    "witt-F3": WittFrame(F3, 2),
+    "relative": RelativeFrame(dual_number_extension(3), 2),
+    "witt-F3[e]/e2": WittFrame(dual_numbers(3), 2),
+    "zip-F9": ZipFrame(extension_field(3, 2)),
+}
+
+
+@pytest.mark.parametrize("mu", [K3MU, (2, 1, 0), (1, 1, 0, -1), (1, 0)])
+@pytest.mark.parametrize("name", list(_DECOMPOSE_FRAMES))
+def test_decompose_matches_the_neumann_route(name, mu):
+    # u = I + sum X_b, written directly, is the Neumann-series inverse of
+    # the product of the clearing steps, and q is the same
+    frame = _DECOMPOSE_FRAMES[name]
+    rng = random.Random(f"{name} {mu}")
+    for _ in range(15):
+        g = rand_group_element(frame, mu, rng)
+        assert decompose(g) == _decompose_through_u_inverse(g)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    mul = GradedMatrix.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "__mul__", counting)
+    return calls
+
+
+def test_decompose_takes_at_most_five_products(monkeypatch):
+    # two block-row steps of two products each, then q u == g
+    elements = list(orth_group_elements(ZF3, K3MU))
+    calls = _count_products(monkeypatch)
+    worst = 0
+    for g in elements:
+        calls[0] = 0
+        decompose(g)
+        worst = max(worst, calls[0])
+    assert len(elements) == 648 and worst <= 5
+
+
+def test_normalize_gram_product_count(monkeypatch):
+    # rank 4: the convergence tests and the middle block take their Gram
+    # values two products at a time: 22 per call
+    rel = RelativeFrame(dual_number_extension(3), 2)
+    rng = random.Random(42)
+    grams = [rand_gram_perturbation(rel, K3MU, rng) for _ in range(25)]
+    calls = _count_products(monkeypatch)
+    counts = []
+    for B in grams:
+        calls[0] = 0
+        normalize_gram(B)
+        counts.append(calls[0])
+    assert max(counts) <= 22
+
+
+def test_form_values_is_the_per_pair_form_value():
+    rel = RelativeFrame(dual_number_extension(3), 2)
+    rng = random.Random(9)
+    for mu in [(1, -1), K3MU]:
+        for _ in range(10):
+            B = rand_gram_perturbation(rel, mu, rng)
+            A = rand_group_element(rel, mu, rng)
+            cols = [[A.entries[i][j] for i in range(len(mu))]
+                    for j in range(len(mu))]
+            for pick in itertools.chain.from_iterable(
+                    itertools.combinations(cols, r) for r in (1, 2, len(mu))):
+                G = _form_values(B, list(pick))
+                assert G == [[_form_value(B, x, y) for y in pick] for x in pick]
+
+
+@pytest.mark.parametrize("mu", [(1, -1), K3MU])
+def test_normalize_gram_matches_the_per_pair_route(monkeypatch, mu):
+    rel = RelativeFrame(dual_number_extension(3), 2)
+    rng = random.Random(11)
+    grams = [rand_gram_perturbation(rel, mu, rng) for _ in range(25)]
+    found = [normalize_gram(B) for B in grams]
+    monkeypatch.setattr(orthogonal, "_form_values", lambda B, cols: [
+        [_form_value(B, x, y) for y in cols] for x in cols])
+    assert [normalize_gram(B) for B in grams] == found
 
 
 def test_graded_inverse():

@@ -18,6 +18,9 @@
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
   and the universal polynomials stay the tests' second route.
+- One big-cell route: inside the package `orthogonal.unipotent_inverse`
+  is referenced only by `graded_inverse`; `decompose` writes u = I + sum X_b
+  from its clearing steps and inverts nothing.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -150,6 +153,12 @@ def test_only_the_frobenius_evaluates_the_witt_polynomials():
     for _, _, stmt in terms:
         assert isinstance(stmt, ast.Assign), ast.unparse(stmt)
         assert [ast.unparse(t) for t in stmt.targets] == ["self._frob"]
+
+
+def test_only_graded_inverse_inverts_a_unipotent():
+    refs = _scoped_references("unipotent_inverse")
+    assert {(mod, scope) for mod, scope, _ in refs} == {
+        ("orthogonal.py", "graded_inverse")}
 
 
 def test_every_function_parameter_is_read():
