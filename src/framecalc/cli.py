@@ -56,12 +56,12 @@ def _load_spec(args, required=True):
 
 
 def _within_budget(classify, frame, mu, cap):
-    """classify(frame, mu, cap), with an enumeration past the cap reported
-    as the budget it exceeded and any other bad input as itself."""
+    """classify(frame, mu, cap), with bad input reported as itself; an
+    enumeration past the cap goes on to `main` as an exceeded budget."""
     try:
         return classify(frame, mu, cap)
-    except EnumerationTooLarge as exc:
-        raise InputError(f"budget exceeded: {exc}")
+    except EnumerationTooLarge:
+        raise
     except ValueError as exc:
         raise InputError(str(exc))
 
@@ -577,9 +577,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except EnumerationTooLarge as exc:
+        sys.stderr.write(f"error: budget exceeded: {exc}\n")
     except (InputError, SchemaError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

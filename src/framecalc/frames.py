@@ -470,10 +470,6 @@ class Thickening:
         for combo in itertools.product(base, repeat=self.m):
             yield self.source.s0.el(list(combo))
 
-    @property
-    def k0_size(self):
-        return self.ext.j_size ** self.m
-
     def sdotK(self, k):
         """The divided Frobenius on K0: shift of log coordinates."""
         if not self.in_k0(k):

@@ -14,7 +14,8 @@ of the unknowns, through one encoder (`_fp_columns`), and every solution is
 checked exactly; `ring_span` is the R-span of columns as a `Span` on those
 coordinates.  Inversion over a local ring is residue inversion followed by
 Newton correction on the nilpotent error, which converges in finitely many
-steps and is verified exactly.
+steps and is verified exactly.  It is the package's one inversion: a unit of
+an ArtinRing or a WittRing is inverted as the 1x1 matrix [[x]].
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ Gram form equals J.  Both tau and sigma turn the graded condition into the
 plain matrix condition M^t J M = J over S0.
 
 Also here: the big-cell decomposition g = q u (parabolic times unipotent,
-u = I + sum X_b read off the clearing steps), graded inversion through it
-by Neumann series, minuscule exponentials for the positive unipotent part,
-and perturbative Gram normalization.
+u = I + sum X_b read off the clearing steps), minuscule exponentials for
+the positive unipotent part, and perturbative Gram normalization.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ def standard_gram(frame, mu):
 def form_transform(B, A):
     """A^t B A: the Gram form in the basis given by the columns of A."""
     return A.transpose() * B * A
-
-
-def gram(A):
-    return form_transform(standard_gram(A.frame, A.mu_col), A)
 
 
 def is_orth_matrix(ring, M):
@@ -97,23 +92,6 @@ def _blocks(mu):
         else:
             blocks.append([i])
     return blocks
-
-
-def unipotent_inverse(U):
-    """Inverse of U = I + N with N nilpotent: I - N + N^2 - ..."""
-    frame = U.frame
-    I = GradedMatrix.identity(frame, U.mu_col)
-    N = U - I
-    inv = I
-    term = I
-    for k in range(1, len(U.mu_col) + 1):
-        term = term * N
-        if all(e.is_zero() for row in term.entries for e in row):
-            break
-        inv = inv - term if k % 2 else inv + term
-    if not all(e.is_zero() for row in ((inv * U) - I).entries for e in row):
-        raise AssertionError("unipotent inverse failed exact verification")
-    return inv
 
 
 def decompose(g):
@@ -164,28 +142,6 @@ def decompose(g):
     if not (q * u) == g:
         raise AssertionError("decomposition failed to recompose g")
     return q, u
-
-
-def graded_inverse(g):
-    """Inverse in the display group via the big-cell decomposition."""
-    frame = g.frame
-    mu = g.mu_col
-    s0 = frame.s0
-    q, u = decompose(g)
-    # q = D + N with D the block-diagonal (degree-0) part, N above the blocks
-    D_inv = GradedMatrix.identity(frame, mu)
-    for blk in _blocks(mu):
-        sub = [[q.entries[i][j].payload for j in blk] for i in blk]
-        sub_inv = linalg.mat_inverse(s0, sub)
-        for bi, i in enumerate(blk):
-            for bj, j in enumerate(blk):
-                D_inv.entries[i][j] = GradedElem(frame, 0, sub_inv[bi][bj])
-    M = D_inv * q  # unipotent, strictly above the block diagonal
-    q_inv = unipotent_inverse(M) * D_inv
-    out = unipotent_inverse(u) * q_inv
-    if not (g * out) == GradedMatrix.identity(frame, mu):
-        raise AssertionError("graded inverse failed exact verification")
-    return out
 
 
 # ---------------------------------------------------------------------------

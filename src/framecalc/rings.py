@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 
+from . import linalg
+
 
 # ---------------------------------------------------------------------------
 # Finite fields
@@ -279,12 +281,6 @@ class ArtinRing:
     def from_int(self, n):
         return RingElem(self, (n % self.p,) + self._zero.coeffs[1:])
 
-    def gen(self, i=0):
-        if not self.vars:
-            raise ValueError("ring has no polynomial variables")
-        expo = tuple(1 if j == i else 0 for j in range(len(self.vars)))
-        return self.el({expo: 1})
-
     def in_ideal(self, mono):
         return any(_divides(g, mono) for g in self.ideal_gens)
 
@@ -449,26 +445,11 @@ class RingElem:
         return any(self.coeffs[:self.ring._f])
 
     def invert(self):
-        """Residue inverse (x^(q-2) in F_q) times the geometric series on
-        the nilpotent part."""
+        """The inverse of a unit, through `linalg.mat_inverse` of the 1x1
+        matrix [[self]], which returns only an exactly checked inverse."""
         if not self.is_unit():
             raise NotAUnit(f"{self!r} is not a unit")
-        ring = self.ring
-        u0 = ring.lift_residue(ring.to_residue(self) ** (ring.field.q - 2))
-        err = ring.one() - self * u0
-        total = ring.one()
-        term = ring.one()
-        for _ in range(len(ring.basis) + 1):
-            if err.is_zero():
-                break
-            term = term * err
-            if term.is_zero():
-                break
-            total = total + term
-        inv = u0 * total
-        if self * inv != ring.one():
-            raise AssertionError("unit inverse failed exact verification")
-        return inv
+        return linalg.mat_inverse(self.ring, [[self]])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from . import wittpoly
+from . import linalg, wittpoly
 from .rings import EnumerationTooLarge, NotAUnit, RingElem, RingMismatch
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
@@ -328,25 +328,11 @@ class WittVector:
         return not self.wring.to_residue(self).is_zero()
 
     def invert(self):
+        """The inverse of a unit, through `linalg.mat_inverse` of the 1x1
+        matrix [[self]], which returns only an exactly checked inverse."""
         if not self.is_unit():
             raise NotAUnit(f"{self!r} is not a unit")
-        wr = self.wring
-        u0 = wr.lift_residue(wr.to_residue(self).invert())
-        err = wr.one() - self * u0
-        total = wr.one()
-        term = wr.one()
-        bound = wr.m * (len(wr.ring.basis) + 1)
-        for _ in range(bound):
-            if err.is_zero():
-                break
-            term = term * err
-            if term.is_zero():
-                break
-            total = total + term
-        inv = u0 * total
-        if self * inv != wr.one():
-            raise AssertionError("unit inverse failed exact verification")
-        return inv
+        return linalg.mat_inverse(self.wring, [[self]])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +403,3 @@ def divided_frobenius(x):
     if wr.m < 2:
         raise TruncationUnderflow("divided Frobenius needs length >= 2")
     return WittVector(WittRing(wr.ring, wr.m - 1), x.coeffs[d:])
-
-
-def truncate(x, m):
-    if m > x.wring.m:
-        raise ValueError("cannot truncate upward")
-    ring = x.wring.ring
-    return WittVector(WittRing(ring, m), x.coeffs[:m * ring.dim])

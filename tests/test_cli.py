@@ -298,3 +298,22 @@ def test_classify_errors_name_their_cause(tmp_path, capsys, command, mu):
     assert main([command, "classify", "--spec", spec, "--budget", "10"]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         "error: budget exceeded: display space too large to enumerate\n")
+
+
+def _type_10_display():
+    return {"frame": _ZIP_F3, "mu": [1, 0],
+            "phi": [[_el(1), _el(0)], [_el(0), _el(1)]]}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["display", "iso", "--budget", "5"],
+     {"first": _type_10_display(), "second": _type_10_display()}),
+    # |W_4(F_3[x]/x^4)| = 3^16 is past the default cap of 10^7
+    (["frame", "check"],
+     {"kind": "witt", "ring": {"p": 3, "vars": ["x"], "ideal": ["x^4"]}, "m": 4}),
+], ids=["display-iso", "frame-check"])
+def test_budget_overrun_exits_2(tmp_path, capsys, argv, spec):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(argv + ["--spec", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget exceeded: ") and "Traceback" not in err

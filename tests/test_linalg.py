@@ -138,7 +138,7 @@ def test_unit_pivot_solve_2x2_over_dual_numbers():
 def test_local_solve_finds_solutions_without_unit_pivots():
     # M = e I has no unit entry, yet x = (1, 0) solves M x = (e, 0)
     R = dual_numbers(3)
-    e, z = R.gen(), R.zero()
+    e, z = R.el({(1,): 1}), R.zero()
     M = [[e, z], [z, e]]
     x = linalg.solve_local(R, M, [e, z])
     assert x is not None

@@ -3,8 +3,11 @@
 - No `assert` statement: `python -O` strips them, and the package's
   exactness checks must run in every mode.
 - No dead code: every module-level function and class, and every public
-  non-dunder method of a class, is referenced by name somewhere in src/,
-  tests/ or perfbench/ outside its own definition.
+  non-dunder method of a class, is referenced somewhere in src/, tests/ or
+  perfbench/ outside its own definition.  An attribute (`x.name`) counts
+  anywhere; a bare name counts only in the defining module or in a module
+  that imports that name, so a local variable of the same name elsewhere
+  does not keep a definition alive.
 - One elimination kernel: inside the package only `linalg` calls
   `rref_modp`; everything else goes through its solves, kernels and `Span`.
 - One product formula: inside the package only `rings` reads the
@@ -18,9 +21,13 @@
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
   and the universal polynomials stay the tests' second route.
-- One big-cell route: inside the package `orthogonal.unipotent_inverse`
-  is referenced only by `graded_inverse`; `decompose` writes u = I + sum X_b
-  from its clearing steps and inverts nothing.
+- One inverse over a finite local ring: `RingElem.invert` and
+  `WittVector.invert` go through `linalg.mat_inverse`, and no other function
+  or method of the package is named for inverting, apart from
+  `linalg.field_inverse` and three that compute no ring inverse: the
+  predicate `linalg.is_invertible`, the preimage
+  `deformation.tau_inverse_kernel` and `wittpoly._invert_ghost`, which
+  solves the ghost map over Z.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -53,24 +60,27 @@ def test_no_assert_statements():
 
 
 def _references():
+    """name -> (path, line, counts) of every reference; counts is true for
+    an attribute and for a bare name in a module that imports that name
+    (`_unreferenced` also takes bare names in the defining module)."""
     refs = {}
     for path, tree in _trees("src", "tests", "perfbench"):
+        imported = {alias.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rsplit(".", 1)[-1]
-            else:
-                continue
-            refs.setdefault(name, []).append((path, node.lineno))
+            if isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno, True))
+            elif isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(
+                    (path, node.lineno, node.id in imported))
     return refs
 
 
 def _unreferenced(refs, path, node, label):
-    outside = [(p, line) for p, line in refs.get(node.name, [])
-               if p != path or not node.lineno <= line <= node.end_lineno]
+    outside = [(p, line) for p, line, counts in refs.get(node.name, [])
+               if (counts or p == path)
+               and (p != path or not node.lineno <= line <= node.end_lineno)]
     return [] if outside else [f"{path.name}:{node.lineno} {label}"]
 
 
@@ -102,14 +112,14 @@ def test_every_public_method_is_referenced():
 
 def test_only_linalg_references_the_elimination_routine():
     outside = [f"{path.name}:{line}"
-               for path, line in _references().get("rref_modp", [])
+               for path, line, _ in _references().get("rref_modp", [])
                if path.parent == PACKAGE and path.name != "linalg.py"]
     assert not outside, f"rref_modp referenced outside linalg: {outside}"
 
 
 def test_only_rings_reads_the_structure_constant_table():
     outside = [f"{path.name}:{line}"
-               for path, line in _references().get("_mul", [])
+               for path, line, _ in _references().get("_mul", [])
                if path.parent == PACKAGE and path.name != "rings.py"]
     assert not outside, f"_mul read outside rings: {outside}"
 
@@ -155,10 +165,20 @@ def test_only_the_frobenius_evaluates_the_witt_polynomials():
         assert [ast.unparse(t) for t in stmt.targets] == ["self._frob"]
 
 
-def test_only_graded_inverse_inverts_a_unipotent():
-    refs = _scoped_references("unipotent_inverse")
-    assert {(mod, scope) for mod, scope, _ in refs} == {
-        ("orthogonal.py", "graded_inverse")}
+def test_every_inverse_goes_through_mat_inverse():
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_references("mat_inverse")}
+    assert {("rings.py", "RingElem.invert"),
+            ("witt.py", "WittVector.invert")} <= scopes
+    # every def, nested ones too; rings and witt each define one `invert`
+    named = {(path.stem, node.name) for path, tree in _trees("src/framecalc")
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and ("invers" in node.name or "invert" in node.name)}
+    assert named == {("linalg", "mat_inverse"), ("linalg", "field_inverse"),
+                     ("rings", "invert"), ("witt", "invert"),
+                     ("linalg", "is_invertible"),
+                     ("deformation", "tau_inverse_kernel"),
+                     ("wittpoly", "_invert_ghost")}
 
 
 def test_every_function_parameter_is_read():

@@ -7,12 +7,11 @@ import random
 import pytest
 
 from framecalc import witt, wittpoly
-from framecalc.rings import (RingMismatch, dual_numbers, extension_field,
-                             prime_field, truncated_poly_ring)
+from framecalc.rings import (NotAUnit, RingMismatch, dual_numbers,
+                             extension_field, prime_field, truncated_poly_ring)
 from framecalc.witt import (NotInIdeal, TruncationUnderflow, WittRing,
                             divided_frobenius, frobenius_fixed, teichmuller,
-                            truncate, verschiebung, verschiebung_trunc,
-                            witt_frobenius)
+                            verschiebung, verschiebung_trunc, witt_frobenius)
 
 
 RINGS_SMALL = [
@@ -130,12 +129,25 @@ def test_divided_frobenius_is_a_section_of_v():
         divided_frobenius(wr.one())
 
 
-def test_truncation_and_underflow():
-    wr = WittRing(prime_field(3), 3)
-    x = wr.el([1, 2, 1])
-    assert truncate(x, 2) == WittRing(prime_field(3), 2).el([1, 2])
+def test_frobenius_of_length_one_underflows():
     with pytest.raises(TruncationUnderflow):
         witt_frobenius(WittRing(prime_field(3), 1).one())
+
+
+@pytest.mark.parametrize("ring,m", [(dual_numbers(3), 2), (prime_field(2), 3),
+                                    (extension_field(2, 2), 2)],
+                         ids=["W2(F3[e]/e2)", "W3(F2)", "W2(F4)"])
+def test_invert_is_the_brute_force_inverse(ring, m):
+    wr = WittRing(ring, m)
+    els = list(wr.elements())
+    for x in els:
+        inverses = [y for y in els if x * y == wr.one()]
+        if inverses:
+            assert x.is_unit() and [x.invert()] == inverses
+        else:
+            assert not x.is_unit()
+            with pytest.raises(NotAUnit):
+                x.invert()
 
 
 # ---------------------------------------------------------------------------
