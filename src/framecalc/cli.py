@@ -2,7 +2,9 @@
 
 Subcommands: ring, witt, frame, display, zip, ortho, k3, deform, selftest.
 Exit codes: 0 = success, 1 = a verification failed (the report carries a
-witness), 2 = input error (bad spec, unknown command, budget exceeded).
+witness, or a failed exactness check writes `error: verification failed:`
+with its witness), 2 = input error (bad spec, unknown command, budget
+exceeded).
 Reports are emitted with sorted keys and fixed formatting, so the same spec
 and seed always produce identical bytes.
 """
@@ -16,13 +18,13 @@ import sys
 
 from . import linalg, serialize
 from .serialize import SchemaError, dumps, require
-from .rings import EnumerationTooLarge, prime_field
+from .rings import EnumerationTooLarge, VerificationError, prime_field
 from .witt import WittRing, teichmuller, verschiebung, witt_frobenius
 from .frames import (Thickening, WittFrame, ZipFrame, check_zip_projection,
                      frame_axiom_check)
-from .displays import (Display, classify_fzips, classify_orbits, dual,
-                       from_fzip, is_isomorphic_bruteforce, tensor, to_fzip,
-                       twist, unit_display)
+from .displays import (classify_fzips, classify_orbits, dual, from_fzip,
+                       is_isomorphic_bruteforce, tensor, to_fzip, twist,
+                       unit_display)
 from .orthogonal import (GramNotSplit, OrthDisplay, classify_orth_orbits,
                          decompose, form_transform, normalize_gram,
                          standard_gram, verify_orth)
@@ -581,6 +583,9 @@ def main(argv=None):
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
     except (InputError, SchemaError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+    except VerificationError as exc:
+        sys.stderr.write(f"error: verification failed: {exc}\n")
+        return EXIT_FAIL
     return EXIT_INPUT
 
 

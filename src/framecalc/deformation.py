@@ -24,6 +24,7 @@ from .frames import WittFrame, ZipFrame
 from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
                          levi_element, orth_group_factors, standard_J,
                          verify_orth)
+from .rings import VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def lift_orth_display(th, d):
     phi = linalg.mat_mul(s0, U, linalg.mat_sub(linalg.identity(s0, n), corr))
     out = OrthDisplay(th.source, d.mu, phi, check=False)
     if not verify_orth(out):
-        raise AssertionError("orthogonal correction failed")
+        raise VerificationError(f"orthogonal correction failed: phi = {phi!r}")
     return out
 
 
@@ -135,11 +136,12 @@ def solve_descent(relframe, mu, g, h, max_iter=None):
         y = linalg.mat_mul(s0, term, y)
         term = conj_operator(relframe, mu, g, g_inv, term)
     else:
-        raise AssertionError("descent iteration did not terminate")
+        raise VerificationError(f"descent iteration did not terminate in {bound + 1} "
+                                f"steps: h = {h!r}")
     u_y = conj_operator(relframe, mu, g, g_inv, y)
     if not linalg.mat_eq(
             linalg.mat_mul(s0, linalg.mat_inverse(s0, u_y), y), h):
-        raise AssertionError("descent solution failed exact re-substitution")
+        raise VerificationError(f"descent solution failed exact re-substitution: y = {y!r}")
     return y
 
 
@@ -177,7 +179,7 @@ def lift_uniqueness_witness(relframe, d1, d2):
     y = solve_descent(relframe, d1.mu, d1.phi, h_inv)
     z = tau_inverse_kernel(relframe, d1.mu, y)
     if not linalg.mat_eq(d1.act(z).phi, d2.phi):
-        raise AssertionError("descent witness failed exact verification")
+        raise VerificationError(f"descent witness failed exact verification: z = {z!r}")
     return z
 
 
@@ -403,7 +405,7 @@ def solve_identity_iso(coords, d1, d2, basis_vectors=None, verify=True):
     z = coords.decode(linalg.combine_modp(coords.p, basis_vectors, sol, coords.dim))
     if verify:
         if not d1.act(z) == Display(d1.frame, d1.mu, d2.phi, check=False):
-            raise AssertionError("linear solution failed exact verification")
+            raise VerificationError(f"linear solution failed exact verification: z = {z!r}")
     return z
 
 
@@ -670,7 +672,7 @@ def _tower_search(tower, coords, d, z1, z2, target, orth):
             continue
         g = ghat * z
         if not d.act(g) == target:
-            raise AssertionError("linear solution failed exact verification")
+            raise VerificationError(f"linear solution failed exact verification: g = {g!r}")
         yield g
 
 
@@ -730,7 +732,7 @@ def classify_witt_fiber(th, d, orth=False):
     frame_b = WittFrame(ext.B, frame_a.m)
     dhat = embed_witt_display(ext, frame_b, d)
     if orth and not verify_orth(dhat):
-        raise AssertionError("section lift lost orthogonality")
+        raise VerificationError(f"section lift lost orthogonality: phi = {dhat.phi!r}")
     coords = WittKernelCoords(frame_b, mu, "jsupp", ext=ext)
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
@@ -739,8 +741,9 @@ def classify_witt_fiber(th, d, orth=False):
     width = len(mu) ** 2 * len(coords.value_basis)
     fiber = linalg.Span(p, dir_vecs, width)
     vspan = linalg.Span(p, cols, width)
-    if any(c not in fiber for c in cols):
-        raise AssertionError("kernel action left the fiber")
+    outside = next((c for c in cols if c not in fiber), None)
+    if outside is not None:
+        raise VerificationError(f"kernel action left the fiber: column {outside}")
     canon = vspan.reduce
     # coset labels: canon is a linear projection fixing its image, so the
     # reduced fiber directions span a complement of V in the fiber whose
@@ -750,7 +753,8 @@ def classify_witt_fiber(th, d, orth=False):
               for combo in itertools.product(range(p), repeat=comp.rank)]
     label_set = set(labels)
     if len(label_set) != len(labels):
-        raise AssertionError("coset representatives collided")
+        twice = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise VerificationError(f"coset representatives collided: label {twice}")
     # Hodge deformations and their labels
     deform = enumerate_hodge_deformations(th, d, orth=orth)
     hodge_labels = []
@@ -758,7 +762,7 @@ def classify_witt_fiber(th, d, orth=False):
         vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, dhat.phi))
         lab = canon(vec)
         if lab not in label_set:
-            raise AssertionError("Hodge deformation left the fiber cosets")
+            raise VerificationError(f"Hodge deformation left the fiber cosets: label {lab}")
         hodge_labels.append(lab)
     # stabilizer of d over A, one exact lift per zip-level component; the
     # zip level is shared with any other tower over (A, mu)
@@ -784,13 +788,13 @@ def classify_witt_fiber(th, d, orth=False):
             mcols.append(coords.encode_value_matrix(img))
         # sanity: conjugation preserves V
         if any(linalg.combine_modp(p, mcols, c, width) not in vspan for c in cols):
-            raise AssertionError("stabilizer did not preserve the kernel image")
+            raise VerificationError(f"stabilizer did not preserve the kernel image: s = {s!r}")
         maps.append(mcols)
 
     def act(lab, mcols):
         img = canon(linalg.combine_modp(p, mcols, lab, width))
         if img not in label_set:
-            raise AssertionError("stabilizer left the fiber cosets")
+            raise VerificationError(f"stabilizer left the fiber cosets: {lab} -> {img}")
         return img
 
     # orbits of the stabilizer action on the cosets
@@ -845,7 +849,8 @@ def k3_deform(th, d):
     out = enumerate_hodge_deformations(th, d, orth=True)
     for dd in out:
         if not verify_orth(dd):
-            raise AssertionError("deformation lost orthogonality")
+            raise VerificationError(f"deformation lost orthogonality: phi = {dd.phi!r}")
         if not linalg.mat_eq(reduce_witt_display(ext, th.target, dd).phi, d.phi):
-            raise AssertionError("deformation does not reduce to the input")
+            raise VerificationError(
+                f"deformation does not reduce to the input: phi = {dd.phi!r}")
     return out

@@ -28,7 +28,7 @@ import operator
 
 from . import linalg
 from .frames import ZipFrame
-from .rings import EnumerationTooLarge, RingMismatch
+from .rings import EnumerationTooLarge, RingMismatch, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,8 @@ def orbit_search(points, make_group, act):
             group = list(make_group())
         orbit = {act(x, g) for g in group}
         if x not in orbit or not orbit.isdisjoint(seen):
-            raise AssertionError("the group elements do not form a group action")
+            raise VerificationError(f"the group elements do not form a group action: "
+                                    f"the orbit of {x!r}")
         orbits.append(orbit)
         seen |= orbit
     return orbits
@@ -577,7 +578,8 @@ def fzip_isomorphic(z1, z2, cap=10 ** 7):
         g = _fp_matrix(R, n, linalg.combine_modp(R.p, hom, coeffs, n * n * R.dim))
         if linalg.is_invertible(R, g):
             if not _is_fzip_morphism(z1, z2, g, spans):
-                raise AssertionError("an element of the Hom kernel is no F-zip morphism")
+                raise VerificationError(f"an element of the Hom kernel is no F-zip morphism: "
+                                        f"g = {g!r}")
             return True
     return False
 
@@ -654,7 +656,7 @@ def _fzip_hom(z1, z2, spans):
         col = []
         for d in _alpha_defects(z1, z2, _fp_matrix(R, n, e), below):
             if d is None:
-                raise AssertionError("a filtration-preserving g leaves gr_C^i")
+                raise VerificationError(f"a filtration-preserving g leaves gr_C^i: g = {e}")
             col.extend(d)
         cols.append(col)
     return [linalg.combine_modp(p, V, x, width) for x in linalg.kernel_modp(p, cols)]

@@ -10,7 +10,6 @@ their nilpotence type.
 
 from __future__ import annotations
 
-from . import linalg
 from .rings import dual_number_extension, extension_field, prime_field, truncated_poly_ring
 from .frames import (RelativeFrame, TautologicalFrame, Thickening, WittFrame,
                      ZipFrame)

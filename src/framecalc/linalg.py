@@ -20,6 +20,9 @@ an ArtinRing or a WittRing is inverted as the 1x1 matrix [[x]].
 
 from __future__ import annotations
 
+# rings imports this module, so its names are read at use
+from . import rings
+
 
 class SingularMatrix(ValueError):
     pass
@@ -201,7 +204,8 @@ def solve_local(ring, M, rhs):
     x = [ring.from_coords(sol[j:j + k]) for j in range(0, len(sol), k)]
     for row, b in zip(M, rhs):
         if ring.dot(row, x) != b:
-            raise AssertionError("F_p-linear solution failed exact verification")
+            raise rings.VerificationError(
+                f"F_p-linear solution failed exact verification: x = {x!r}")
     return x
 
 
@@ -253,4 +257,5 @@ def mat_inverse(ring, A):
             return X
         # X <- X (2I - A X)
         X = mat_mul(ring, X, mat_sub(mat_add(I, I), AX))
-    raise AssertionError("Newton iteration failed to converge")  # pragma: no cover
+    raise rings.VerificationError(  # pragma: no cover
+        f"Newton iteration failed to converge: A = {A!r}")

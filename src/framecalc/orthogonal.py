@@ -18,6 +18,7 @@ import itertools
 from . import linalg
 from .displays import (Display, GradedElem, GradedMatrix, all_displays,
                        orbit_search)
+from .rings import VerificationError
 
 
 def standard_J(ring, n):
@@ -138,9 +139,9 @@ def decompose(g):
     for i in range(len(mu)):
         for j in range(len(mu)):
             if mu[j] - mu[i] >= 1 and not q.entries[i][j].is_zero():
-                raise AssertionError("decomposition left a positive entry")
+                raise VerificationError(f"decomposition left a positive entry at ({i}, {j})")
     if not (q * u) == g:
-        raise AssertionError("decomposition failed to recompose g")
+        raise VerificationError(f"decomposition failed to recompose g = {g!r}")
     return q, u
 
 
@@ -250,7 +251,7 @@ def orth_group_factors(frame, mu):
                             e.payload.coeffs for row in g.entries for e in row):
                         key = key * frame.p + c
                     if key in seen:
-                        raise AssertionError("factorization is not unique")
+                        raise VerificationError(f"factorization is not unique: g = {g!r}")
                     seen.add(key)
                     yield (a, H, xm, xp), g
 

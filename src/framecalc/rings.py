@@ -142,6 +142,11 @@ class NotAUnit(ValueError):
     pass
 
 
+class VerificationError(AssertionError):
+    """An exactness check failed; the message names the witness.  The CLI
+    reports it as a failed verification (exit 1)."""
+
+
 class EnumerationTooLarge(ValueError):
     pass
 
@@ -483,7 +488,7 @@ class SquareZeroExtension:
 
     def proj(self, b):
         """The projection B -> A (drop kernel monomials)."""
-        if b.ring != self.B:
+        if b.ring is not self.B and b.ring != self.B:
             raise RingMismatch("expected an element of B")
         return RingElem(self.A, tuple([b.coeffs[k] for k in self._a_pos]))
 

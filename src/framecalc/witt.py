@@ -12,7 +12,8 @@ check against the ghost-derived polynomials).
 
 On a small ring one operation memo per W_m(R), keyed on the operands'
 coordinate tuples, holds sums, products, negatives and the fixed-length
-Frobenius.
+Frobenius, and the ghost vector of every operand that a miss has met, so
+each element's ghost vector is computed once.
 
 Sums and products run on ghost components.  R = F_q[x]/I has the flat lift
 R~ = W(F_q)[x]/I with the same basis (`ArtinRing.lift_mul`); R~ has no
@@ -31,19 +32,20 @@ import itertools
 import operator
 
 from . import linalg, wittpoly
-from .rings import EnumerationTooLarge, NotAUnit, RingElem, RingMismatch
+from .rings import (EnumerationTooLarge, NotAUnit, RingElem, RingMismatch,
+                    VerificationError)
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
 # about 29 MiB at some 230 bytes an entry over W_2(F_3[e]/e^2); the largest
-# benchmark fill is 17,090 on witt-kernel and 13,380 on frame-axioms (add,
-# mul, neg and Frobenius together).
+# benchmark fill is about 17,700 on witt-kernel and 13,470 on frame-axioms
+# (add, mul, neg, Frobenius and ghost vectors together).
 MEMO_CAP = 1 << 17
 
 
 class WittRing:
     """Arithmetic context for W_m(R): the ghost route on the flat lift, the
     Frobenius term lists and, for a small ring, the operation memo of
-    `add`, `mul`, `neg` and `frobenius_fixed`.
+    `add`, `mul`, `neg`, `frobenius_fixed` and `_ghosts`.
 
     Instances are interned on (ring, m) so the term lists and the
     small-ring operation tables are shared by every construction site.
@@ -73,10 +75,10 @@ class WittRing:
         d = ring.dim
         self._cuts = tuple(slice(i, i + d) for i in range(0, m * d, d))
         self._split = operator.itemgetter(*self._cuts) if m > 1 else (lambda c: (c,))
-        # memoize add, mul, neg and the fixed-length Frobenius, keyed on the
-        # operands' coeffs, when the ring is small enough that the operation
-        # tables fit comfortably (enumeration-heavy workloads), up to
-        # MEMO_CAP entries
+        # memoize add, mul, neg, the fixed-length Frobenius and the ghost
+        # vectors, keyed on the operands' coeffs, when the ring is small
+        # enough that the operation tables fit comfortably (enumeration-heavy
+        # workloads), up to MEMO_CAP entries
         self._memo = {} if self.size <= 4096 else None
         # the lifted p-power rows of `_row`, one per element of R, up to
         # MEMO_CAP of them
@@ -230,9 +232,19 @@ class WittRing:
 
     def _ghosts(self, x):
         """w_1..w_{m-1} of x on the flat lift mod p^m, each component lifted
-        by its coordinates: w_n = sum_{i<=n} p^i x_i^(p^(n-i))."""
+        by its coordinates: w_n = sum_{i<=n} p^i x_i^(p^(n-i)); a tuple,
+        kept in the operation memo of a small ring."""
+        memo = self._memo
+        if memo is not None:
+            key = ("w", x.coeffs)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         powers = [self._row(c) for c in self._split(x.coeffs)]
-        return [self._weighted(powers, n) for n in range(1, self.m)]
+        out = tuple([self._weighted(powers, n) for n in range(1, self.m)])
+        if memo is not None and len(memo) < MEMO_CAP:
+            memo[key] = out
+        return out
 
     def _from_ghosts(self, c0, ghosts):
         """The Witt vector with component 0 c0 and ghost components
@@ -246,7 +258,8 @@ class WittRing:
             q = p ** n
             num = [a - b for a, b in zip(w, self._weighted(powers, n))]
             if any(a % q for a in num):
-                raise AssertionError("ghost inversion is not exact")
+                raise VerificationError(f"ghost inversion is not exact: w_{n} = {w} after "
+                                        f"the coordinates {tuple(coeffs)}")
             c = tuple([a // q % p for a in num])
             coeffs += c
             powers.append(self._row(c))

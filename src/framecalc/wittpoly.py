@@ -21,6 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
+from .rings import VerificationError
+
 
 class ZPoly(dict):
     """A polynomial over Z: {exponent tuple: nonzero int}, one tuple length
@@ -85,7 +87,8 @@ def _invert_ghost(p, n, target, known):
     num = target - sum((p ** i * known[i] ** (p ** (n - i)) for i in range(n)), ZPoly())
     q = p ** n
     if any(c % q for c in num.values()):
-        raise AssertionError("ghost inversion produced a non-integral coefficient")
+        raise VerificationError(
+            f"ghost inversion produced a non-integral coefficient in S_{n}")
     return ZPoly({monom: c // q for monom, c in num.items()})
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from framecalc import serialize
 from framecalc.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from framecalc.rings import prime_field
+from framecalc.rings import ArtinRing, prime_field
+from framecalc.witt import WittRing
 from framecalc.frames import ZipFrame
 from framecalc.displays import to_fzip, unit_display
 
@@ -180,6 +181,22 @@ def test_failed_verification_exits_1(tmp_path, capsys):
     assert main(["ortho", "check", "--spec", spec, "--json"]) == EXIT_FAIL
     report = json.loads(capsys.readouterr().out)
     assert report["orthogonal"] is False
+
+
+def test_failed_exactness_check_exits_1_with_its_witness(tmp_path, capsys, monkeypatch):
+    # a lifted product off by one makes the ghost inversion of a fresh
+    # W_2(F_3) inexact on the first miss; the CLI names the failed check
+    # and its witness on one line, without a traceback
+    lift_mul = ArtinRing.lift_mul
+    monkeypatch.setattr(ArtinRing, "lift_mul",
+                        lambda ring, a, b, k: [c + 1 for c in lift_mul(ring, a, b, k)])
+    monkeypatch.setattr(WittRing, "_instances", {})
+    spec = _write(tmp_path, "spec.json", _WITT_ADD)
+    assert main(["witt", "mul", "--spec", spec, "--json"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verification failed: ghost inversion is not exact: "
+                            "w_1 = [7] after the coordinates (2,)\n")
 
 
 def _el(c):

@@ -91,6 +91,22 @@ def test_zip_projection_catches_a_non_additive_projection():
     assert "additive" in {name for name, _ in report["failures"]}
 
 
+def test_zip_projection_names_each_broken_pair():
+    # pairs over the same images share the target's value, yet each pair's
+    # own projection is compared with it: one broken nu and act pair among
+    # 81 is reported, and nothing else
+    frame = WittFrame(prime_field(3), 2)
+    one = frame.s0.one()
+    bad = (frame.s0.el([1, 2]), frame.s0.el([2, 1]))
+    nu, act = frame.nu, frame.act
+    frame.nu = lambda x, y: nu(x, y) + one if (x, y) == bad else nu(x, y)
+    frame.act = lambda s, x: act(s, x) + one if (s, x) == bad else act(s, x)
+    report = check_zip_projection(frame, budget=20000, seed=0)
+    witness = (repr(bad[0]), repr(bad[1]))
+    assert report["mode"] == "exhaustive"
+    assert report["failures"] == [("nu", witness), ("act", witness)]
+
+
 def test_zip_projection_target():
     frame = WittFrame(prime_field(3), 2)
     pi0, piP, target = zip_projection(frame)

@@ -2,6 +2,8 @@
 
 - No `assert` statement: `python -O` strips them, and the package's
   exactness checks must run in every mode.
+- No `raise AssertionError`: a failed exactness check raises
+  `rings.VerificationError`, which the CLI reports with exit code 1.
 - No dead code: every module-level function and class, and every public
   non-dunder method of a class, is referenced somewhere in src/, tests/ or
   perfbench/ outside its own definition.  An attribute (`x.name`) counts
@@ -31,6 +33,8 @@
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
+- No unused import: every name a module imports is used in it; the
+  package's `__init__` is exempt, because its imports are the public API.
 - No runtime dependency: every import in the package is standard library or
   relative, and a CLI run leaves sympy (a test-only dependency) unloaded.
 """
@@ -57,6 +61,36 @@ def test_no_assert_statements():
              for path, tree in _trees("src/framecalc")
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements (stripped by python -O): {found}"
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None)
+
+
+def test_no_bare_assertion_errors():
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees("src/framecalc")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and _raised_name(node) == "AssertionError"]
+    assert not found, f"raise AssertionError in place of VerificationError: {found}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path, tree in _trees("src/framecalc"):
+        if path.name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported names the module never uses: {unused}"
 
 
 def _references():

@@ -240,6 +240,13 @@ def test_memo_stops_growing_at_the_cap(monkeypatch):
                 assert capped.neg(y) == plain.neg(y)
                 assert len(capped._memo) <= 50
     assert len(capped._memo) == 50
+    # ghost vectors count against the cap: some were stored before it was
+    # reached, and none is stored after
+    assert "w" in {key[0] for key in capped._memo}
+    last = els[-1]
+    assert ("w", last.coeffs) not in capped._memo
+    assert capped._ghosts(last) == plain._ghosts(last)
+    assert len(capped._memo) == 50 and ("w", last.coeffs) not in capped._memo
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +276,28 @@ def _assert_routes_agree(wr, pairs):
         assert wr.neg(x) == _polynomial_route(wr, "neg", x), x
 
 
-@pytest.mark.parametrize("ring,m", [
-    (prime_field(2), 3), (prime_field(3), 2), (extension_field(3, 2), 2),
-    (dual_numbers(3), 2)], ids=["W3(F2)", "W2(F3)", "W2(F9)", "W2(F3[e]/e2)"])
-def test_lift_route_matches_the_polynomials_exhaustively(monkeypatch, ring, m):
-    wr = _unmemoized(monkeypatch, ring, m)
+EXHAUSTIVE_RINGS = [(prime_field(2), 3), (prime_field(3), 2),
+                    (extension_field(3, 2), 2), (dual_numbers(3), 2)]
+EXHAUSTIVE_IDS = ["W3(F2)", "W2(F3)", "W2(F9)", "W2(F3[e]/e2)"]
+
+
+@pytest.mark.parametrize(
+    "ring,m,memo", [(ring, m, memo) for memo in (False, True) for ring, m in EXHAUSTIVE_RINGS],
+    ids=EXHAUSTIVE_IDS + [f"{i}-memo" for i in EXHAUSTIVE_IDS])
+def test_lift_route_matches_the_polynomials_exhaustively(monkeypatch, ring, m, memo):
+    # with the memo every miss after an operand's first reads its ghost
+    # vector from the memo; without it every miss recomputes both
+    wr = _fresh(monkeypatch, ring, m) if memo else _unmemoized(monkeypatch, ring, m)
     els = list(wr.elements())
     _assert_routes_agree(wr, itertools.product(els, repeat=2))
+    if memo:
+        ghosts = {key[1]: w for key, w in wr._memo.items() if key[0] == "w"}
+        assert sorted(ghosts) == sorted(x.coeffs for x in els)
+        twin = _unmemoized(monkeypatch, ring, m)
+        assert twin is not wr
+        for x in els:
+            assert type(ghosts[x.coeffs]) is tuple
+            assert ghosts[x.coeffs] == twin._ghosts(twin.el(x.comps))
 
 
 @pytest.mark.parametrize("ring,m,count", [
