@@ -1,10 +1,14 @@
 """Command-line front end: deterministic JSON reports for every operation.
 
-Subcommands: ring, witt, frame, display, zip, ortho, k3, deform, selftest.
+Subcommands: ring, witt, frame, display, zip, ortho, k3, deform, selftest;
+the `COMMANDS` table names each with its handler and ops.  A handler returns
+only its payload, and `_emit` wraps it in the report envelope: the
+`command` name and a `passed` that is true unless the payload says
+otherwise.
 Exit codes: 0 = success, 1 = a verification failed (the report carries a
 witness, or a failed exactness check writes `error: verification failed:`
-with its witness), 2 = input error (bad spec, unknown command, budget
-exceeded).
+with its witness), 2 = input error (bad spec, unknown command, operands over
+different frames or rings, budget exceeded).
 Reports are emitted with sorted keys and fixed formatting, so the same spec
 and seed always produce identical bytes.
 """
@@ -18,13 +22,14 @@ import sys
 
 from . import linalg, serialize
 from .serialize import SchemaError, dumps, require
-from .rings import EnumerationTooLarge, VerificationError, prime_field
+from .rings import (EnumerationTooLarge, RingMismatch, VerificationError,
+                    prime_field)
 from .witt import WittRing, teichmuller, verschiebung, witt_frobenius
 from .frames import (Thickening, WittFrame, ZipFrame, check_zip_projection,
                      frame_axiom_check)
 from .displays import (classify_fzips, classify_orbits, dual, from_fzip,
-                       is_isomorphic_bruteforce, tensor, to_fzip, twist,
-                       unit_display)
+                       in_display_group, is_isomorphic_bruteforce, tensor,
+                       to_fzip, twist, unit_display)
 from .orthogonal import (GramNotSplit, OrthDisplay, classify_orth_orbits,
                          decompose, form_transform, normalize_gram,
                          standard_gram, verify_orth)
@@ -68,14 +73,18 @@ def _within_budget(classify, frame, mu, cap):
         raise InputError(str(exc))
 
 
-def _emit(args, report):
+def _emit(args, payload):
+    """Write the report: the payload of `args.func`, under the command name
+    and a `passed` that defaults to true."""
+    name = f"{args.command} {args.op}" if args.op else args.command
+    report = {"command": name, "passed": True, **payload}
     text = dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     if args.json or not args.out:
         sys.stdout.write(text if args.json else _summary(report))
-    return EXIT_OK if report.get("passed", True) else EXIT_FAIL
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def _summary(report, prefix=""):
@@ -112,8 +121,7 @@ def cmd_ring(args):
                 if a * b != b * a:
                     failures.append("commutativity")
     q = ring.field.q
-    report = {
-        "command": "ring",
+    return {
         "ring": serialize.ring_to_dict(ring),
         "size": ring.size,
         "rank": len(ring.basis),
@@ -122,7 +130,6 @@ def cmd_ring(args):
         "failures": sorted(set(failures)),
         "passed": not failures,
     }
-    return _emit(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +142,20 @@ def cmd_witt(args):
     m = serialize.to_int(require(spec, "m"), "m", low=1)
     wring = WittRing(ring, m)
     op = args.op
-    if op in ("add", "mul"):
-        x = serialize.witt_from_list(wring, require(spec, "x"))
-        y = serialize.witt_from_list(wring, require(spec, "y"))
-        res = x + y if op == "add" else x * y
-    elif op == "frob":
-        if m < 2:
-            raise InputError("frob lowers the length; need m >= 2")
-        x = serialize.witt_from_list(wring, require(spec, "x"))
-        res = witt_frobenius(x)
-    elif op == "v":
-        x = serialize.witt_from_list(wring, require(spec, "x"))
-        res = verschiebung(x)
-    else:  # teich
+    if op == "frob" and m < 2:
+        raise InputError("frob lowers the length; need m >= 2")
+    if op == "teich":
         a = serialize.elem_from_dict(ring, require(spec, "a"))
         res = teichmuller(a, m)
-    report = {
-        "command": f"witt {op}",
-        "ring": serialize.ring_to_dict(ring),
-        "m": m,
-        "result": serialize.witt_to_list(res),
-        "passed": True,
-    }
-    return _emit(args, report)
+    else:
+        x = serialize.witt_from_list(wring, require(spec, "x"))
+        if op in ("add", "mul"):
+            y = serialize.witt_from_list(wring, require(spec, "y"))
+            res = x + y if op == "add" else x * y
+        else:
+            res = witt_frobenius(x) if op == "frob" else verschiebung(x)
+    return {"ring": serialize.ring_to_dict(ring), "m": m,
+            "result": serialize.witt_to_list(res)}
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +166,8 @@ def cmd_frame(args):
     spec = _load_spec(args, required=(args.op == "build"))
     if args.op == "build":
         frame = serialize.frame_from_dict(spec)
-        report = {
-            "command": "frame build",
-            "frame": serialize.frame_to_dict(frame),
-            "s0_size": frame.s0.size,
-            "passed": True,
-        }
-        return _emit(args, report)
+        return {"frame": serialize.frame_to_dict(frame),
+                "s0_size": frame.s0.size}
     frames = [serialize.frame_from_dict(spec)] if spec else fixtures.fixture_frames()
     budget = args.budget or 20000
     checks = {}
@@ -191,13 +184,11 @@ def cmd_frame(args):
         if not res["passed"]:
             witnesses[name] = res["failures"][:3]
         checks[name] = ok
-    report = {
-        "command": "frame check",
+    return {
         "checks": checks,
         "witnesses": {k: [str(w) for w in v] for k, v in witnesses.items()},
         "passed": all(checks.values()),
     }
-    return _emit(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -214,55 +205,27 @@ def cmd_display(args):
         orbits = _within_budget(classify_orbits, frame, mu, cap)
         reps = [serialize.display_to_dict(min(o, key=lambda d: str(d.phi)))
                 for o in orbits]
-        report = {
-            "command": "display classify",
-            "orbits": len(orbits),
-            "orbit_sizes": sorted(len(o) for o in orbits),
-            "representatives": reps,
-            "passed": True,
-        }
-    elif op == "iso":
+        return {"orbits": len(orbits),
+                "orbit_sizes": sorted(len(o) for o in orbits),
+                "representatives": reps}
+    if op in ("iso", "tensor"):
         d1 = serialize.display_from_dict(require(spec, "first"))
         d2 = serialize.display_from_dict(require(spec, "second"))
-        report = {
-            "command": "display iso",
-            "isomorphic": is_isomorphic_bruteforce(d1, d2, cap),
-            "passed": True,
-        }
-    elif op == "act":
-        d = serialize.display_from_dict(require(spec, "display"))
+        if op == "iso":
+            return {"isomorphic": is_isomorphic_bruteforce(d1, d2, cap)}
+        return {"result": serialize.display_to_dict(tensor(d1, d2))}
+    d = serialize.display_from_dict(require(spec, "display"))
+    if op == "act":
         g = serialize.graded_from_dict(d.frame, require(spec, "element"), d.mu)
-        if g.mu_col != d.mu:
+        if g.mu_row != d.mu or g.mu_col != d.mu:
             raise InputError("element: weights differ from the display's")
-        report = {
-            "command": "display act",
-            "result": serialize.display_to_dict(d.act(g)),
-            "passed": True,
-        }
-    elif op == "hodge":
-        d = serialize.display_from_dict(require(spec, "display"))
-        filt = d.hodge_filtration()
-        report = {
-            "command": "display hodge",
-            "filtration": {str(k): v for k, v in filt.items()},
-            "passed": True,
-        }
-    elif op == "tensor":
-        d1 = serialize.display_from_dict(require(spec, "first"))
-        d2 = serialize.display_from_dict(require(spec, "second"))
-        report = {
-            "command": "display tensor",
-            "result": serialize.display_to_dict(tensor(d1, d2)),
-            "passed": True,
-        }
-    else:  # dual
-        d = serialize.display_from_dict(require(spec, "display"))
-        report = {
-            "command": "display dual",
-            "result": serialize.display_to_dict(dual(d)),
-            "passed": True,
-        }
-    return _emit(args, report)
+        if not in_display_group(g):
+            raise InputError("element: not invertible in the display group")
+        return {"result": serialize.display_to_dict(d.act(g))}
+    if op == "hodge":
+        return {"filtration": {str(k): v
+                               for k, v in d.hodge_filtration().items()}}
+    return {"result": serialize.display_to_dict(dual(d))}
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +234,18 @@ def cmd_display(args):
 
 def cmd_zip(args):
     spec = _load_spec(args)
-    op = args.op
-    if op == "to":
-        d = serialize.display_from_dict(require(spec, "display"))
-        report = {
-            "command": "zip to",
-            "result": serialize.fzip_to_dict(to_fzip(d)),
-            "passed": True,
-        }
-    elif op == "from":
+    if args.op == "from":
         z = serialize.fzip_from_dict(require(spec, "zip"))
         frame = serialize.frame_from_dict(require(spec, "frame"))
-        report = {
-            "command": "zip from",
-            "result": serialize.display_to_dict(from_fzip(z, frame)),
-            "passed": True,
-        }
-    else:  # roundtrip
-        d = serialize.display_from_dict(require(spec, "display"))
-        back = from_fzip(to_fzip(d), d.frame)
-        ok = back == d
-        report = {
-            "command": "zip roundtrip",
-            "roundtrip_identity": ok,
+        return {"result": serialize.display_to_dict(from_fzip(z, frame))}
+    d = serialize.display_from_dict(require(spec, "display"))
+    if args.op == "to":
+        return {"result": serialize.fzip_to_dict(to_fzip(d))}
+    back = from_fzip(to_fzip(d), d.frame)
+    ok = back == d
+    return {"roundtrip_identity": ok,
             "witness": None if ok else serialize.display_to_dict(back),
-            "passed": ok,
-        }
-    return _emit(args, report)
+            "passed": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -306,69 +254,55 @@ def cmd_zip(args):
 
 def cmd_ortho(args):
     spec = _load_spec(args)
-    op = args.op
-    if op == "check":
-        d = serialize.display_from_dict(require(spec, "display"))
-        ok = verify_orth(d)
-        report = {"command": "ortho check", "orthogonal": ok, "passed": ok}
-    elif op == "normalize":
-        frame = serialize.frame_from_dict(require(spec, "frame"))
-        mu = serialize.int_tuple(require(spec, "mu"), "mu")
-        if "gram" in spec:
-            B = serialize.graded_from_dict(frame, spec["gram"], mu)
-            grams = [B]
-        else:
-            if frame.kind != "relative":
-                raise InputError('random perturbations need a relative frame; '
-                                 'give a "gram" for any other')
-            rng = random.Random(args.seed)
-            count = serialize.to_int(spec.get("count", 1), "count")
-            grams = [fixtures.rand_gram_perturbation(frame, mu, rng)
-                     for _ in range(count)]
-        results = []
-        ok = True
-        for B in grams:
-            try:
-                A = normalize_gram(B)
-            except GramNotSplit as exc:
-                results.append({"split": False, "witness": str(exc)})
-                ok = False
-                continue
-            good = form_transform(B, A) == standard_gram(frame, mu)
-            ok = ok and good
-            results.append({"split": True, "verified": good,
-                            "basis_change": serialize.graded_to_dict(A)})
-        report = {"command": "ortho normalize", "results": results,
-                  "count": len(grams), "passed": ok}
-    else:  # classify
-        frame = serialize.frame_from_dict(require(spec, "frame"))
-        mu = serialize.int_tuple(require(spec, "mu"), "mu")
+    if args.op == "check":
+        ok = verify_orth(serialize.display_from_dict(require(spec, "display")))
+        return {"orthogonal": ok, "passed": ok}
+    frame = serialize.frame_from_dict(require(spec, "frame"))
+    mu = serialize.int_tuple(require(spec, "mu"), "mu")
+    if args.op == "classify":
         orbits = _within_budget(classify_orth_orbits, frame, mu,
                                 args.budget or 10 ** 7)
-        report = {
-            "command": "ortho classify",
-            "orbits": len(orbits),
-            "orbit_sizes": sorted(len(o) for o in orbits),
-            "passed": True,
-        }
-    return _emit(args, report)
+        return {"orbits": len(orbits),
+                "orbit_sizes": sorted(len(o) for o in orbits)}
+    if "gram" in spec:
+        # a Gram form has rows of weight -mu: entry (i, j) of degree mu_i + mu_j
+        neg = tuple(-w for w in mu)
+        B = serialize.graded_from_dict(frame, spec["gram"], mu, neg)
+        if (B.mu_row, B.mu_col) != (neg, mu):
+            raise InputError("gram: the weights must be -mu by mu")
+        grams = [B]
+    else:
+        if frame.kind != "relative":
+            raise InputError('random perturbations need a relative frame; '
+                             'give a "gram" for any other')
+        rng = random.Random(args.seed)
+        count = serialize.to_int(spec.get("count", 1), "count")
+        grams = [fixtures.rand_gram_perturbation(frame, mu, rng)
+                 for _ in range(count)]
+    results = []
+    ok = True
+    for B in grams:
+        try:
+            A = normalize_gram(B)
+        except GramNotSplit as exc:
+            results.append({"split": False, "witness": str(exc)})
+            ok = False
+            continue
+        good = form_transform(B, A) == standard_gram(frame, mu)
+        ok = ok and good
+        results.append({"split": True, "verified": good,
+                        "basis_change": serialize.graded_to_dict(A)})
+    return {"results": results, "count": len(grams), "passed": ok}
 
 
 def cmd_k3(args):
     spec = _load_spec(args)
     d = serialize.display_from_dict(require(spec, "display"))
-    shift = 1 if args.op == "pack" else -1
-    t = twist(d, shift)
+    t = twist(d, 1 if args.op == "pack" else -1)
     out = serialize.display_to_dict(t)
     if args.op == "unpack":
-        out["selfdual"] = verify_orth(OrthDisplay(t.frame, t.mu, t.phi,
-                                                  check=False))
-    report = {
-        "command": f"k3 {args.op}",
-        "result": out,
-        "passed": True,
-    }
-    return _emit(args, report)
+        out["selfdual"] = verify_orth(t)
+    return {"result": out}
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +333,9 @@ def cmd_deform(args):
     if args.op == "lift":
         dhat = lift_orth_display(th, d) if selfdual else lift_display(th, d)
         ok = linalg.mat_eq(reduce_display(th, dhat).phi, d.phi)
-        report = {
-            "command": "deform lift",
-            "lifted": serialize.display_to_dict(dhat),
-            "reduces_to_input": ok,
-            "passed": ok,
-        }
-    elif args.op == "hodge":
+        return {"lifted": serialize.display_to_dict(dhat),
+                "reduces_to_input": ok, "passed": ok}
+    if args.op == "hodge":
         params = list(hodge_lift_parameters(th.source, d.mu, orth=selfdual))
         ser = []
         for pr in params:
@@ -418,43 +348,33 @@ def cmd_deform(args):
                                             sum(1 for i in range(d.n)
                                                 for j in range(d.n)
                                                 if d.mu[j] - d.mu[i] >= 1))
-        report = {
-            "command": "deform hodge",
-            "count": len(params),
-            "expected": expected,
-            "lifts": ser,
-            "passed": len(params) == expected,
-        }
-    else:  # k3
-        if not selfdual:
-            raise InputError("deform k3 requires a self-dual display")
-        deformations = k3_deform(th, d)
-        transcript = []
-        seen = set()
-        ok = True
-        for dd in deformations:
-            orth = verify_orth(dd)
-            red = linalg.mat_eq(
-                reduce_witt_display(th.source.ext, th.target, dd).phi, d.phi)
-            key = json.dumps(serialize.matrix_to_json(dd.frame.s0, dd.phi),
-                             sort_keys=True)
-            fresh = key not in seen
-            seen.add(key)
-            ok = ok and orth and red and fresh
-            transcript.append({"orthogonal": orth, "reduces": red,
-                               "distinct": fresh})
-        expected = th.source.ext.j_size ** (d.n - 2)
-        ok = ok and len(deformations) == expected
-        report = {
-            "command": "deform k3",
-            "count": len(deformations),
-            "expected": expected,
-            "deformations": [serialize.display_to_dict(dd)
-                             for dd in deformations],
-            "transcript": transcript,
-            "passed": ok,
-        }
-    return _emit(args, report)
+        return {"count": len(params), "expected": expected, "lifts": ser,
+                "passed": len(params) == expected}
+    if not selfdual:
+        raise InputError("deform k3 requires a self-dual display")
+    deformations = k3_deform(th, d)
+    transcript = []
+    seen = set()
+    ok = True
+    for dd in deformations:
+        orth = verify_orth(dd)
+        red = linalg.mat_eq(
+            reduce_witt_display(th.source.ext, th.target, dd).phi, d.phi)
+        key = json.dumps(serialize.matrix_to_json(dd.frame, dd.phi),
+                         sort_keys=True)
+        fresh = key not in seen
+        seen.add(key)
+        ok = ok and orth and red and fresh
+        transcript.append({"orthogonal": orth, "reduces": red,
+                           "distinct": fresh})
+    expected = th.source.ext.j_size ** (d.n - 2)
+    return {
+        "count": len(deformations),
+        "expected": expected,
+        "deformations": [serialize.display_to_dict(dd) for dd in deformations],
+        "transcript": transcript,
+        "passed": ok and len(deformations) == expected,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +431,26 @@ def cmd_selftest(args):
         ok = ok and (q * u == g)
     checks["decompose_random"] = ok
 
-    report = {
-        "command": "selftest",
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    return _emit(args, report)
+    return {"checks": checks, "passed": all(checks.values())}
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = [
+    ("ring", cmd_ring, None),
+    ("witt", cmd_witt, ["add", "mul", "frob", "v", "teich"]),
+    ("frame", cmd_frame, ["build", "check"]),
+    ("display", cmd_display, ["act", "iso", "classify", "hodge", "tensor",
+                              "dual"]),
+    ("zip", cmd_zip, ["to", "from", "roundtrip"]),
+    ("ortho", cmd_ortho, ["check", "normalize", "classify"]),
+    ("k3", cmd_k3, ["pack", "unpack"]),
+    ("deform", cmd_deform, ["lift", "hodge", "k3"]),
+    ("selftest", cmd_selftest, None),
+]
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -537,51 +466,22 @@ def build_parser():
     common.add_argument("--out", help="write the JSON report to this file")
     common.add_argument("--json", action="store_true",
                         help="print the full JSON report to stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("ring", parents=[common]).set_defaults(func=cmd_ring)
-
-    p = sub.add_parser("witt", parents=[common])
-    p.add_argument("op", choices=["add", "mul", "frob", "v", "teich"])
-    p.set_defaults(func=cmd_witt)
-
-    p = sub.add_parser("frame", parents=[common])
-    p.add_argument("op", choices=["build", "check"])
-    p.set_defaults(func=cmd_frame)
-
-    p = sub.add_parser("display", parents=[common])
-    p.add_argument("op", choices=["act", "iso", "classify", "hodge",
-                                  "tensor", "dual"])
-    p.set_defaults(func=cmd_display)
-
-    p = sub.add_parser("zip", parents=[common])
-    p.add_argument("op", choices=["to", "from", "roundtrip"])
-    p.set_defaults(func=cmd_zip)
-
-    p = sub.add_parser("ortho", parents=[common])
-    p.add_argument("op", choices=["check", "normalize", "classify"])
-    p.set_defaults(func=cmd_ortho)
-
-    p = sub.add_parser("k3", parents=[common])
-    p.add_argument("op", choices=["pack", "unpack"])
-    p.set_defaults(func=cmd_k3)
-
-    p = sub.add_parser("deform", parents=[common])
-    p.add_argument("op", choices=["lift", "hodge", "k3"])
-    p.set_defaults(func=cmd_deform)
-
-    sub.add_parser("selftest", parents=[common]).set_defaults(func=cmd_selftest)
+    sub = parser.add_subparsers(required=True)
+    for name, func, ops in COMMANDS:
+        p = sub.add_parser(name, parents=[common])
+        if ops:
+            p.add_argument("op", choices=ops)
+        p.set_defaults(func=func, command=name, op=None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, args.func(args))
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
-    except (InputError, SchemaError) as exc:
+    except (InputError, SchemaError, RingMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
     except VerificationError as exc:
         sys.stderr.write(f"error: verification failed: {exc}\n")

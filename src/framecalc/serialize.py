@@ -186,36 +186,15 @@ def witt_from_list(wring, lst):
     return wring.el([elem_from_dict(wring.ring, c) for c in lst])
 
 
-def s0_elem_to_json(s0, e):
-    """Entry of a matrix over S0: Witt list for Witt-type S0, element map otherwise."""
-    if isinstance(s0, WittRing):
-        return witt_to_list(e)
-    return elem_to_dict(e)
-
-
-def s0_elem_from_json(s0, desc):
-    if isinstance(s0, WittRing):
-        return witt_from_list(s0, desc)
-    return elem_from_dict(s0, desc)
-
-
-def matrix_to_json(s0, M):
-    return [[s0_elem_to_json(s0, e) for e in row] for row in M]
-
-
-def matrix_from_json(s0, desc):
-    if (not isinstance(desc, list) or not desc
-            or not all(isinstance(row, list) for row in desc)):
-        raise SchemaError("matrix must be a non-empty list of rows")
-    return [[s0_elem_from_json(s0, e) for e in row] for row in desc]
-
-
 def payload_to_json(frame, degree, payload):
-    """Graded payloads: degree <= 0 lives in S0; positive degrees live in P,
-    which for a relative frame is a (Witt vector, kernel element) pair."""
+    """Graded payloads: degree <= 0 lives in S0, a Witt list for a Witt-type
+    S0 and an element map otherwise; positive degrees live in P, which for a
+    relative frame is a (Witt vector, kernel element) pair."""
     if degree >= 1 and isinstance(frame, RelativeFrame):
         return [witt_to_list(payload[0]), elem_to_dict(payload[1])]
-    return s0_elem_to_json(frame.s0, payload)
+    if isinstance(frame.s0, WittRing):
+        return witt_to_list(payload)
+    return elem_to_dict(payload)
 
 
 def payload_from_json(frame, degree, desc):
@@ -224,32 +203,49 @@ def payload_from_json(frame, degree, desc):
             raise SchemaError("positive-degree relative payload must be a pair")
         return (witt_from_list(frame.s0, desc[0]),
                 elem_from_dict(frame.ext.B, desc[1]))
-    return s0_elem_from_json(frame.s0, desc)
+    if isinstance(frame.s0, WittRing):
+        return witt_from_list(frame.s0, desc)
+    return elem_from_dict(frame.s0, desc)
+
+
+def matrix_to_json(frame, M):
+    """A matrix over S0: every entry is a payload of degree 0."""
+    return [[payload_to_json(frame, 0, e) for e in row] for row in M]
 
 
 def graded_to_dict(A):
-    return {
+    """{"mu", "grid"}, and "mu_row" when the row weights differ from mu."""
+    desc = {
         "mu": list(A.mu_col),
         "grid": [[payload_to_json(A.frame, e.degree, e.payload) for e in row]
                  for row in A.entries],
     }
+    if A.mu_row != A.mu_col:
+        desc["mu_row"] = list(A.mu_row)
+    return desc
 
 
-def graded_from_dict(frame, desc, mu=None):
-    from .displays import GradedMatrix
+def graded_from_dict(frame, desc, mu=None, mu_row=None):
+    """The descriptor's "mu" and "mu_row" override the arguments; the row
+    weights default to mu.  Entry (i, j) has degree mu[j] - mu_row[i]."""
+    from .displays import GradedElem, GradedMatrix
     grid = require(desc, "grid", "graded matrix descriptor")
     if "mu" in desc:
         mu = int_tuple(desc["mu"], "graded matrix 'mu'")
     if not mu:
         raise SchemaError("graded matrix descriptor must carry 'mu'")
+    if "mu_row" in desc:
+        mu_row = int_tuple(desc["mu_row"], "graded matrix 'mu_row'")
+    mu_row = mu if mu_row is None else mu_row
     n = len(mu)
+    if len(mu_row) != n:
+        raise SchemaError(f"graded matrix 'mu_row' must have {n} weights")
     if (not isinstance(grid, list) or len(grid) != n
             or any(not isinstance(row, list) or len(row) != n for row in grid)):
         raise SchemaError(f"graded matrix grid must be {n}x{n}")
-    grid = [[payload_from_json(frame, mu[j] - mu[i], e)
-             for j, e in enumerate(row)]
-            for i, row in enumerate(grid)]
-    return GradedMatrix.from_payloads(frame, mu, grid)
+    entries = [[GradedElem(frame, v - w, payload_from_json(frame, v - w, e))
+                for v, e in zip(mu, row)] for w, row in zip(mu_row, grid)]
+    return GradedMatrix(frame, mu_row, mu, entries)
 
 
 def vector_to_json(v):
@@ -343,7 +339,7 @@ def display_to_dict(d):
     return {
         "frame": frame_to_dict(d.frame),
         "mu": list(d.mu),
-        "phi": matrix_to_json(d.frame.s0, d.phi),
+        "phi": matrix_to_json(d.frame, d.phi),
         "selfdual": isinstance(d, OrthDisplay),
     }
 
@@ -354,7 +350,10 @@ def display_from_dict(desc, frame=None):
     phi = require(desc, "phi", what)
     if frame is None:
         frame = frame_from_dict(require(desc, "frame", what))
-    phi = matrix_from_json(frame.s0, phi)
+    if (not isinstance(phi, list) or not phi
+            or not all(isinstance(row, list) for row in phi)):
+        raise SchemaError("matrix must be a non-empty list of rows")
+    phi = [[payload_from_json(frame, 0, e) for e in row] for row in phi]
     cls = OrthDisplay if desc.get("selfdual") else Display
     try:
         return cls(frame, mu, phi, check=True)

@@ -8,7 +8,7 @@ from framecalc.rings import (dual_number_extension, extension_field,
 from framecalc.frames import (RelativeFrame, TautologicalFrame, WittFrame,
                               ZipFrame)
 from framecalc.displays import Display, to_fzip
-from framecalc.orthogonal import OrthDisplay, standard_J
+from framecalc.orthogonal import OrthDisplay, standard_gram, standard_J
 from framecalc.fixtures import k3_fixture
 from framecalc.serialize import SchemaError
 
@@ -111,8 +111,25 @@ def test_graded_matrix_roundtrip():
     import random
     g = rand_group_element(rel, (1, 0), random.Random(9))
     desc = serialize.graded_to_dict(g)
+    assert "mu_row" not in desc  # a square matrix of the display group
     back = serialize.graded_from_dict(rel, desc)
     assert back == g
+
+
+@pytest.mark.parametrize("frame", [
+    ZipFrame(prime_field(3)), RelativeFrame(dual_number_extension(3), 2),
+], ids=["zip", "relative"])
+def test_gram_matrix_roundtrip(frame):
+    # rows of weight -mu: entry (i, j) has degree mu[i] + mu[j]
+    import random
+    from framecalc.fixtures import rand_gram_perturbation
+    mu = (1, 0, 0, -1)
+    B = (rand_gram_perturbation(frame, mu, random.Random(5))
+         if frame.kind == "relative" else standard_gram(frame, mu))
+    desc = serialize.graded_to_dict(B)
+    assert desc["mu_row"] == [-1, 0, 0, 1]
+    back = serialize.graded_from_dict(frame, desc)
+    assert back == B and back.mu_row == B.mu_row
 
 
 def test_dumps_is_deterministic():

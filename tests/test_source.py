@@ -35,6 +35,10 @@
   interface whose members need not use every argument.
 - No unused import: every name a module imports is used in it; the
   package's `__init__` is exempt, because its imports are the public API.
+- One report envelope: in `cli.py` only `_emit` writes the string
+  "command", so every report gets its name and default `passed` there.
+- One command list: the README's `Commands:` line names exactly the
+  commands and ops of `cli.COMMANDS`, in its order.
 - No runtime dependency: every import in the package is standard library or
   relative, and a CLI run leaves sympy (a test-only dependency) unloaded.
 """
@@ -42,6 +46,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +234,22 @@ def test_every_function_parameter_is_read():
             unread += [f"{path.stem}.{node.name}({arg.arg})"
                        for arg in params if arg.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_only_emit_writes_the_report_command():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno}" for top in tree.body
+             if not (isinstance(top, ast.FunctionDef) and top.name == "_emit")
+             for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and node.value == "command"]
+    assert not found, f'"command" written outside cli._emit: {found}'
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    from framecalc.cli import COMMANDS
+    block = (ROOT / "README.md").read_text().split("Commands:", 1)[1]
+    listed = re.findall(r"`(\w+)(?: \{([\w,]+)\})?`", block.split("\n\n", 1)[0])
+    assert listed == [(name, ",".join(ops or ())) for name, _, ops in COMMANDS]
 
 
 def test_every_import_is_standard_library_or_relative():
