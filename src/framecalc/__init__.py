@@ -15,9 +15,9 @@ from .displays import (Display, FZip, GradedElem, GradedMatrix,
                        is_isomorphic_bruteforce, tensor, to_fzip, twist)
 from .orthogonal import (OrthDisplay, decompose, normalize_gram,
                          orth_group_elements, standard_gram, verify_orth)
-from .deformation import (classify_witt_fiber, enumerate_hodge_deformations,
-                          hodge_lift_parameters, k3_deform, lift_display,
-                          lift_orth_display, lift_uniqueness_witness,
-                          reduce_display, solve_descent, theta)
+from .deformation import (base_change, classify_witt_fiber,
+                          enumerate_hodge_deformations, hodge_lift_parameters,
+                          k3_deform, lift_orth_display,
+                          lift_uniqueness_witness, solve_descent, theta)
 
 __version__ = "0.1.0"

@@ -33,9 +33,8 @@ from .displays import (classify_fzips, classify_orbits, dual, from_fzip,
 from .orthogonal import (GramNotSplit, OrthDisplay, classify_orth_orbits,
                          decompose, form_transform, normalize_gram,
                          standard_gram, verify_orth)
-from .deformation import (hodge_lift_parameters, k3_deform, lift_display,
-                          lift_orth_display, reduce_display,
-                          reduce_witt_display)
+from .deformation import (base_change, hodge_lift_parameters, k3_deform,
+                          lift_orth_display)
 from . import fixtures
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
@@ -331,8 +330,9 @@ def _deform_inputs(args):
 def cmd_deform(args):
     th, d, selfdual = _deform_inputs(args)
     if args.op == "lift":
-        dhat = lift_orth_display(th, d) if selfdual else lift_display(th, d)
-        ok = linalg.mat_eq(reduce_display(th, dhat).phi, d.phi)
+        dhat = (lift_orth_display(th, d) if selfdual
+                else base_change(d, th.source, th.lift0))
+        ok = linalg.mat_eq(base_change(dhat, th.target, th.eps0).phi, d.phi)
         return {"lifted": serialize.display_to_dict(dhat),
                 "reduces_to_input": ok, "passed": ok}
     if args.op == "hodge":
@@ -358,8 +358,7 @@ def cmd_deform(args):
     ok = True
     for dd in deformations:
         orth = verify_orth(dd)
-        red = linalg.mat_eq(
-            reduce_witt_display(th.source.ext, th.target, dd).phi, d.phi)
+        red = linalg.mat_eq(base_change(dd, th.target, th.eps0).phi, d.phi)
         key = json.dumps(serialize.matrix_to_json(dd.frame, dd.phi),
                          sort_keys=True)
         fresh = key not in seen

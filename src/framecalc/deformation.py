@@ -9,6 +9,11 @@ which gives unique solvability of the lifting equations.
 
 Two independent routes are kept side by side: the theta/descent iteration and
 the direct linear solve; the tests play them against each other.
+
+`base_change` is base change of displays along a frame morphism: its S0-map
+on every entry of the structure matrix.  A lift along a thickening is base
+change along `th.lift0`, a reduction along `th.eps0`, and a projection to the
+zip frame of a residue field along a residue map.
 """
 
 from __future__ import annotations
@@ -38,21 +43,14 @@ def _solve_modp(p, cols, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Lifting and reduction of displays
+# Base change of displays
 # ---------------------------------------------------------------------------
 
-def _map_display(d, frame, f, cls=None):
-    """The display over frame whose matrix is f applied to each entry of
-    d.phi, of class cls (by default d's own: Display or OrthDisplay)."""
+def base_change(d, frame, f, cls=None):
+    """d over frame through the S0-map f of a frame morphism, applied to
+    every entry of d.phi; of class cls (d's own class by default)."""
     phi = [[f(e) for e in row] for row in d.phi]
     return (cls or type(d))(frame, d.mu, phi, check=False)
-
-
-def lift_display(th, d):
-    """The monomial-section lift of a display along the thickening."""
-    if d.frame != th.target:
-        raise ValueError("display is not over the target frame")
-    return _map_display(d, th.source, th.lift0, Display)
 
 
 def lift_orth_display(th, d):
@@ -63,7 +61,7 @@ def lift_orth_display(th, d):
     """
     s0 = th.source.s0
     n = d.n
-    U = [[th.lift0(e) for e in row] for row in d.phi]
+    U = base_change(d, th.source, th.lift0, Display).phi
     J = standard_J(s0, n)
     E = linalg.mat_sub(
         linalg.mat_mul(s0, linalg.transpose(U), linalg.mat_mul(s0, J, U)), J)
@@ -74,13 +72,6 @@ def lift_orth_display(th, d):
     if not verify_orth(out):
         raise VerificationError(f"orthogonal correction failed: phi = {phi!r}")
     return out
-
-
-def reduce_display(th, d):
-    """Push a display over the relative frame down to W_m(A)."""
-    if d.frame != th.source:
-        raise ValueError("display is not over the source frame")
-    return _map_display(d, th.target, th.eps0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +435,19 @@ def hodge_lift_matrix(relframe, mu, params, orth=False):
     return A
 
 
-def apply_hodge_lift(dhat, A, out_frame=None):
-    """Deform a lifted display by a Hodge-flag lift.
-
-    With out_frame set (the Witt frame of B), the resulting matrix is read
-    as a display over W_m(B); sigma of the lift matrix is the identity, so
-    the action deforms only through tau and the result still reduces to the
-    original display.
-    """
-    y = dhat.act(A)
-    if out_frame is None:
-        return y
-    cls = OrthDisplay if isinstance(dhat, OrthDisplay) else Display
-    return cls(out_frame, y.mu, y.phi, check=False)
-
-
 def enumerate_hodge_deformations(th, d, orth=False):
     """All deformations of d along the thickening, one per Hodge lift,
-    emitted as displays over the Witt frame of B."""
+    emitted as displays over the Witt frame of B.  sigma of each lift matrix
+    is the identity, so the action deforms only through tau and the result
+    still reduces to d."""
     relframe = th.source
     out_frame = WittFrame(relframe.ext.B, relframe.m)
-    dhat = lift_orth_display(th, d) if orth else lift_display(th, d)
+    dhat = (lift_orth_display(th, d) if orth
+            else base_change(d, relframe, th.lift0, Display))
     out = []
     for params in hodge_lift_parameters(relframe, d.mu, orth=orth):
-        A = hodge_lift_matrix(relframe, d.mu, params, orth=orth)
-        out.append(apply_hodge_lift(dhat, A, out_frame=out_frame))
+        y = dhat.act(hodge_lift_matrix(relframe, d.mu, params, orth=orth))
+        out.append(type(y)(out_frame, y.mu, y.phi, check=False))
     return out
 
 
@@ -516,40 +495,6 @@ def fiber_direction_basis(coords, orth_base=None):
     # the condition in the J-supported value coordinates
     cols = [coords.encode_value_matrix(cond(K)) for K in _unit_directions(coords)]
     return linalg.kernel_modp(coords.p, cols)
-
-
-# ---------------------------------------------------------------------------
-# Base change between W_m(A) and W_m(B)
-# ---------------------------------------------------------------------------
-
-def witt_map(wring_out, f, w):
-    """Apply a coefficient map componentwise to a Witt vector."""
-    return wring_out.el([f(c) for c in w.comps])
-
-
-def embed_witt_display(ext, frame_b, d):
-    """Read a display over W_m(A) as one over W_m(B) through the monomial
-    section (a ring homomorphism for split square-zero extensions)."""
-    return _map_display(d, frame_b, lambda e: witt_map(frame_b.s0, ext.section, e))
-
-
-def reduce_witt_display(ext, frame_a, d):
-    """Push a display over W_m(B) down to W_m(A) componentwise."""
-    return _map_display(d, frame_a, lambda e: witt_map(frame_a.s0, ext.proj, e))
-
-
-def embed_graded(ext, frame_b, A):
-    """Base-change a graded matrix over the Witt frame of A to that of B."""
-    sb = frame_b.s0
-    mu = A.mu_col
-    n = len(mu)
-    out = GradedMatrix.identity(frame_b, mu)
-    for i in range(n):
-        for j in range(n):
-            e = A.entries[i][j]
-            out.entries[i][j] = GradedElem(
-                frame_b, e.degree, witt_map(sb, ext.section, e.payload))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +597,6 @@ def witt_orth_zip_lift_pairs(wframe, mu, zring, lift_scalar):
     return LiftTower(_zip_level(zring, tuple(mu), True), build)
 
 
-def project_witt_display(zf, resmap, d):
-    """Display over W_m(B) -> display over the zip frame of the residue
-    field, through resmap on leading Witt coordinates."""
-    return _map_display(d, zf, resmap, Display)
-
-
 def _tower_search(tower, coords, d, z1, z2, target, orth):
     """Exact display-group elements g with d.act(g) == target, in tower
     order: for each transporter element g0 of the zip displays z1 -> z2,
@@ -687,8 +626,8 @@ def is_isomorphic_witt(coords, tower, resmap, d1, d2, orth=False):
     reduction of d1 to that of d2 (its memoized transporter) get lifted.
     """
     zf = tower.frame
-    z1 = project_witt_display(zf, resmap, d1)
-    z2 = project_witt_display(zf, resmap, d2)
+    z1 = base_change(d1, zf, resmap, Display)
+    z2 = base_change(d2, zf, resmap, Display)
     target = Display(d1.frame, d1.mu, d2.phi, check=False)
     found = _tower_search(tower, coords, d1, z1, z2, target, orth)
     return next(found, None) is not None
@@ -708,7 +647,7 @@ def stabilizer_lifts(d, tower, coords_res, orth=False):
     perturbations after base change (their entries multiply J-supported
     Witt vectors to zero), so one representative per component is enough.
     """
-    z0 = project_witt_display(tower.frame, lambda w: w.comp(0), d)
+    z0 = base_change(d, tower.frame, d.frame.reduce, Display)
     target = Display(d.frame, d.mu, d.phi, check=False)
     return list(_tower_search(tower, coords_res, d, z0, z0, target, orth))
 
@@ -730,7 +669,7 @@ def classify_witt_fiber(th, d, orth=False):
     p = frame_a.p
     mu = d.mu
     frame_b = WittFrame(ext.B, frame_a.m)
-    dhat = embed_witt_display(ext, frame_b, d)
+    dhat = base_change(d, frame_b, th.lift0)
     if orth and not verify_orth(dhat):
         raise VerificationError(f"section lift lost orthogonality: phi = {dhat.phi!r}")
     coords = WittKernelCoords(frame_b, mu, "jsupp", ext=ext)
@@ -766,12 +705,8 @@ def classify_witt_fiber(th, d, orth=False):
         hodge_labels.append(lab)
     # stabilizer of d over A, one exact lift per zip-level component; the
     # zip level is shared with any other tower over (A, mu)
-    zring = frame_a.ring
-    ident = lambda a: a
-    if orth:
-        pairs_a = witt_orth_zip_lift_pairs(frame_a, mu, zring, ident)
-    else:
-        pairs_a = witt_zip_lift_pairs(frame_a, mu, zring, ident)
+    lift_pairs = witt_orth_zip_lift_pairs if orth else witt_zip_lift_pairs
+    pairs_a = lift_pairs(frame_a, mu, frame_a.ring, lambda a: a)
     coords_res = WittKernelCoords(frame_a, mu, "resfield")
     stabs = stabilizer_lifts(d, pairs_a, coords_res, orth=orth)
     # induced linear maps on the J-supported value space
@@ -779,7 +714,8 @@ def classify_witt_fiber(th, d, orth=False):
     units = _unit_directions(coords)
     maps = []
     for s in stabs:
-        s_b = embed_graded(ext, frame_b, s)
+        s_b = GradedMatrix.from_payloads(
+            frame_b, mu, [[th.lift0(x) for x in row] for row in s.payload_grid()])
         tau_inv = linalg.mat_inverse(sb, s_b.tau())
         sig = s_b.sigma()
         mcols = []
@@ -845,12 +781,11 @@ def k3_deform(th, d):
     """The deformations of a K3-type orthogonal display along the thickening,
     one per isotropic Hodge-flag lift, as displays over the Witt frame of B;
     each is orthogonal and reduces back to the input."""
-    ext = th.source.ext
     out = enumerate_hodge_deformations(th, d, orth=True)
     for dd in out:
         if not verify_orth(dd):
             raise VerificationError(f"deformation lost orthogonality: phi = {dd.phi!r}")
-        if not linalg.mat_eq(reduce_witt_display(ext, th.target, dd).phi, d.phi):
+        if not linalg.mat_eq(base_change(dd, th.target, th.eps0).phi, d.phi):
             raise VerificationError(
                 f"deformation does not reduce to the input: phi = {dd.phi!r}")
     return out

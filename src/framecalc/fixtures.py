@@ -92,7 +92,8 @@ def rand_payload(frame, degree, rng):
     if frame.kind == "relative":
         return (rand_s0_elem(frame, rng), rand_kernel_elem(frame.ext, rng))
     if frame.kind == "witt":
-        # I(R) = v(W_{m-1}) + kernel of the truncation: first component zero
+        # P = W_m(R) stands for I via v, so any Witt vector is a payload;
+        # this draw keeps component 0 zero (the seeded inputs rest on it)
         comps = [frame.s0.ring.zero()]
         comps += [rand_ring_elem(frame.s0.ring, rng) for _ in range(frame.m - 1)]
         return frame.s0.el(comps)

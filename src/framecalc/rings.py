@@ -289,6 +289,10 @@ class ArtinRing:
     def in_ideal(self, mono):
         return any(_divides(g, mono) for g in self.ideal_gens)
 
+    def is_p_multiple(self, a):
+        """Whether a lies in p*R: R has characteristic p, so only 0 does."""
+        return a.is_zero()
+
     # -- residue field interface ---------------------------------------------
 
     def to_residue(self, a):

@@ -28,6 +28,7 @@ Only the Frobenius W_m -> W_{m-1} evaluates the universal polynomials of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -135,6 +136,21 @@ class WittRing:
         # tuples, each component in the order of `ring.elements`
         for coeffs in itertools.product(range(self.p), repeat=self.m * self.ring.dim):
             yield WittVector(self, coeffs)
+
+    @functools.cached_property
+    def _frob_span(self):
+        """Frob(R), the F_p-span of the p-th powers of R's F_p-basis."""
+        ring = self.ring
+        units = [ring.from_coords([int(i == k) for i in range(ring.dim)])
+                 for k in range(ring.dim)]
+        return linalg.Span(self.p, [u.frobenius().coeffs for u in units], ring.dim)
+
+    def is_p_multiple(self, x):
+        """Whether x lies in p*W_m(R).  p = V F on W(R) for an F_p-algebra R
+        (Serre, Local Fields II 6), so p*(y0, y1, ...) = (0, y0^p, y1^p, ...):
+        component 0 is zero and every later one lies in Frob(R)."""
+        comps = self._split(x.coeffs)
+        return not any(comps[0]) and all(c in self._frob_span for c in comps[1:])
 
     # -- residue interface (W_m(R) is local with the same residue field) -------
 

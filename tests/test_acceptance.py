@@ -22,12 +22,11 @@ from framecalc.displays import (Display, all_displays, classify_fzips,
 from framecalc.orthogonal import (decompose, form_transform, normalize_gram,
                                   orth_group_elements, standard_gram,
                                   verify_orth)
-from framecalc.deformation import (WittKernelCoords,
+from framecalc.deformation import (WittKernelCoords, base_change,
                                    classify_witt_fiber, conj_operator,
                                    enumerate_hodge_deformations,
-                                   is_isomorphic_witt, k3_deform, lift_display,
+                                   is_isomorphic_witt, k3_deform,
                                    lift_orth_display, lift_uniqueness_witness,
-                                   reduce_display, reduce_witt_display,
                                    solve_identity_iso, witt_fiber_member_class,
                                    witt_orth_zip_lift_pairs,
                                    witt_zip_lift_pairs)
@@ -181,8 +180,8 @@ def test_07_unique_lifting():
     rel = th.source
     s0 = rel.s0
 
-    dhat = lift_display(th, d)
-    assert linalg.mat_eq(reduce_display(th, dhat).phi, d.phi)
+    dhat = base_change(d, th.source, th.lift0, Display)
+    assert linalg.mat_eq(base_change(dhat, th.target, th.eps0).phi, d.phi)
 
     # the descent map y -> U_g(y)^{-1} y is a bijection of G(K0): the
     # domain has |K0|^(n^2) = 6561 elements and so does the image
@@ -258,7 +257,7 @@ def test_09_k3_deformations():
     for dd in deformations:
         assert verify_orth(dd)
         assert linalg.mat_eq(
-            reduce_witt_display(th.ext, th.target, dd).phi, d.phi)
+            base_change(dd, th.target, th.eps0).phi, d.phi)
         seen.add(hash(dd))
     assert len(seen) == 9
 

@@ -32,6 +32,16 @@ def test_frame_check_on_shipped_fixtures(capsys):
     assert "passed: True" in out
 
 
+def test_sampled_frame_check_decides_p_multiples_from_structure(tmp_path, capsys):
+    # |W_4(F_5)| = 625 exceeds the budget, so S0 is sampled; sigma0(s) - s^5
+    # must lie in p*S0, not in p times the sample
+    spec = _write(tmp_path, "spec.json", {"kind": "witt", "ring": {"p": 5}, "m": 4})
+    assert main(["frame", "check", "--spec", spec, "--budget", "600",
+                 "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["witnesses"] == {}
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -14,16 +14,15 @@ from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
                                   standard_J, verify_orth)
 from framecalc.deformation import (_ZIP_LEVEL_CAP, WittKernelCoords,
                                    _linear_columns, _zip_level,
-                                   kernel_basis, project_witt_display,
+                                   base_change, kernel_basis,
                                    skew_basis, stabilizer_lifts,
                                    classify_witt_fiber, conj_operator,
-                                   embed_witt_display, fiber_direction_basis,
+                                   fiber_direction_basis,
                                    enumerate_hodge_deformations,
                                    hodge_lift_matrix, hodge_lift_parameters,
                                    is_isomorphic_witt, k3_deform,
-                                   lift_display, lift_orth_display,
-                                   lift_uniqueness_witness, reduce_display,
-                                   reduce_witt_display, solve_descent,
+                                   lift_orth_display,
+                                   lift_uniqueness_witness, solve_descent,
                                    solve_identity_iso, tau_inverse_kernel,
                                    theta, witt_fiber_member_class,
                                    witt_orth_zip_lift_pairs,
@@ -43,15 +42,15 @@ def _rand_kernel_matrix(th, mu, rng):
 
 def test_lift_reduce_is_identity_gl():
     th, d = gl2_fixture()
-    dhat = lift_display(th, d)
-    assert linalg.mat_eq(reduce_display(th, dhat).phi, d.phi)
+    dhat = base_change(d, th.source, th.lift0, Display)
+    assert linalg.mat_eq(base_change(dhat, th.target, th.eps0).phi, d.phi)
 
 
 def test_lift_reduce_is_identity_orth():
     th, d = k3_fixture()
     dhat = lift_orth_display(th, d)
     assert verify_orth(dhat)
-    assert linalg.mat_eq(reduce_display(th, dhat).phi, d.phi)
+    assert linalg.mat_eq(base_change(dhat, th.target, th.eps0).phi, d.phi)
 
 
 def test_theta_shifts_positive_and_kills_nonpositive():
@@ -74,7 +73,7 @@ def test_descent_operator_is_nilpotent():
     rel = th.source
     rng = random.Random(2)
     g = d.phi
-    g_hat = lift_display(th, d).phi
+    g_hat = base_change(d, th.source, th.lift0, Display).phi
     g_inv = linalg.mat_inverse(rel.s0, g_hat)
     I = linalg.identity(rel.s0, 2)
     for _ in range(10):
@@ -88,7 +87,7 @@ def test_solve_descent_exact_and_unique():
     th, d = gl2_fixture()
     rel = th.source
     rng = random.Random(3)
-    g = lift_display(th, d).phi
+    g = base_change(d, th.source, th.lift0, Display).phi
     for _ in range(30):
         h = _rand_kernel_matrix(th, d.mu, rng)
         y = solve_descent(rel, d.mu, g, h)  # re-substitution asserted inside
@@ -111,7 +110,7 @@ def test_two_lifts_conjugate_by_descent_witness():
     th, d = gl2_fixture()
     rel = th.source
     rng = random.Random(5)
-    d1 = lift_display(th, d)
+    d1 = base_change(d, th.source, th.lift0, Display)
     js = list(th.ext.j_elements())
     s0 = rel.s0
     for _ in range(50):
@@ -147,7 +146,7 @@ def test_hodge_deformations_reduce_and_are_distinct():
     for dd in deformations:
         assert dd.frame.kind == "witt"
         assert linalg.mat_eq(
-            reduce_witt_display(th.ext, th.target, dd).phi, d.phi)
+            base_change(dd, th.target, th.eps0).phi, d.phi)
         seen.add(hash(dd))
     assert len(seen) == 3
 
@@ -167,7 +166,7 @@ def test_fiber_directions_are_jsupp_coordinate_vectors(fixture):
         return
     # each orthogonal direction, rebuilt as a matrix from the units, solves
     # the linearized condition K^t J Phi + Phi^t J K = 0
-    phi = embed_witt_display(ext, frame_b, d).phi
+    phi = base_change(d, frame_b, th.lift0).phi
     J = standard_J(s0, d.n)
     dirs = fiber_direction_basis(coords, orth_base=phi)
     assert dirs
@@ -233,7 +232,7 @@ def test_k3_deform_count_and_verification():
     for dd in deformations:
         assert verify_orth(dd)
         assert linalg.mat_eq(
-            reduce_witt_display(th.ext, th.target, dd).phi, d.phi)
+            base_change(dd, th.target, th.eps0).phi, d.phi)
         seen.add(hash(dd))
     assert len(seen) == 9
 
@@ -316,7 +315,7 @@ def test_orth_tower_transporter_matches_brute_force(k3_tower):
     th, d, frame_b, tower, eager = k3_tower
     assert len(tower) == len(eager) == 648
     resmap = lambda w: th.ext.proj(w.comps[0])
-    z0 = project_witt_display(tower.frame, resmap, k3_deform(th, d)[0])
+    z0 = base_change(k3_deform(th, d)[0], tower.frame, resmap, Display)
     z1 = z0.act(eager[100][0])
     for a, b in [(z0, z0), (z1, z0)]:
         brute = _brute_transporter(eager, a, b)
@@ -358,7 +357,7 @@ def test_gl_tower_matches_eager_construction():
     eager = _eager_gl_pairs(*args)
     assert len(tower) == len(eager)
     resmap = lambda w: ext.proj(w.comps[0])
-    zs = [project_witt_display(tower.frame, resmap, dd)
+    zs = [base_change(dd, tower.frame, resmap, Display)
           for dd in enumerate_hodge_deformations(th, d)]
     zs.append(zs[0].act(eager[5][0]))
     for a in zs:
@@ -378,8 +377,8 @@ def test_isomorphism_query_lifts_only_transporter_elements():
     defs = k3_deform(th, d)
     assert not is_isomorphic_witt(coords, tower, resmap, defs[0], defs[1],
                                   orth=True)
-    z1 = project_witt_display(tower.frame, resmap, defs[0])
-    z2 = project_witt_display(tower.frame, resmap, defs[1])
+    z1 = base_change(defs[0], tower.frame, resmap, Display)
+    z2 = base_change(defs[1], tower.frame, resmap, Display)
     # a negative answer lifts the whole transporter and nothing else
     assert sorted(tower._lifts) == tower.transporter(z1, z2)
     assert len(tower._lifts) < len(tower)
@@ -397,7 +396,7 @@ def test_stabilizer_lifts_match_eager_search():
     coords = WittKernelCoords(frame_a, d.mu, "resfield")
     stabs = stabilizer_lifts(d, tower, coords, orth=True)
     # the eager search: every lift pair, filtered at the zip level
-    z0 = project_witt_display(tower.frame, lambda w: w.comps[0], d)
+    z0 = base_change(d, tower.frame, lambda w: w.comps[0], Display)
     basis = skew_basis(coords)
     expected = []
     for g0, ghat in _eager_orth_pairs(*args):
@@ -448,8 +447,8 @@ def test_fiber_classification_shares_the_query_zip_level(monkeypatch, orth):
     query = make(WittFrame(ext.B, 2), d.mu, ext.A, ext.section)
     assert len(calls) == 1
     resmap = lambda w: ext.proj(w.comps[0])
-    z0 = project_witt_display(
-        query.frame, resmap, enumerate_hodge_deformations(th, d, orth=orth)[0])
+    z0 = base_change(enumerate_hodge_deformations(th, d, orth=orth)[0],
+                     query.frame, resmap, Display)
     memo = query.transporter(z0, z0)
     towers = _capture_stabilizer_tower(monkeypatch)
     report = classify_witt_fiber(th, d, orth=orth)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from framecalc.fixtures import fixture_frames
 from framecalc.rings import (dual_number_extension, extension_field,
                              prime_field, truncated_poly_ring)
+from framecalc.witt import WittRing
 from framecalc.frames import (HodgeThickening, RelativeFrame,
                               TautologicalFrame, Thickening, WittFrame,
                               ZipFrame, check_zip_projection,
@@ -69,6 +71,32 @@ def test_frame_axioms(frame):
     report = frame_axiom_check(frame, budget=20000, seed=0)
     assert report["passed"], report["failures"][:5]
     assert report["mode"] == "exhaustive"
+
+
+P_MULTIPLE_RINGS = {f"{f.kind}/{f.s0!r}": f.s0 for f in fixture_frames()}
+P_MULTIPLE_RINGS.update((repr(w), w) for w in [
+    WittRing(prime_field(2), 4), WittRing(extension_field(2, 2), 3),
+    WittRing(prime_field(5), 3), WittRing(truncated_poly_ring(3, "x", 4), 2)])
+
+
+@pytest.mark.parametrize("s0", P_MULTIPLE_RINGS.values(), ids=P_MULTIPLE_RINGS.keys())
+def test_p_multiples_are_decided_from_structure(s0):
+    # p*S0 as the enumerated set {p s}: zero on R, and (0, Frob(R), ...) on
+    # W_m(R), a proper subset where R is not a perfect field
+    p_elem = s0.from_int(s0.p)
+    elements = list(s0.elements())
+    multiples = {p_elem * s for s in elements}
+    assert [s0.is_p_multiple(x) for x in elements] == [x in multiples for x in elements]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_checks_of_the_relative_frame(seed):
+    # |S0| = 81 is listed, |S0| * |P| = 19683 exceeds the budget
+    rel = fixture_frames()[4]
+    report = frame_axiom_check(rel, budget=19682, seed=seed)
+    assert (report["mode"], report["passed"], report["checks"]) == ("sampled", True, 1324)
+    proj = check_zip_projection(rel, budget=19682, seed=seed)
+    assert (proj["mode"], proj["passed"]) == ("sampled", True), proj["failures"][:5]
 
 
 @pytest.mark.parametrize("frame", [WittFrame(prime_field(3), 2),

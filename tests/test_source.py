@@ -30,6 +30,10 @@
   predicate `linalg.is_invertible`, the preimage
   `deformation.tau_inverse_kernel` and `wittpoly._invert_ghost`, which
   solves the ghost map over Z.
+- One base change: inside the package only `deformation.base_change`
+  applies a call to every entry of a structure matrix (a nested list
+  comprehension whose outer loop runs over some `X.phi`); every lift,
+  reduction and projection of a display goes through it.
 - No dead parameter: every parameter of a module-level function is read in
   its body.  Methods are left out, because the frame classes implement one
   interface whose members need not use every argument.
@@ -173,9 +177,9 @@ def test_only_witt_calls_the_witt_vector_class():
     assert not outside, f"WittVector called outside witt: {outside}"
 
 
-def _scoped_references(name):
-    """(module, enclosing definitions, enclosing statement) of every
-    reference to `name` inside the package."""
+def _scoped_nodes(match):
+    """(module, enclosing definitions, enclosing statement) of every node
+    inside the package for which match(node) holds."""
     found = []
 
     def visit(node, scope, stmt, path):
@@ -184,14 +188,20 @@ def _scoped_references(name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
             here = child if isinstance(child, ast.stmt) else stmt
-            if ((isinstance(child, ast.Name) and child.id == name)
-                    or (isinstance(child, ast.Attribute) and child.attr == name)):
+            if match(child):
                 found.append((path.name, ".".join(scope), here))
             visit(child, inner, here, path)
 
     for path, tree in _trees("src/framecalc"):
         visit(tree, (), None, path)
     return found
+
+
+def _scoped_references(name):
+    """`_scoped_nodes` of every reference to `name`."""
+    return _scoped_nodes(
+        lambda node: (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_only_the_frobenius_evaluates_the_witt_polynomials():
@@ -218,6 +228,20 @@ def test_every_inverse_goes_through_mat_inverse():
                      ("linalg", "is_invertible"),
                      ("deformation", "tau_inverse_kernel"),
                      ("wittpoly", "_invert_ghost")}
+
+
+def _maps_every_entry_of_phi(node):
+    """Whether node is [[... call ... for e in row] for row in X.phi]."""
+    if not (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.ListComp)):
+        return False
+    outer = node.generators[0].iter
+    return (isinstance(outer, ast.Attribute) and outer.attr == "phi"
+            and any(isinstance(n, ast.Call) for n in ast.walk(node.elt.elt)))
+
+
+def test_only_base_change_maps_every_entry_of_a_structure_matrix():
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_nodes(_maps_every_entry_of_phi)}
+    assert scopes == {("deformation.py", "base_change")}
 
 
 def test_every_function_parameter_is_read():
