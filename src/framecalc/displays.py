@@ -306,21 +306,18 @@ def in_display_group(A):
 
 
 def group_elements(frame, mu, cap=10 ** 7):
-    """All elements of the display group G(mu) over a small frame."""
+    """All elements of the display group G(mu) over a small frame; the
+    product of the slot sizes is compared with the cap before any slot is
+    listed."""
     n = len(mu)
-    slots = []
-    for i in range(n):
-        for j in range(n):
-            d = mu[j] - mu[i]
-            if d >= 1:
-                slots.append(list(frame.p_elements(cap)))
-            else:
-                slots.append(list(frame.s0.elements(cap)))
+    positive = [mu[j] - mu[i] >= 1 for i in range(n) for j in range(n)]
     total = 1
-    for s in slots:
-        total *= len(s)
+    for d in positive:
+        total *= frame.p_size if d else frame.s0.size
         if total > cap:
             raise EnumerationTooLarge("display group too large to enumerate")
+    slots = [list(frame.p_elements(cap)) if d else list(frame.s0.elements(cap))
+             for d in positive]
     for combo in itertools.product(*slots):
         grid = [[combo[i * n + j] for j in range(n)] for i in range(n)]
         A = GradedMatrix.from_payloads(frame, mu, grid)
@@ -497,11 +494,11 @@ def from_fzip(z, frame):
 # ---------------------------------------------------------------------------
 
 def all_displays(frame, n, mu, cap=10 ** 7):
-    """Every display of the given type over a small frame (invertible Phi)."""
-    base = list(frame.s0.elements(cap))
-    total = len(base) ** (n * n)
-    if total > cap:
+    """Every display of the given type over a small frame (invertible Phi);
+    |S0|^(n^2) is compared with the cap before S0 is listed."""
+    if frame.s0.size ** (n * n) > cap:
         raise EnumerationTooLarge("display space too large to enumerate")
+    base = list(frame.s0.elements(cap))
     for combo in itertools.product(base, repeat=n * n):
         phi = [[combo[i * n + j] for j in range(n)] for i in range(n)]
         if linalg.is_invertible(frame.s0, phi):

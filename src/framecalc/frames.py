@@ -13,6 +13,10 @@ relative frame (P = pairs) and the tautological frame (P = 0) override the
 whole P side.  The zip frame is a final object: every frame carries a
 canonical projection to the zip frame of its quotient ring R = S_0/t1(P),
 checked by `check_zip_projection`.
+
+Both checks compute each value once per call: `frame_axiom_check` builds
+each sampled element's maps (t1, tP, sigmadot on P; sigma0 on S0) before its
+pair loops, and `check_zip_projection` reduces each distinct S0 value once.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ class Frame:
 
     An instance carries s0 (ring-like: el, zero, one, elements, size),
     r_ring (the quotient R = S0/t1(P)) and p, and implements
-    - the P-module: p_zero, p_add, p_neg, p_sub, p_is_zero, p_elements;
+    - the P-module: p_zero, p_add, p_neg, p_sub, p_is_zero, p_elements and
+      its size p_size;
     - the structure maps t1: P -> S0, tP: P -> P, nu: P x P -> P,
       act: S0 x P -> P, sigma0: S0 -> S0 and sigmadot: P -> S0;
     - reduce: S0 -> R.
@@ -77,6 +82,10 @@ class Frame:
 
     def p_elements(self, cap=10 ** 7):
         return self.s0.elements(cap)
+
+    @property
+    def p_size(self):
+        return self.s0.size
 
     def nu(self, x, y):
         return x * y
@@ -191,6 +200,10 @@ class RelativeFrame(Frame):
             for x in self.ext.j_elements():
                 yield (a, x)
 
+    @property
+    def p_size(self):
+        return self.s0.size * self.ext.j_size
+
     def embed_j(self, x):
         """[x] = (x, 0, ..., 0) in W_m(B) for x in J."""
         return self.s0.el([x] + [self.ext.B.zero()] * (self.m - 1))
@@ -252,6 +265,8 @@ class TautologicalFrame(Frame):
     def p_elements(self, cap=10 ** 7):
         yield None
 
+    p_size = 1
+
     def t1(self, x):
         return self.ring.zero()
 
@@ -288,7 +303,9 @@ def _sample(seq, rng, count):
 def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
     """Verify the recovery axioms; exhaustive when |S0|*|P| fits the budget.
 
-    Returns a report dict with a failure witness for every broken identity.
+    Each sampled element's maps are computed once, as a row the loops read:
+    (x, t1(x), tP(x), sigmadot(x)) on P and (s, sigma0(s)) on S0.  Returns
+    a report dict with a failure witness for every broken identity.
     """
     rng = random.Random(seed)
     failures = []
@@ -305,58 +322,73 @@ def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
         p_sample = _sample(p_all, rng, samples)
     checks = 0
     p_elem = frame.p_int()
+    t1, tP, nu, act = frame.t1, frame.tP, frame.nu, frame.act
+    sigma0, sigmadot = frame.sigma0, frame.sigmadot
 
+    def s0_rows(ss):
+        return ((s, sigma0(s)) for s in ss)
+
+    def p_rows(xs):
+        return ((x, t1(x), tP(x), sigmadot(x)) for x in xs)
+
+    s_rows = list(s0_rows(s0_sample))
     # (ii) sigma0 is a Frobenius lift: sigma0(s) - s^p in p*S0
-    for s in s0_sample:
+    for s, sig in s_rows:
         checks += 1
-        if not frame.s0.is_p_multiple(frame.sigma0(s) - s ** frame.p):
+        if not frame.s0.is_p_multiple(sig - s ** frame.p):
             failures.append({"axiom": "frobenius-lift", "witness": repr(s)})
             break
 
     if frame.has_p_module:
+        x_rows = list(p_rows(p_sample))
         # (iii) sigma0(t1(x)) = p*sigmadot(x) and sigmadot(tP(x)) = p*sigmadot(x)
-        for x in p_sample:
+        for x, t1x, tPx, sdx in x_rows:
             checks += 2
-            if frame.sigma0(frame.t1(x)) != p_elem * frame.sigmadot(x):
+            p_sdx = p_elem * sdx
+            if sigma0(t1x) != p_sdx:
                 failures.append({"axiom": "sigma0-t1", "witness": repr(x)})
                 break
-            if frame.sigmadot(frame.tP(x)) != p_elem * frame.sigmadot(x):
+            if sigmadot(tPx) != p_sdx:
                 failures.append({"axiom": "sigmadot-tP", "witness": repr(x)})
                 break
         # (i) linearity of t and Verjüngung compatibility
-        pair_iter = (itertools.product(p_sample, p_sample) if exhaustive
-                     else zip(_sample(p_all, rng, samples), _sample(p_all, rng, samples)))
-        for x, y in pair_iter:
+        pair_iter = (itertools.product(x_rows, [(y, sdy) for y, _, _, sdy in x_rows])
+                     if exhaustive
+                     else zip(p_rows(_sample(p_all, rng, samples)),
+                              ((y, sigmadot(y)) for y in _sample(p_all, rng, samples))))
+        for (x, t1x, tPx, sdx), (y, sdy) in pair_iter:
             checks += 3
-            if frame.act(frame.t1(x), y) != frame.tP(frame.nu(y, x)):
+            want = tP(nu(y, x))
+            if act(t1x, y) != want:
                 failures.append({"axiom": "t-linearity-act",
                                  "witness": (repr(x), repr(y))})
                 break
-            if frame.nu(y, frame.tP(x)) != frame.tP(frame.nu(y, x)):
+            if nu(y, tPx) != want:
                 failures.append({"axiom": "t-linearity-nu",
                                  "witness": (repr(x), repr(y))})
                 break
             # (iv) multiplicativity of sigmadot on nu
-            if frame.sigmadot(frame.nu(x, y)) != frame.sigmadot(x) * frame.sigmadot(y):
+            if sigmadot(nu(x, y)) != sdx * sdy:
                 failures.append({"axiom": "sigmadot-nu",
                                  "witness": (repr(x), repr(y))})
                 break
         # (iv) sigmadot(act(s,x)) = sigma0(s)*sigmadot(x)
-        mixed_iter = (itertools.product(s0_sample, p_sample) if exhaustive
-                      else zip(_sample(s0_all or frame.s0.elements(), rng, samples),
-                               _sample(p_all, rng, samples)))
-        for s, x in mixed_iter:
+        mixed_iter = (itertools.product(s_rows, x_rows) if exhaustive
+                      else zip(s0_rows(_sample(s0_all or frame.s0.elements(), rng, samples)),
+                               p_rows(_sample(p_all, rng, samples))))
+        for (s, sig), (x, t1x, tPx, sdx) in mixed_iter:
             checks += 3
-            if frame.sigmadot(frame.act(s, x)) != frame.sigma0(s) * frame.sigmadot(x):
+            sx = act(s, x)
+            if sigmadot(sx) != sig * sdx:
                 failures.append({"axiom": "sigmadot-act",
                                  "witness": (repr(s), repr(x))})
                 break
             # projection formulas: t commutes with the S0-action
-            if frame.t1(frame.act(s, x)) != s * frame.t1(x):
+            if t1(sx) != s * t1x:
                 failures.append({"axiom": "t1-projection",
                                  "witness": (repr(s), repr(x))})
                 break
-            if frame.tP(frame.act(s, x)) != frame.act(s, frame.tP(x)):
+            if tP(sx) != act(s, tPx):
                 failures.append({"axiom": "tP-projection",
                                  "witness": (repr(s), repr(x))})
                 break
@@ -404,8 +436,22 @@ def check_zip_projection(frame, budget=20000, seed=0, samples=100):
     """The projection commutes with every structure map and piP is
     additive (sample or exhaustive).  Each binary condition takes the
     target's operation once per pair of images and compares it with the
-    projection of the frame's operation on every pair over those images."""
-    pi0, piP, target = zip_projection(frame)
+    projection of the frame's operation on every pair over those images.
+    Each distinct S0 value is reduced once per call: pi0, and piP =
+    pi0 . sigmadot, read a dict from its coordinate tuple to its image."""
+    reduce, _, target = zip_projection(frame)
+    sigmadot, nu, act = frame.sigmadot, frame.nu, frame.act
+    images = {}
+
+    def pi0(s):
+        image = images.get(s.coeffs)
+        if image is None:
+            image = images[s.coeffs] = reduce(s)
+        return image
+
+    def piP(x):
+        return pi0(sigmadot(x))
+
     rng = random.Random(seed)
     s0_all = list(frame.s0.elements()) if frame.s0.size <= budget else None
     p_all = list(frame.p_elements()) if frame.has_p_module else [None]
@@ -439,12 +485,12 @@ def check_zip_projection(frame, budget=20000, seed=0, samples=100):
         for px, py, pairs in _image_pairs(byP, byP_cut):
             want = target.nu(px, py)
             for x, y in pairs:
-                if piP(frame.nu(x, y)) != want:
+                if piP(nu(x, y)) != want:
                     failures.append(("nu", (repr(x), repr(y))))
         for pi_s, px, pairs in _image_pairs(by0, byP_cut):
             want = target.act(pi_s, px)
             for s, x in pairs:
-                if piP(frame.act(s, x)) != want:
+                if piP(act(s, x)) != want:
                     failures.append(("act", (repr(s), repr(x))))
     return {"passed": not failures, "failures": failures,
             "mode": "exhaustive" if exhaustive else "sampled"}

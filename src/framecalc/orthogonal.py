@@ -122,7 +122,6 @@ def decompose(g):
                                         for row in D_inv])
              * GradedMatrix(frame, w, [mu[j] for j in left],
                             [[work.entries[k][j] for j in left] for k in rows]))
-        step_inv = GradedMatrix.identity(frame, mu)  # will hold I - X
         changed = False
         for bi, i in enumerate(rows):
             for bj, j in enumerate(left):
@@ -130,10 +129,14 @@ def decompose(g):
                 if not acc.is_zero():
                     changed = True
                 u.entries[i][j] = acc
-                step_inv.entries[i][j] = -acc
         if changed:
-            # right-multiply by (I - X): clears this block-row's left entries
-            work = work * step_inv
+            # right-multiplying by I - X clears this block-row's left entries
+            # and changes no other column: work[:, left] -= work[:, rows] X
+            delta = GradedMatrix(frame, mu, w, [[row[k] for k in rows]
+                                                for row in work.entries]) * X
+            for row, drow in zip(work.entries, delta.entries):
+                for j, d in zip(left, drow):
+                    row[j] = row[j] - d
     q = work
     # sanity: q has no positive-degree entries, and q * u recomposes g
     for i in range(len(mu)):

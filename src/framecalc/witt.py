@@ -322,24 +322,26 @@ class WittVector:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def _check(self, other):
-        if self.wring is not other.wring and self.wring != other.wring:
-            raise RingMismatch("Witt ring mismatch")
-
     def __add__(self, other):
-        self._check(other)
-        return self.wring.add(self, other)
+        wr = self.wring
+        if other.wring is not wr and other.wring != wr:
+            raise RingMismatch("Witt ring mismatch")
+        return wr.add(self, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return self.wring.add(self, self.wring.neg(other))
+        wr = self.wring
+        if other.wring is not wr and other.wring != wr:
+            raise RingMismatch("Witt ring mismatch")
+        return wr.add(self, wr.neg(other))
 
     def __neg__(self):
         return self.wring.neg(self)
 
     def __mul__(self, other):
-        self._check(other)
-        return self.wring.mul(self, other)
+        wr = self.wring
+        if other.wring is not wr and other.wring != wr:
+            raise RingMismatch("Witt ring mismatch")
+        return wr.mul(self, other)
 
     def __pow__(self, n):
         result = self.wring.one()

@@ -3,8 +3,9 @@
 import pytest
 
 from framecalc.fixtures import fixture_frames
-from framecalc.rings import (dual_number_extension, extension_field,
-                             prime_field, truncated_poly_ring)
+from framecalc.rings import (dual_number_extension, dual_numbers,
+                             extension_field, prime_field,
+                             truncated_poly_ring)
 from framecalc.witt import WittRing
 from framecalc.frames import (HodgeThickening, RelativeFrame,
                               TautologicalFrame, Thickening, WittFrame,
@@ -29,6 +30,7 @@ def test_declared_structure_facts_hold(frame):
     # the facts graded products fold their terms by, checked exhaustively
     s0s = list(frame.s0.elements())
     ps = list(frame.p_elements())
+    assert frame.p_size == len(ps)
     if frame.t_is_zero:
         for x in ps:
             assert frame.t1(x).is_zero() and frame.p_is_zero(frame.tP(x))
@@ -119,20 +121,79 @@ def test_zip_projection_catches_a_non_additive_projection():
     assert "additive" in {name for name, _ in report["failures"]}
 
 
+def _break(frame, t1_at=None, nu_at=None, act_at=None):
+    """frame with t1 off by 1 at one element of P, or nu or act off by the
+    P-element 1 (the pair (1, 0) on the relative frame) at one pair."""
+    t1, nu, act, one = frame.t1, frame.nu, frame.act, frame.s0.one()
+    one_p = one if frame.p_is_s0 else (one, frame.ext.B.zero())
+    if t1_at is not None:
+        frame.t1 = lambda x: t1(x) + one if x == t1_at else t1(x)
+    if nu_at is not None:
+        frame.nu = lambda x, y: (frame.p_add(nu(x, y), one_p) if (x, y) == nu_at
+                                 else nu(x, y))
+    if act_at is not None:
+        frame.act = lambda s, x: (frame.p_add(act(s, x), one_p) if (s, x) == act_at
+                                  else act(s, x))
+    return frame
+
+
 def test_zip_projection_names_each_broken_pair():
     # pairs over the same images share the target's value, yet each pair's
-    # own projection is compared with it: one broken nu and act pair among
-    # 81 is reported, and nothing else
-    frame = WittFrame(prime_field(3), 2)
-    one = frame.s0.one()
-    bad = (frame.s0.el([1, 2]), frame.s0.el([2, 1]))
-    nu, act = frame.nu, frame.act
-    frame.nu = lambda x, y: nu(x, y) + one if (x, y) == bad else nu(x, y)
-    frame.act = lambda s, x: act(s, x) + one if (s, x) == bad else act(s, x)
-    report = check_zip_projection(frame, budget=20000, seed=0)
-    witness = (repr(bad[0]), repr(bad[1]))
-    assert report["mode"] == "exhaustive"
-    assert report["failures"] == [("nu", witness), ("act", witness)]
+    # own projection is compared with it, although each S0 value is reduced
+    # once: one broken nu and act pair is reported, and nothing else, on the
+    # Witt frame (P = S0) and on the relative frame (P = pairs)
+    for frame in [WittFrame(prime_field(3), 2), RelativeFrame(dual_number_extension(3), 2)]:
+        s, t = frame.s0.el([1, 2]), frame.s0.el([2, 1])
+        if frame.p_is_s0:
+            x, y = s, t
+        else:
+            j = list(frame.ext.j_elements())[1]
+            x, y = (s, j), (t, frame.ext.B.zero())
+        _break(frame, nu_at=(x, y), act_at=(s, y))
+        report = check_zip_projection(frame, budget=20000, seed=0)
+        assert report["mode"] == "exhaustive", frame.kind
+        assert report["failures"] == [("nu", (repr(x), repr(y))),
+                                      ("act", (repr(s), repr(y)))], frame.kind
+
+
+# a frame broken at one place, with the number of checks and the first
+# failure of each loop: (frame, budget, broken map, index into P or into
+# S0 and P, checks, failures); the relative frame's |S0| |P| = 19683
+# exceeds 19682, so its check is sampled with seed 0
+BROKEN_AXIOMS = {
+    "exhaustive-t1": (
+        lambda: WittFrame(dual_numbers(3), 2), 20000, "t1", 40, 10255,
+        [{"axiom": "sigma0-t1", "witness": "(1 + 1*e, 1 + 1*e)"},
+         {"axiom": "t-linearity-act", "witness": ("(1 + 1*e, 1 + 1*e)", "(0, 1*e)")},
+         {"axiom": "t1-projection", "witness": ("(0, 1*e)", "(1 + 1*e, 1 + 1*e)")}]),
+    "exhaustive-act": (
+        lambda: WittFrame(dual_numbers(3), 2), 20000, "act", (5, 7), 12441,
+        [{"axiom": "t-linearity-act", "witness": ("(1 + 2*e, 0)", "(0, 2 + 1*e)")},
+         {"axiom": "sigmadot-act", "witness": ("(0, 1 + 2*e)", "(0, 2 + 1*e)")}]),
+    "sampled-t1": (
+        lambda: RelativeFrame(dual_number_extension(3), 2), 19682, "t1", 100, 728,
+        [{"axiom": "sigma0-t1", "witness": "((1, 2), 1*e)"},
+         {"axiom": "t-linearity-act",
+          "witness": ("((1, 2), 1*e)", "((1 + 2*e, 2 + 1*e), 0)")}]),
+    "sampled-act": (
+        lambda: RelativeFrame(dual_number_extension(3), 2), 19682, "act", (40, 96), 1204,
+        [{"axiom": "sigmadot-act",
+          "witness": ("(1 + 1*e, 1 + 1*e)", "((1, 1 + 2*e), 0)")}]),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_AXIOMS.values(), ids=BROKEN_AXIOMS.keys())
+def test_axiom_check_names_the_first_broken_identity(case):
+    make, budget, broken, at, checks, failures = case
+    frame = make()
+    s0s, ps = list(frame.s0.elements()), list(frame.p_elements())
+    if broken == "t1":
+        _break(frame, t1_at=ps[at])
+    else:
+        _break(frame, act_at=(s0s[at[0]], ps[at[1]]))
+    report = frame_axiom_check(frame, budget=budget, seed=0)
+    mode = "exhaustive" if budget == 20000 else "sampled"
+    assert (report["mode"], report["checks"], report["failures"]) == (mode, checks, failures)
 
 
 def test_zip_projection_target():

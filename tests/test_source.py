@@ -23,6 +23,10 @@
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
   and the universal polynomials stay the tests' second route.
+- One reader of the Witt operation memo: inside the package only `WittRing`
+  methods and `witt.frobenius_fixed` read `_memo`, so every sum and product
+  that hits the memo goes through `WittRing.add` or `WittRing.mul`, where a
+  caller (or a benchmark's tracer) sees it.
 - One inverse over a finite local ring: `RingElem.invert` and
   `WittVector.invert` go through `linalg.mat_inverse`, and no other function
   or method of the package is named for inverting, apart from
@@ -212,6 +216,15 @@ def test_only_the_frobenius_evaluates_the_witt_polynomials():
     for _, _, stmt in terms:
         assert isinstance(stmt, ast.Assign), ast.unparse(stmt)
         assert [ast.unparse(t) for t in stmt.targets] == ["self._frob"]
+
+
+def test_only_witt_ring_methods_and_the_frobenius_read_the_memo():
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_references("_memo")}
+    outside = sorted(f"{mod}:{scope}" for mod, scope in scopes
+                     if mod != "witt.py" or not (scope.startswith("WittRing.")
+                                                 or scope == "frobenius_fixed"))
+    assert not outside, f"_memo read outside WittRing and frobenius_fixed: {outside}"
+    assert ("witt.py", "frobenius_fixed") in scopes
 
 
 def test_every_inverse_goes_through_mat_inverse():
