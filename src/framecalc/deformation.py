@@ -108,7 +108,7 @@ def conj_operator(relframe, mu, g, g_inv, Y):
     return linalg.mat_mul(s0, g, linalg.mat_mul(s0, theta(relframe, mu, Y), g_inv))
 
 
-def solve_descent(relframe, mu, g, h, max_iter=None):
+def solve_descent(relframe, mu, g, h):
     """The unique Y in G(K0) with U_g(Y)^-1 Y = h, via Y = ... U^2(h) U(h) h.
 
     Terminates because theta is nilpotent: each step shifts the Witt
@@ -117,7 +117,7 @@ def solve_descent(relframe, mu, g, h, max_iter=None):
     """
     s0 = relframe.s0
     g_inv = linalg.mat_inverse(s0, g)
-    bound = max_iter or (relframe.m + 2)
+    bound = relframe.m + 2
     I = linalg.identity(s0, len(mu))
     y = I
     term = h
@@ -738,11 +738,6 @@ def classify_witt_fiber(th, d, orth=False):
     orbit_of = {lab: k for k, orbit in enumerate(orbits) for lab in orbit}
     n_classes = len(orbits)
     hodge_orbits = [orbit_of[lab] for lab in hodge_labels]
-    label_class = {}
-    for lab in labels:
-        root = orbit_of[lab]
-        hit = [k for k, r in enumerate(hodge_orbits) if r == root]
-        label_class[lab] = hit[0] if hit else None
     passed = (n_classes == len(deform)
               and len(set(hodge_orbits)) == len(deform))
     return {
@@ -754,23 +749,7 @@ def classify_witt_fiber(th, d, orth=False):
         "cosets": len(labels),
         "stab_components": len(stabs),
         "deformations": deform,
-        "coords": coords,
-        "canon": canon,
-        "label_class": label_class,
-        "lifted_base": dhat,
     }
-
-
-def witt_fiber_member_class(report, member):
-    """Hodge class index of a member of the matrix fiber (None if its coset
-    carries no Hodge deformation)."""
-    coords = report["coords"]
-    dhat = report["lifted_base"]
-    vec = coords.encode_value_matrix(linalg.mat_sub(member.phi, dhat.phi))
-    lab = report["canon"](vec)
-    if lab not in report["label_class"]:
-        raise ValueError("member is not in the fiber coset space")
-    return report["label_class"][lab]
 
 
 # ---------------------------------------------------------------------------

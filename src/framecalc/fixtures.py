@@ -97,13 +97,16 @@ def rand_payload(frame, degree, rng):
         comps = [frame.s0.ring.zero()]
         comps += [rand_ring_elem(frame.s0.ring, rng) for _ in range(frame.m - 1)]
         return frame.s0.el(comps)
+    if not frame.has_p_module:
+        return frame.p_zero()
     return rand_s0_elem(frame, rng)
 
 
-def rand_group_element(frame, mu, rng, max_tries=200):
-    """A random element of the display group G(mu), by rejection."""
+def rand_group_element(frame, mu, rng):
+    """A random element of the display group G(mu), by rejection (at most
+    200 draws)."""
     n = len(mu)
-    for _ in range(max_tries):
+    for _ in range(200):
         grid = [[rand_payload(frame, mu[j] - mu[i], rng) for j in range(n)]
                 for i in range(n)]
         A = GradedMatrix.from_payloads(frame, mu, grid)

@@ -9,14 +9,16 @@ The four constructors are the truncated Witt frame W_m(R), the zip frame
 square-zero extension, and the tautological frame with zero positive part.
 The Witt and zip frames have P = S0 and take their P-module, nu, act and
 sigmadot from `Frame`; they define only t1, tP, sigma0 and reduce.  The
-relative frame (P = pairs) and the tautological frame (P = 0) override the
-whole P side.  The zip frame is a final object: every frame carries a
-canonical projection to the zip frame of its quotient ring R = S_0/t1(P),
-checked by `check_zip_projection`.
+relative frame (P = pairs) overrides the whole P side; the tautological
+frame's P = 0 is the zero of S0, on which `Frame`'s P side holds.
 
-Both checks compute each value once per call: `frame_axiom_check` builds
-each sampled element's maps (t1, tP, sigmadot on P; sigma0 on S0) before its
-pair loops, and `check_zip_projection` reduces each distinct S0 value once.
+One check, `check_frame_map`, serves both frame maps here: the canonical
+projection to the zip frame of R = S_0/t1(P), a final object
+(`check_zip_projection`), and a thickening W_m(B/A) -> W_m(A)
+(`Thickening.check`).  It and `frame_axiom_check` list S0 and P in one
+place, `_points`, and compute each value once per call: the axiom check
+builds each sampled element's maps (t1, tP, sigmadot on P; sigma0 on S0)
+before its pair loops, and the map check maps each distinct S0 value once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class Frame:
     This class writes the P-module and nu, act, sigmadot for P = S0 (the
     Witt and zip frames): nu is the product, act(s, x) = sigma0(s) x and
     sigmadot is the identity.  Every frame supplies t1, tP, sigma0 and
-    reduce; the relative and tautological frames also override the P side.
+    reduce; the relative frame also overrides the P side, and the
+    tautological frame lists only P = 0, the zero of S0.
 
     Facts about the structure maps, for sums of products of graded
     elements (displays.GradedMatrix.__mul__):
@@ -234,7 +237,8 @@ class RelativeFrame(Frame):
 
 
 class TautologicalFrame(Frame):
-    """S0 = A with zero positive part; sigma extends the Frobenius."""
+    """S0 = A, and P = 0 is the zero of S0, on which `Frame`'s P side
+    holds; sigma extends the Frobenius."""
 
     kind = "tautological"
     t_is_zero = True
@@ -247,23 +251,8 @@ class TautologicalFrame(Frame):
         self.r_ring = ring
         self.p = ring.p
 
-    def p_zero(self):
-        return None
-
-    def p_add(self, x, y):
-        return None
-
-    def p_neg(self, x):
-        return None
-
-    def p_sub(self, x, y):
-        return None
-
-    def p_is_zero(self, x):
-        return True
-
     def p_elements(self, cap=10 ** 7):
-        yield None
+        yield self.ring.zero()
 
     p_size = 1
 
@@ -271,19 +260,10 @@ class TautologicalFrame(Frame):
         return self.ring.zero()
 
     def tP(self, x):
-        return None
-
-    def nu(self, x, y):
-        return None
-
-    def act(self, s, x):
-        return None
+        return self.ring.zero()
 
     def sigma0(self, s):
         return s ** self.p
-
-    def sigmadot(self, x):
-        return self.ring.zero()
 
     def reduce(self, s):
         return s
@@ -293,14 +273,20 @@ class TautologicalFrame(Frame):
 # Axiom checking
 # ---------------------------------------------------------------------------
 
+def _points(frame, budget):
+    """(S0 listed, P listed, exhaustive): a check runs over every pair when
+    |S0| |P| fits the budget, and samples these lists otherwise."""
+    s0s, ps = list(frame.s0.elements()), list(frame.p_elements())
+    return s0s, ps, len(s0s) * len(ps) <= budget
+
+
 def _sample(seq, rng, count):
-    seq = list(seq)
     if count >= len(seq):
         return seq
     return [seq[rng.randrange(len(seq))] for _ in range(count)]
 
 
-def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
+def frame_axiom_check(frame, budget=20000, seed=0):
     """Verify the recovery axioms; exhaustive when |S0|*|P| fits the budget.
 
     Each sampled element's maps are computed once, as a row the loops read:
@@ -308,18 +294,16 @@ def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
     a report dict with a failure witness for every broken identity.
     """
     rng = random.Random(seed)
+
+    def draw(seq):
+        return _sample(seq, rng, 200)
+
     failures = []
-    s0_all = list(frame.s0.elements()) if frame.s0.size <= budget else None
-    if frame.has_p_module:
-        p_all = list(frame.p_elements())
-    else:
-        p_all = [None]
-    exhaustive = (s0_all is not None and len(p_all) * max(len(s0_all), 1) <= budget)
+    s0_all, p_all, exhaustive = _points(frame, budget)
     if exhaustive:
         s0_sample, p_sample = s0_all, p_all
     else:
-        s0_sample = _sample(s0_all or frame.s0.elements(), rng, samples)
-        p_sample = _sample(p_all, rng, samples)
+        s0_sample, p_sample = draw(s0_all), draw(p_all)
     checks = 0
     p_elem = frame.p_int()
     t1, tP, nu, act = frame.t1, frame.tP, frame.nu, frame.act
@@ -354,8 +338,8 @@ def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
         # (i) linearity of t and Verjüngung compatibility
         pair_iter = (itertools.product(x_rows, [(y, sdy) for y, _, _, sdy in x_rows])
                      if exhaustive
-                     else zip(p_rows(_sample(p_all, rng, samples)),
-                              ((y, sigmadot(y)) for y in _sample(p_all, rng, samples))))
+                     else zip(p_rows(draw(p_all)),
+                              ((y, sigmadot(y)) for y in draw(p_all))))
         for (x, t1x, tPx, sdx), (y, sdy) in pair_iter:
             checks += 3
             want = tP(nu(y, x))
@@ -374,8 +358,7 @@ def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
                 break
         # (iv) sigmadot(act(s,x)) = sigma0(s)*sigmadot(x)
         mixed_iter = (itertools.product(s_rows, x_rows) if exhaustive
-                      else zip(s0_rows(_sample(s0_all or frame.s0.elements(), rng, samples)),
-                               p_rows(_sample(p_all, rng, samples))))
+                      else zip(s0_rows(draw(s0_all)), p_rows(draw(p_all))))
         for (s, sig), (x, t1x, tPx, sdx) in mixed_iter:
             checks += 3
             sx = act(s, x)
@@ -402,19 +385,9 @@ def frame_axiom_check(frame, budget=20000, seed=0, samples=200):
 
 
 # ---------------------------------------------------------------------------
-# Canonical projection to the zip frame (the final object)
+# Frame maps to a Witt or zip frame; the canonical projection to the zip
+# frame (the final object)
 # ---------------------------------------------------------------------------
-
-def zip_projection(frame):
-    """(pi0, piP, target): the canonical frame map to the zip frame of R."""
-    target = ZipFrame(frame.r_ring)
-    reduce, sigmadot = frame.reduce, frame.sigmadot
-
-    def piP(x):
-        return reduce(sigmadot(x))
-
-    return reduce, piP, target
-
 
 def _by_image(items, images):
     """{image: [items with that image]}, both in first-seen order."""
@@ -432,32 +405,32 @@ def _image_pairs(left, right):
             yield image_a, image_b, itertools.product(group_a, group_b)
 
 
-def check_zip_projection(frame, budget=20000, seed=0, samples=100):
-    """The projection commutes with every structure map and piP is
-    additive (sample or exhaustive).  Each binary condition takes the
-    target's operation once per pair of images and compares it with the
-    projection of the frame's operation on every pair over those images.
-    Each distinct S0 value is reduced once per call: pi0, and piP =
-    pi0 . sigmadot, read a dict from its coordinate tuple to its image."""
-    reduce, _, target = zip_projection(frame)
+def check_frame_map(frame, target, f0, budget=20000, seed=0):
+    """Whether f0: S0 -> S0' extends to a frame map frame -> target (sample
+    or exhaustive).  The target's P is its S0 and its sigmadot is the
+    identity (a Witt or a zip frame), so sigmadot' fP = f0 sigmadot forces
+    fP = f0 . sigmadot.  The map must commute with sigma0, t1, tP, nu and
+    act, f0 must be a ring map and fP additive.  Each binary condition
+    takes the target's operation once per pair of images and compares it
+    with the map of the frame's operation on every pair over those images.
+    Each distinct S0 value is mapped once per call: f0 and fP read one dict
+    from its coordinate tuple to its image."""
     sigmadot, nu, act = frame.sigmadot, frame.nu, frame.act
     images = {}
 
     def pi0(s):
         image = images.get(s.coeffs)
         if image is None:
-            image = images[s.coeffs] = reduce(s)
+            image = images[s.coeffs] = f0(s)
         return image
 
     def piP(x):
         return pi0(sigmadot(x))
 
     rng = random.Random(seed)
-    s0_all = list(frame.s0.elements()) if frame.s0.size <= budget else None
-    p_all = list(frame.p_elements()) if frame.has_p_module else [None]
-    exhaustive = s0_all is not None and len(s0_all) * len(p_all) <= budget
-    s0s = s0_all if exhaustive else _sample(s0_all or frame.s0.elements(), rng, samples)
-    xs = p_all if exhaustive else _sample(p_all, rng, samples)
+    s0_all, p_all, exhaustive = _points(frame, budget)
+    s0s = s0_all if exhaustive else _sample(s0_all, rng, 100)
+    xs = p_all if exhaustive else _sample(p_all, rng, 100)
     # each image once; a sampled check pairs everything with the first 10
     cut = None if exhaustive else 10
     img0 = [pi0(s) for s in s0s]
@@ -471,29 +444,34 @@ def check_zip_projection(frame, budget=20000, seed=0, samples=100):
         for a, b in pairs:
             if pi0(a + b) != want_sum or pi0(a * b) != want_prod:
                 failures.append(("ring-hom", (repr(a), repr(b))))
-    if frame.has_p_module:
-        imgP = [piP(x) for x in xs]
-        # additivity pairs each x with the next one, cyclically: one pass
-        for x, px, y, py in zip(xs, imgP, xs[1:] + xs[:1], imgP[1:] + imgP[:1]):
-            if not pi0(frame.t1(x)).is_zero():
-                failures.append(("t1", repr(x)))
-            if not piP(frame.tP(x)).is_zero():
-                failures.append(("tP", repr(x)))
-            if piP(frame.p_add(x, y)) != target.p_add(px, py):
-                failures.append(("additive", (repr(x), repr(y))))
-        byP, byP_cut = _by_image(xs, imgP), _by_image(xs[:cut], imgP[:cut])
-        for px, py, pairs in _image_pairs(byP, byP_cut):
-            want = target.nu(px, py)
-            for x, y in pairs:
-                if piP(nu(x, y)) != want:
-                    failures.append(("nu", (repr(x), repr(y))))
-        for pi_s, px, pairs in _image_pairs(by0, byP_cut):
-            want = target.act(pi_s, px)
-            for s, x in pairs:
-                if piP(act(s, x)) != want:
-                    failures.append(("act", (repr(s), repr(x))))
+    imgP = [piP(x) for x in xs]
+    # additivity pairs each x with the next one, cyclically: one pass
+    for x, px, y, py in zip(xs, imgP, xs[1:] + xs[:1], imgP[1:] + imgP[:1]):
+        if pi0(frame.t1(x)) != target.t1(px):
+            failures.append(("t1", repr(x)))
+        if piP(frame.tP(x)) != target.tP(px):
+            failures.append(("tP", repr(x)))
+        if piP(frame.p_add(x, y)) != target.p_add(px, py):
+            failures.append(("additive", (repr(x), repr(y))))
+    byP, byP_cut = _by_image(xs, imgP), _by_image(xs[:cut], imgP[:cut])
+    for px, py, pairs in _image_pairs(byP, byP_cut):
+        want = target.nu(px, py)
+        for x, y in pairs:
+            if piP(nu(x, y)) != want:
+                failures.append(("nu", (repr(x), repr(y))))
+    for pi_s, px, pairs in _image_pairs(by0, byP_cut):
+        want = target.act(pi_s, px)
+        for s, x in pairs:
+            if piP(act(s, x)) != want:
+                failures.append(("act", (repr(s), repr(x))))
     return {"passed": not failures, "failures": failures,
             "mode": "exhaustive" if exhaustive else "sampled"}
+
+
+def check_zip_projection(frame, budget=20000, seed=0):
+    """The canonical projection, reduce: S0 -> R = S0/t1(P), is a frame map
+    to the zip frame of R."""
+    return check_frame_map(frame, ZipFrame(frame.r_ring), frame.reduce, budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +499,6 @@ class Thickening:
         """W_m(B) -> W_m(A), component-wise projection."""
         return self.target.s0.el([self.ext.proj(c) for c in s.comps])
 
-    def epsP(self, x):
-        a, _ = x
-        return self.eps0(a)
-
     def lift0(self, s):
         """The monomial-basis section W_m(A) -> W_m(B) (component-wise)."""
         return self.source.s0.el([self.ext.section(c) for c in s.comps])
@@ -543,29 +517,11 @@ class Thickening:
             raise VerificationError(f"sdotK takes kernel elements only, not {k!r}")
         return self.source.s0.el(list(k.comps[1:]) + [self.ext.B.zero()])
 
-    def check(self, samples=50, seed=0):
-        """Frame-compatibility of eps and the kernel identities."""
-        rng = random.Random(seed)
-        failures = []
-        src, tgt = self.source, self.target
-        s0s = _sample(src.s0.elements(), rng, samples)
-        ps = _sample(src.p_elements(), rng, samples)
-        for s in s0s:
-            if self.eps0(src.sigma0(s)) != tgt.sigma0(self.eps0(s)):
-                failures.append(("sigma0", repr(s)))
-        for x in ps:
-            if self.eps0(src.t1(x)) != tgt.t1(self.epsP(x)):
-                failures.append(("t1", repr(x)))
-            if self.epsP(src.tP(x)) != tgt.tP(self.epsP(x)):
-                failures.append(("tP", repr(x)))
-            if self.eps0(src.sigmadot(x)) != tgt.sigmadot(self.epsP(x)):
-                failures.append(("sigmadot", repr(x)))
-        for x, y in zip(ps, reversed(ps)):
-            if self.epsP(src.nu(x, y)) != tgt.nu(self.epsP(x), self.epsP(y)):
-                failures.append(("nu", (repr(x), repr(y))))
-        for s, x in zip(s0s, ps):
-            if self.epsP(src.act(s, x)) != tgt.act(self.eps0(s), self.epsP(x)):
-                failures.append(("act", (repr(s), repr(x))))
+    def check(self):
+        """eps = (eps0, eps0 . sigmadot) is a frame map (`check_frame_map`,
+        exhaustive at its default budget), and the kernel identities."""
+        src = self.source
+        failures = check_frame_map(src, self.target, self.eps0)["failures"]
         # kernel identities, exhaustive (K0 is tiny)
         p_elem = src.p_int()
         for k in self.k0_elements():

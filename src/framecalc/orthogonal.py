@@ -290,13 +290,13 @@ def _form_values(B, cols):
     return (C.transpose() * B * C).entries
 
 
-def normalize_gram(B, max_iter=64):
+def normalize_gram(B):
     """A basis change A with A^t B A = J, for B a perturbation of J.
 
     Hyperbolic pairs are extracted from the outside in (isotropic vectors by
     nilpotent fixed-point iteration, using that 2 is a unit), the middle
-    weight-0 block is centered by a Newton step; everything is verified
-    exactly at the end.
+    weight-0 block is centered by a Newton step; each iteration gives up
+    after 64 steps, and everything is verified exactly at the end.
     """
     frame = B.frame
     mu = B.mu_col
@@ -324,7 +324,7 @@ def normalize_gram(B, max_iter=64):
     t = 0
     while t < n - 1 - t and mu[t] > 0:
         v, w = col(t), col(n - 1 - t)
-        for _ in range(max_iter):
+        for _ in range(64):
             bvw = _form_value(B, v, w)
             if not bvw.payload.is_unit():
                 raise GramNotSplit("hyperbolic pairing is not a unit")
@@ -350,7 +350,7 @@ def normalize_gram(B, max_iter=64):
     if mids:
         s0 = frame.s0
         J0 = standard_J(s0, len(mids))
-        for _ in range(max_iter):
+        for _ in range(64):
             M = [[e.payload for e in row]
                  for row in _form_values(B, [col(j) for j in mids])]
             C = linalg.mat_sub(M, J0)

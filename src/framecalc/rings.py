@@ -353,11 +353,6 @@ class ArtinRing:
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
             yield RingElem(self, coeffs)
 
-    def units(self, cap=10 ** 7):
-        for a in self.elements(cap):
-            if a.is_unit():
-                yield a
-
 
 def _coeff_repr(cs):
     if len(cs) == 1:
@@ -542,6 +537,6 @@ def truncated_poly_ring(p, var, power):
     return ArtinRing(Field(p), (var,), ((power,),))
 
 
-def dual_number_extension(p, var="e"):
+def dual_number_extension(p):
     """The square-zero extension F_p[e]/(e^2) -> F_p."""
-    return SquareZeroExtension(dual_numbers(p, var), ((1,),))
+    return SquareZeroExtension(dual_numbers(p), ((1,),))

@@ -205,7 +205,10 @@ def payload_from_json(frame, degree, desc):
                 elem_from_dict(frame.ext.B, desc[1]))
     if isinstance(frame.s0, WittRing):
         return witt_from_list(frame.s0, desc)
-    return elem_from_dict(frame.s0, desc)
+    x = elem_from_dict(frame.s0, desc)
+    if degree >= 1 and not frame.has_p_module and not x.is_zero():
+        raise SchemaError(f"positive-degree entry {desc!r} over a frame with P = 0")
+    return x
 
 
 def matrix_to_json(frame, M):

@@ -251,6 +251,7 @@ def _el(c):
 
 
 _ZIP_F3 = {"kind": "zip", "ring": {"p": 3}}
+_TAUTOLOGICAL_F3 = {"kind": "tautological", "ring": {"p": 3}}
 _WITT_ADD = {"ring": {"p": 3}, "m": 2, "x": [_el(1), _el(0)],
              "y": [_el(2), _el(0)]}
 
@@ -291,6 +292,10 @@ def _zip_without(key):
     (["display", "act"],
      {"display": _display([1, 0], 2, 2),
       "element": {"mu": [1, 0], "grid": [[_el(0), _el(0)], [_el(0), _el(0)]]}}),
+    # entry (1, 0) has degree 1, where the tautological frame's P is 0
+    (["display", "act"],
+     {"display": {**_display([1, 0], 2, 2), "frame": _TAUTOLOGICAL_F3},
+      "element": {"mu": [1, 0], "grid": [[_el(1), _el(0)], [_el(1), _el(1)]]}}),
     (["ortho", "normalize"],
      {"frame": {"kind": "relative", "m": 1,
                 "ext": {"ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
@@ -304,7 +309,7 @@ def _zip_without(key):
         "spec-is-a-list", "mu-not-integers", "frame-m-not-an-integer",
         "witt-frame-without-ring", "zip-without-ring", "zip-without-n",
         "act-element-weights-differ", "ring-vars-not-a-list",
-        "act-element-singular",
+        "act-element-singular", "act-element-nonzero-in-p-zero",
         "relative-frame-m-1", "normalize-random-over-witt-frame",
         "normalize-random-over-zip-frame"])
 def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
@@ -464,6 +469,12 @@ def _report_specs():
         "ortho check": {"display": D(k3)},
         "ortho normalize": {"frame": serialize.frame_to_dict(rel),
                             "mu": [1, 0, 0, -1], "count": 2},
+        # the split form over the tautological frame of F_3, whose entries
+        # of positive degree are P = 0, the zero of S0
+        "ortho normalize/tautological": {
+            "frame": _TAUTOLOGICAL_F3, "mu": [1, 0, 0, -1],
+            "gram": {"grid": [[{}, {}, {}, 1], [{}, {}, 1, {}], [{}, 1, {}, {}],
+                              [1, {}, {}, {}]]}},
         # 3^16 structure matrices of K3 type over F_3: past the default cap
         "ortho classify": {"frame": serialize.frame_to_dict(zf),
                            "mu": [1, 0, 0, -1]},
@@ -479,7 +490,8 @@ def report_specs():
     return _report_specs()
 
 
-# (exit code, sha256 of the --json stdout); the stderr is empty unless named
+# (exit code, sha256 of the --json stdout); the stderr is empty unless named.
+# A name is "command op", and "command op/variant" for one more input.
 _REPORTS = {
     "ring": (EXIT_OK,
         "2495cc7daee05305ced3c0fae004a5c166d1c9c9dc33f8a782fdb6eb948fc62e"),
@@ -519,6 +531,8 @@ _REPORTS = {
         "bb09f48489959973b016125eca2d3b8891858001b33f725cad1e7043e619ccc6"),
     "ortho normalize": (EXIT_OK,
         "5be5537cb85fd36b46ab8a08f842d2c6f9a99b5bfd299419088f781b7f33107d"),
+    "ortho normalize/tautological": (EXIT_OK,
+        "f15ed3d9fc2200c5162aeed177a90c7dc6e82f2cc6bcc71cb71004c623f0cd3e"),
     "ortho classify": (EXIT_INPUT,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "k3 pack": (EXIT_OK,
@@ -540,7 +554,7 @@ _STDERR = {"ortho classify":
 
 @pytest.mark.parametrize("name", list(_REPORTS))
 def test_report_bytes_of_every_command(tmp_path, capsys, report_specs, name):
-    argv = name.split() + ["--json"]
+    argv = name.split("/")[0].split() + ["--json"]
     if report_specs[name] is not None:
         argv += ["--spec", _write(tmp_path, "spec.json", report_specs[name])]
     code = main(argv)

@@ -41,13 +41,9 @@ def test_graded_sigma_tau_are_multiplicative():
 
 
 def _rand_graded(frame, mu_row, mu_col, rng):
-    def payload(d):
-        if d >= 1 and not frame.has_p_module:
-            return None  # the tautological frame's P is zero
-        return rand_payload(frame, d, rng)
     return GradedMatrix(frame, mu_row, mu_col,
-                        [[GradedElem(frame, c - r, payload(c - r)) for c in mu_col]
-                         for r in mu_row])
+                        [[GradedElem(frame, c - r, rand_payload(frame, c - r, rng))
+                          for c in mu_col] for r in mu_row])
 
 
 def _entrywise_product(A, B):

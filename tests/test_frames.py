@@ -9,8 +9,8 @@ from framecalc.rings import (dual_number_extension, dual_numbers,
 from framecalc.witt import WittRing
 from framecalc.frames import (HodgeThickening, RelativeFrame,
                               TautologicalFrame, Thickening, WittFrame,
-                              ZipFrame, check_zip_projection,
-                              frame_axiom_check, zip_projection)
+                              ZipFrame, check_frame_map,
+                              check_zip_projection, frame_axiom_check)
 
 
 def frames_under_test():
@@ -121,13 +121,17 @@ def test_zip_projection_catches_a_non_additive_projection():
     assert "additive" in {name for name, _ in report["failures"]}
 
 
-def _break(frame, t1_at=None, nu_at=None, act_at=None):
-    """frame with t1 off by 1 at one element of P, or nu or act off by the
-    P-element 1 (the pair (1, 0) on the relative frame) at one pair."""
-    t1, nu, act, one = frame.t1, frame.nu, frame.act, frame.s0.one()
+def _break(frame, t1_at=None, tP_at=None, nu_at=None, act_at=None):
+    """frame with t1 off by 1 or tP off by the P-element 1 (the pair (1, 0)
+    on the relative frame) at one element of P, or nu or act off by the
+    P-element 1 at one pair."""
+    t1, tP, nu, act = frame.t1, frame.tP, frame.nu, frame.act
+    one = frame.s0.one()
     one_p = one if frame.p_is_s0 else (one, frame.ext.B.zero())
     if t1_at is not None:
         frame.t1 = lambda x: t1(x) + one if x == t1_at else t1(x)
+    if tP_at is not None:
+        frame.tP = lambda x: frame.p_add(tP(x), one_p) if x == tP_at else tP(x)
     if nu_at is not None:
         frame.nu = lambda x, y: (frame.p_add(nu(x, y), one_p) if (x, y) == nu_at
                                  else nu(x, y))
@@ -197,12 +201,16 @@ def test_axiom_check_names_the_first_broken_identity(case):
 
 
 def test_zip_projection_target():
+    # the projection is the frame map reduce: S0 -> R to the zip frame of R;
+    # on W_m(R), reduce is the first Witt component, and the second is no
+    # ring map
     frame = WittFrame(prime_field(3), 2)
-    pi0, piP, target = zip_projection(frame)
-    assert target.kind == "zip"
-    # pi0 is reduction to the first Witt component
-    x = frame.s0.el([1, 2])
-    assert pi0(x) == target.ring.el(1)
+    target = ZipFrame(frame.r_ring)
+    assert frame.reduce(frame.s0.el([1, 2])) == target.ring.el(1)
+    assert check_frame_map(frame, target, frame.reduce) == check_zip_projection(frame)
+    report = check_frame_map(frame, target, lambda s: s.comp(1))
+    assert not report["passed"]
+    assert "ring-hom" in {name for name, _ in report["failures"]}
 
 
 def test_relative_frame_p_is_at_least_3():
@@ -222,13 +230,31 @@ def test_thickening_reduction_is_surjective():
 def test_thickening_compatibilities_and_kernel():
     ext = dual_number_extension(3)
     th = Thickening(ext, 2)
-    report = th.check(samples=50, seed=0)
+    report = th.check()
     assert report["passed"], report["failures"][:5]
     assert len(list(th.k0_elements())) == 9
     # every kernel element projects to zero and sdot is nilpotent of order m
     for k in th.k0_elements():
         assert th.eps0(k).is_zero()
         assert th.sdotK(th.sdotK(k)).is_zero()
+
+
+@pytest.mark.parametrize("broken, at", [("act", (40, 96)), ("tP", 100)],
+                         ids=["act", "tP"])
+def test_thickening_check_names_a_map_broken_at_one_place(broken, at):
+    # eps is checked over all |S0| |P| = 19683 pairs, so a source map broken
+    # at one place is named, and nothing else
+    th = Thickening(dual_number_extension(3), 2)
+    src = th.source
+    s0s, ps = list(src.s0.elements()), list(src.p_elements())
+    if broken == "act":
+        s, x = s0s[at[0]], ps[at[1]]
+        _break(src, act_at=(s, x))
+        failures = [("act", (repr(s), repr(x)))]
+    else:
+        _break(src, tP_at=ps[at])
+        failures = [("tP", repr(ps[at]))]
+    assert th.check() == {"passed": False, "failures": failures}
 
 
 def test_hodge_thickening_cokernel_is_j():

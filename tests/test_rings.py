@@ -87,7 +87,7 @@ def test_ring_axioms_exhaustive_dual_numbers():
 
 def test_units_and_inverses():
     R = truncated_poly_ring(3, "x", 2)
-    units = list(R.units())
+    units = [a for a in R.elements() if a.is_unit()]
     assert len(units) == 6
     for u in units:
         assert u * u.invert() == R.one()

@@ -7,7 +7,7 @@ from framecalc.rings import (dual_number_extension, extension_field,
                              prime_field, truncated_poly_ring)
 from framecalc.frames import (RelativeFrame, TautologicalFrame, WittFrame,
                               ZipFrame)
-from framecalc.displays import Display, to_fzip
+from framecalc.displays import Display, GradedMatrix, to_fzip
 from framecalc.orthogonal import OrthDisplay, standard_gram, standard_J
 from framecalc.fixtures import k3_fixture
 from framecalc.serialize import SchemaError
@@ -130,6 +130,17 @@ def test_gram_matrix_roundtrip(frame):
     assert desc["mu_row"] == [-1, 0, 0, 1]
     back = serialize.graded_from_dict(frame, desc)
     assert back == B and back.mu_row == B.mu_row
+
+
+def test_tautological_graded_matrix_roundtrip():
+    # P = 0 is the zero of S0: the identity's positive-degree entries read
+    # and write as that zero
+    frame = TautologicalFrame(prime_field(3))
+    mu = (1, 0, 0, -1)
+    grid = [[1 if i == j else {} for j in range(4)] for i in range(4)]
+    identity = GradedMatrix.identity(frame, mu)
+    assert serialize.graded_from_dict(frame, {"mu": list(mu), "grid": grid}) == identity
+    assert serialize.graded_from_dict(frame, serialize.graded_to_dict(identity)) == identity
 
 
 def test_dumps_is_deterministic():

@@ -43,6 +43,10 @@
   interface whose members need not use every argument.
 - No unused import: every name a module imports is used in it; the
   package's `__init__` is exempt, because its imports are the public API.
+- No None for a frame value: every method of a frame class in `frames.py`
+  (`Frame` and its subclasses) other than `__init__` returns or yields a
+  value, and none returns or yields None; the tautological frame's P = 0 is
+  the zero of S0.
 - One report envelope: in `cli.py` only `_emit` writes the string
   "command", so every report gets its name and default `passed` there.
 - One command list: the README's `Commands:` line names exactly the
@@ -271,6 +275,32 @@ def test_every_function_parameter_is_read():
             unread += [f"{path.stem}.{node.name}({arg.arg})"
                        for arg in params if arg.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _is_none(node):
+    return node.value is None or (isinstance(node.value, ast.Constant)
+                                  and node.value.value is None)
+
+
+def test_no_frame_method_returns_none():
+    tree = ast.parse((PACKAGE / "frames.py").read_text())
+    frame_classes = {"Frame"}
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef)
+                and (cls.name in frame_classes
+                     or any(getattr(b, "id", None) in frame_classes for b in cls.bases))):
+            continue
+        frame_classes.add(cls.name)
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef) or node.name == "__init__":
+                continue
+            outs = [n for n in ast.walk(node) if isinstance(n, (ast.Return, ast.Yield))]
+            if not outs or any(_is_none(n) for n in outs):
+                found.append(f"frames.py:{node.lineno} {cls.name}.{node.name}")
+    assert frame_classes == {"Frame", "WittFrame", "ZipFrame", "RelativeFrame",
+                             "TautologicalFrame"}
+    assert not found, f"frame methods that return None: {found}"
 
 
 def test_only_emit_writes_the_report_command():
