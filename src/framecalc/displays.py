@@ -140,7 +140,8 @@ class GradedElem:
 # ---------------------------------------------------------------------------
 
 class GradedMatrix:
-    """Matrix with entry (i, j) of degree mu_col[j] - mu_row[i]."""
+    """Matrix with entry (i, j) of degree mu_col[j] - mu_row[i]; over a
+    frame with P = 0 every entry of positive degree is zero."""
 
     def __init__(self, frame, mu_row, mu_col, entries):
         self.frame = frame
@@ -150,6 +151,9 @@ class GradedMatrix:
             for j, e in enumerate(row):
                 if e.degree != self.mu_col[j] - self.mu_row[i]:
                     raise ValueError("entry degree does not match weights")
+        if not frame.has_p_module and any(e.degree >= 1 and not e.is_zero()
+                                          for row in entries for e in row):
+            raise ValueError("a positive-degree entry over a frame with P = 0 is not zero")
         self.entries = [list(row) for row in entries]
 
     @classmethod
@@ -594,13 +598,15 @@ def _image(R, g, v):
 
 
 def _fzip_spans(z1, z2):
-    """z2's filtration steps, paired with z1's, and D2_{i-1} for each alpha
-    step i, as spans on F_p-coordinates."""
+    """z2's filtration steps, paired with z1's, and for each alpha step i
+    D2_{i-1} as a span on F_p-coordinates and z2's alpha system at i
+    (`_alpha_system`), both built once per pair of F-zips."""
     R, n = z1.ring, z1.n
     targets = [(F1, {i: linalg.ring_span(R, cols, n) for i, cols in F2.items()})
                for F1, F2 in ((z1.C, z2.C), (z1.D, z2.D))]
-    below = {i: linalg.ring_span(R, z2.D.get(i - 1, []), n) for i in z1.alpha}
-    return targets, below
+    steps = {i: (linalg.ring_span(R, z2.D.get(i - 1, []), n), _alpha_system(z2, i))
+             for i in z1.alpha}
+    return targets, steps
 
 
 def _filtration_defect(R, g, targets):
@@ -611,24 +617,24 @@ def _filtration_defect(R, g, targets):
             for x in F2[i].reduce(linalg.fp_coords(_image(R, g, c))))
 
 
-def _alpha_defects(z1, z2, g, below):
+def _alpha_defects(z1, z2, g, steps):
     """For each (r, v) in z1.alpha[i]: alpha2(gr g^(p)(r)) - g v reduced
     modulo D2_{i-1}, or None when g r has no class in gr_C^i of z2.  The
     class of g r mod C2^{i+1} determines alpha2 of its Frobenius twist."""
     R = z1.ring
     for i, pairs in z1.alpha.items():
+        span, system = steps[i]
         for r, v in pairs:
-            img2 = _alpha_apply(z2, i, [c.frobenius() for c in _image(R, g, r)],
-                                z2.C.get(i + 1, []))
-            yield None if img2 is None else below[i].reduce(linalg.fp_coords(
+            img2 = _alpha_apply(z2, i, [c.frobenius() for c in _image(R, g, r)], system)
+            yield None if img2 is None else span.reduce(linalg.fp_coords(
                 [x - y for x, y in zip(img2, _image(R, g, v))]))
 
 
 def _is_fzip_morphism(z1, z2, g, spans):
     """Whether g preserves both filtrations and commutes with alpha."""
-    targets, below = spans
+    targets, steps = spans
     return not any(_filtration_defect(z1.ring, g, targets)) and all(
-        d is not None and not any(d) for d in _alpha_defects(z1, z2, g, below))
+        d is not None and not any(d) for d in _alpha_defects(z1, z2, g, steps))
 
 
 def _fzip_hom(z1, z2, spans):
@@ -644,14 +650,14 @@ def _fzip_hom(z1, z2, spans):
     """
     R, n = z1.ring, z1.n
     p, width = R.p, n * n * R.dim
-    targets, below = spans
+    targets, steps = spans
     units = ([int(a == b) for a in range(width)] for b in range(width))
     V = linalg.kernel_modp(p, [list(_filtration_defect(R, _fp_matrix(R, n, e), targets))
                                for e in units])
     cols = []
     for e in V:
         col = []
-        for d in _alpha_defects(z1, z2, _fp_matrix(R, n, e), below):
+        for d in _alpha_defects(z1, z2, _fp_matrix(R, n, e), steps):
             if d is None:
                 raise VerificationError(f"a filtration-preserving g leaves gr_C^i: g = {e}")
             col.extend(d)
@@ -659,17 +665,26 @@ def _fzip_hom(z1, z2, spans):
     return [linalg.combine_modp(p, V, x, width) for x in linalg.kernel_modp(p, cols)]
 
 
-def _alpha_apply(z, i, w_frob, above_C):
+def _alpha_system(z, i):
+    """(M, its F_p-columns): the columns of M are the Frobenius twists of
+    z's representatives at alpha step i, then of C^{i+1}."""
+    cols = [[c.frobenius() for c in v]
+            for v in [r for r, _ in z.alpha[i]] + z.C.get(i + 1, [])]
+    M = [[col[r] for col in cols] for r in range(z.n)]
+    return M, linalg.fp_columns(z.ring, M)
+
+
+def _alpha_apply(z, i, w_frob, system):
     """Image under alpha_i of the class of w (already Frobenius-twisted).
 
     Writes w^(p) as a combination of rep^(p) classes mod (C^{i+1})^(p) by
-    one exact linear solve over R, then takes that combination of images.
+    one exact linear solve over R on `_alpha_system(z, i)`, then takes that
+    combination of images.
     """
     R = z.ring
     pairs = z.alpha[i]
-    cols = [[c.frobenius() for c in v] for v in [r for r, _ in pairs] + above_C]
-    M = [[col[r] for col in cols] for r in range(z.n)]
-    coeffs = linalg.solve_local(R, M, w_frob)
+    M, cols = system
+    coeffs = linalg.solve_local(R, M, w_frob, cols)
     if coeffs is None:
         return None
     out = [R.zero()] * z.n

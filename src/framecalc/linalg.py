@@ -10,7 +10,7 @@ elimination routine, `rref_modp`, on ints mod p, and
 one reduced-basis object built on it, `Span`, whose `reduce` gives coset
 labels and membership.  A system over an ArtinRing (a field is the one
 without variables) is solved as F_p-linear algebra in the F_p-coordinates
-of the unknowns, through one encoder (`_fp_columns`), and every solution is
+of the unknowns, through one encoder (`fp_columns`), and every solution is
 checked exactly; `ring_span` is the R-span of columns as a `Span` on those
 coordinates.  Inversion over a local ring is residue inversion followed by
 Newton correction on the nilpotent error, which converges in finitely many
@@ -178,7 +178,7 @@ def fp_coords(vec):
     return [c for x in vec for c in x.coeffs]
 
 
-def _fp_columns(ring, M):
+def fp_columns(ring, M):
     """The F_p-matrix of x -> M x over an ArtinRing, as columns.
 
     Unknown j times the F_p-basis member b is one column: the
@@ -190,14 +190,16 @@ def _fp_columns(ring, M):
             for j in range(len(M[0]) if M else 0) for b in basis]
 
 
-def solve_local(ring, M, rhs):
+def solve_local(ring, M, rhs, cols=None):
     """One exact solution of M x = rhs over a finite local ArtinRing, or None.
 
     F_p-linear in the F_p-coordinates of x, so it is complete over rings
-    with nilpotents too; the solution is then checked exactly.
+    with nilpotents too; the solution is then checked exactly.  `cols`, when
+    given, is `fp_columns(ring, M)`, encoded once for many right-hand sides.
     """
     k = ring.dim
-    cols = _fp_columns(ring, M)
+    if cols is None:
+        cols = fp_columns(ring, M)
     sol = solve_modp(ring.p, cols, fp_coords(rhs))
     if sol is None:
         return None
@@ -213,14 +215,14 @@ def ring_span(ring, cols, n):
     """The span of length-n columns over a finite local ArtinRing, as the
     `Span` of their F_p-multiples: v lies in it iff fp_coords(v) does."""
     M = [[c[r] for c in cols] for r in range(n)]
-    return Span(ring.p, _fp_columns(ring, M), n * ring.dim)
+    return Span(ring.p, fp_columns(ring, M), n * ring.dim)
 
 
 def field_inverse(field, M):
     """Inverse of a square matrix over a finite field (an ArtinRing without
     variables), or None if it is singular or not square."""
     n, k = len(M), field.dim
-    cols = _fp_columns(field, M)
+    cols = fp_columns(field, M)
     # the right-hand sides are the F_p-coordinates of the columns of I
     aug = [list(row) + [int(i == j * k) for j in range(n)]
            for i, row in enumerate(zip(*cols))]

@@ -12,8 +12,8 @@ check against the ghost-derived polynomials).
 
 On a small ring one operation memo per W_m(R), keyed on the operands'
 coordinate tuples, holds sums, products, negatives and the fixed-length
-Frobenius, and the ghost vector of every operand that a miss has met, so
-each element's ghost vector is computed once.
+Frobenius, and the ghost vector of every operand that the ghost route has
+met, so each element's ghost vector is computed once.
 
 Sums and products run on ghost components.  R = F_q[x]/I has the flat lift
 R~ = W(F_q)[x]/I with the same basis (`ArtinRing.lift_mul`); R~ has no
@@ -22,6 +22,20 @@ result's components 1..m-1 come from the ghost components of the operands'
 coordinate lifts, added or multiplied in R~ mod p^m, by inverting the ghost
 map with exact division; component 0 is R's own operation.  The result does
 not depend on the lifts: a = b mod p gives a^(p^k) = b^(p^k) mod p^(k+1).
+
+On a memoized W_m(R) with m >= 2 a miss whose operands have a nonzero top
+component takes the top-component route instead.  With x' the operand x
+with its top component x_t zeroed, x = x' + V^(m-1)[x_t], and in W_m
+
+    x + V^(m-1)[a] = x with a added to its top component,
+    x V^(m-1)[a] = V^(m-1)[x_0^(p^(m-1)) a]
+
+(from x V(y) = V(F(x) y); Serre, Local Fields II 6), while the product of
+two such terms vanishes.  So the result is that of (x', y'), read through
+the same memo, plus x_t + y_t or x_t y_0^(p^(m-1)) + y_t x_0^(p^(m-1)) in
+its top component: the ghost map is inverted once per pair of elements of
+W_{m-1}(R), not once per pair of W_m(R).  A ring without a memo, and
+operands whose top components are both zero, take the ghost route.
 Only the Frobenius W_m -> W_{m-1} evaluates the universal polynomials of
 `wittpoly`, which are otherwise the tests' second route.
 """
@@ -38,15 +52,17 @@ from .rings import (EnumerationTooLarge, NotAUnit, RingElem, RingMismatch,
 
 # The operation memo of a small W_m(R) stops growing at this many entries,
 # about 29 MiB at some 230 bytes an entry over W_2(F_3[e]/e^2); the largest
-# benchmark fill is about 17,700 on witt-kernel and 13,470 on frame-axioms
-# (add, mul, neg, Frobenius and ghost vectors together).
+# benchmark fill is about 18,200 on witt-kernel and 13,400 on frame-axioms
+# (add, mul, neg, Frobenius and ghost vectors together, with the results
+# of the operands whose top components are zeroed).
 MEMO_CAP = 1 << 17
 
 
 class WittRing:
     """Arithmetic context for W_m(R): the ghost route on the flat lift, the
     Frobenius term lists and, for a small ring, the operation memo of
-    `add`, `mul`, `neg`, `frobenius_fixed` and `_ghosts`.
+    `add`, `mul`, `neg`, `frobenius_fixed` and `_ghosts` with the
+    top-component route of `add` and `mul`.
 
     Instances are interned on (ring, m) so the term lists and the
     small-ring operation tables are shared by every construction site.
@@ -169,6 +185,11 @@ class WittRing:
             hit = memo.get(key)
             if hit is not None:
                 return hit
+            out = self._top_route("+", x, y)
+            if out is not None:
+                if len(memo) < MEMO_CAP:
+                    memo[key] = out
+                return out
         ghosts = [[a + b for a, b in zip(u, v)]
                   for u, v in zip(self._ghosts(x), self._ghosts(y))]
         out = self._from_ghosts(x.comp(0) + y.comp(0), ghosts)
@@ -183,6 +204,11 @@ class WittRing:
             hit = memo.get(key)
             if hit is not None:
                 return hit
+            out = self._top_route("*", x, y)
+            if out is not None:
+                if len(memo) < MEMO_CAP:
+                    memo[key] = out
+                return out
         lift_mul, m = self.ring.lift_mul, self.m
         ghosts = [lift_mul(u, v, m)
                   for u, v in zip(self._ghosts(x), self._ghosts(y))]
@@ -218,6 +244,38 @@ class WittRing:
         if memo is not None and len(memo) < MEMO_CAP:
             memo[key] = out
         return out
+
+    # -- the top-component route of a memoized W_m(R) --------------------------
+
+    def _top_route(self, op, x, y):
+        """x + y or x y (op "+" or "*") on a memo miss, by the module
+        docstring's top-component route: the result z of x' and y' (the
+        operands with their top components x_t and y_t zeroed), read through
+        the memo, with x_t + y_t or x_t y_0^(p^(m-1)) + y_t x_0^(p^(m-1))
+        added to its top component; None when m = 1 or x_t = y_t = 0."""
+        top = self._cuts[-1]
+        xc, yc = x.coeffs, y.coeffs
+        xt, yt = xc[top], yc[top]
+        if self.m == 1 or not (any(xt) or any(yt)):
+            return None
+        n, pad = top.start, self.ring.zero().coeffs
+        xl, yl = xc[:n] + pad, yc[:n] + pad
+        z = self._memo.get((op, xl, yl))
+        p = self.p
+        if op == "+":
+            if z is None:
+                z = self.add(WittVector(self, xl), WittVector(self, yl))
+            zc = z.coeffs
+            return WittVector(self, zc[:n] + tuple([(a + b + c) % p for a, b, c in
+                                                    zip(zc[top], xt, yt)]))
+        if z is None:
+            z = self.mul(WittVector(self, xl), WittVector(self, yl))
+        # x_0^(p^(m-1)) and y_0^(p^(m-1)) on the lift; lift_mul(., ., 1) is mod p
+        lift_mul, first = self.ring.lift_mul, self._cuts[0]
+        x0, y0 = self._row(xc[first])[-1], self._row(yc[first])[-1]
+        zc = z.coeffs
+        return WittVector(self, zc[:n] + tuple([(a + b + c) % p for a, b, c in zip(
+            zc[top], lift_mul(xt, y0, 1), lift_mul(yt, x0, 1))]))
 
     # -- the ghost route on the flat lift ----------------------------------------
 

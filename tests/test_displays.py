@@ -10,7 +10,7 @@ from framecalc import displays as displays_module
 from framecalc import linalg
 from framecalc.rings import (EnumerationTooLarge, dual_numbers, extension_field,
                              prime_field)
-from framecalc.frames import WittFrame, ZipFrame
+from framecalc.frames import TautologicalFrame, WittFrame, ZipFrame
 from framecalc.displays import (Display, GradedElem, GradedMatrix,
                                 all_displays, classify_fzips, classify_orbits,
                                 dual, from_fzip, fzip_isomorphic,
@@ -94,6 +94,18 @@ def test_graded_entry_degrees_enforced():
         GradedMatrix(ZF3, (1, 0), (1, 0),
                      [[GradedElem(ZF3, 1, F3.zero()), GradedElem(ZF3, 1, F3.zero())],
                       [GradedElem(ZF3, 1, F3.zero()), GradedElem(ZF3, 1, F3.zero())]])
+
+
+def test_positive_degree_entries_over_p_zero_are_refused():
+    # the tautological frame has P = 0: a nonzero positive-degree payload is
+    # refused by both validating constructors, a zero one is kept
+    taut = TautologicalFrame(F3)
+    with pytest.raises(ValueError):
+        GradedMatrix.from_payloads(taut, (1, 0), [[F3.one(), F3.zero()], [F3.one(), F3.one()]])
+    with pytest.raises(ValueError):
+        GradedMatrix(taut, (0,), (1,), [[GradedElem(taut, 1, F3.el(2))]])
+    A = GradedMatrix.from_payloads(taut, (1, 0), [[F3.one(), F3.el(2)], [F3.zero(), F3.one()]])
+    assert A.entries[1][0].degree == 1 and A.entries[1][0].is_zero()
 
 
 @pytest.mark.parametrize("frame", fixture_frames(),

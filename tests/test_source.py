@@ -23,6 +23,10 @@
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
   and the universal polynomials stay the tests' second route.
+- One ghost inversion site: inside the package only `WittRing.add`,
+  `WittRing.mul` and `WittRing.neg` call `_from_ghosts`; a memo miss with
+  a nonzero top component reaches it only through `add` or `mul` on the
+  operands with their top components zeroed.
 - One reader of the Witt operation memo: inside the package only `WittRing`
   methods and `witt.frobenius_fixed` read `_memo`, so every sum and product
   that hits the memo goes through `WittRing.add` or `WittRing.mul`, where a
@@ -220,6 +224,12 @@ def test_only_the_frobenius_evaluates_the_witt_polynomials():
     for _, _, stmt in terms:
         assert isinstance(stmt, ast.Assign), ast.unparse(stmt)
         assert [ast.unparse(t) for t in stmt.targets] == ["self._frob"]
+
+
+def test_only_add_mul_and_neg_invert_the_ghost_map():
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_references("_from_ghosts")}
+    assert scopes == {("witt.py", "WittRing.add"), ("witt.py", "WittRing.mul"),
+                      ("witt.py", "WittRing.neg")}, sorted(scopes)
 
 
 def test_only_witt_ring_methods_and_the_frobenius_read_the_memo():

@@ -285,19 +285,64 @@ EXHAUSTIVE_IDS = ["W3(F2)", "W2(F3)", "W2(F9)", "W2(F3[e]/e2)"]
     "ring,m,memo", [(ring, m, memo) for memo in (False, True) for ring, m in EXHAUSTIVE_RINGS],
     ids=EXHAUSTIVE_IDS + [f"{i}-memo" for i in EXHAUSTIVE_IDS])
 def test_lift_route_matches_the_polynomials_exhaustively(monkeypatch, ring, m, memo):
-    # with the memo every miss after an operand's first reads its ghost
-    # vector from the memo; without it every miss recomputes both
+    # with the memo a sum or product reaches the ghost route only for
+    # operands whose top components are zero, and every miss after an
+    # operand's first reads its ghost vector from the memo; without it every
+    # miss recomputes both
     wr = _fresh(monkeypatch, ring, m) if memo else _unmemoized(monkeypatch, ring, m)
     els = list(wr.elements())
     _assert_routes_agree(wr, itertools.product(els, repeat=2))
     if memo:
+        # the ghost vectors made are exactly those of the elements with a
+        # zero top component, and at p = 2 of every negated element too
         ghosts = {key[1]: w for key, w in wr._memo.items() if key[0] == "w"}
-        assert sorted(ghosts) == sorted(x.coeffs for x in els)
+        routed = [x for x in els if wr.p == 2 or x.comp(m - 1).is_zero()]
+        assert len(routed) == (len(els) if wr.p == 2 else len(els) // ring.size)
+        assert sorted(ghosts) == sorted(x.coeffs for x in routed)
         twin = _unmemoized(monkeypatch, ring, m)
         assert twin is not wr
-        for x in els:
+        for x in routed:
             assert type(ghosts[x.coeffs]) is tuple
             assert ghosts[x.coeffs] == twin._ghosts(twin.el(x.comps))
+
+
+@pytest.mark.parametrize("ring,m,inversions", [
+    (prime_field(2), 3, 32), (prime_field(3), 3, 162),
+    (extension_field(3, 2), 2, 162), (dual_numbers(3), 2, 162)],
+    ids=["W3(F2)", "W3(F3)", "W2(F9)", "W2(F3[e]/e2)"])
+def test_tables_invert_the_ghost_map_once_per_pair_of_truncations(monkeypatch, ring, m,
+                                                                  inversions):
+    # a memo miss with a nonzero top component goes through the memoized
+    # result of the operands with their top components zeroed, so the + and
+    # * tables of a fresh memo ring make one ghost inversion per pair of
+    # elements of W_{m-1}(R) and operation
+    wr = _fresh(monkeypatch, ring, m)
+    calls = []
+    inner = wr._from_ghosts
+    monkeypatch.setattr(wr, "_from_ghosts", lambda *args: calls.append(args) or inner(*args))
+    els = list(wr.elements())
+    for x, y in itertools.product(els, repeat=2):
+        wr.add(x, y)
+        wr.mul(x, y)
+    assert len(calls) == inversions == 2 * WittRing(ring, m - 1).size ** 2
+
+
+@pytest.mark.parametrize("ring,m", EXHAUSTIVE_RINGS, ids=EXHAUSTIVE_IDS)
+def test_top_component_identities_hold_on_the_polynomials(ring, m):
+    # x + V^(m-1)[a] is x with a added to its top component, and
+    # x V^(m-1)[a] = V^(m-1)[x_0^(p^(m-1)) a] (from x V(y) = V(F(x) y)),
+    # each checked on the universal polynomials only
+    wr = WittRing(ring, m)
+    for a in ring.elements():
+        va = teichmuller(a, 1)
+        for _ in range(m - 1):
+            va = verschiebung(va)
+        assert va.wring == wr
+        for x in wr.elements():
+            comps = list(x.comps)
+            assert _polynomial_route(wr, "sum", x, va) == wr.el(comps[:-1] + [comps[-1] + a])
+            assert _polynomial_route(wr, "prod", x, va) == \
+                wr.el([0] * (m - 1) + [comps[0] ** (wr.p ** (m - 1)) * a])
 
 
 @pytest.mark.parametrize("ring,m,count", [
