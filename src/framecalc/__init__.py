@@ -6,9 +6,9 @@ from .rings import (ArtinRing, Field, SquareZeroExtension, dual_numbers,
                     truncated_poly_ring)
 from .witt import (WittRing, WittVector, divided_frobenius, teichmuller,
                    verschiebung, verschiebung_trunc, witt_frobenius)
-from .frames import (HodgeThickening, RelativeFrame, TautologicalFrame,
-                     Thickening, WittFrame, ZipFrame, check_frame_map,
-                     check_zip_projection, frame_axiom_check)
+from .frames import (RelativeFrame, TautologicalFrame, Thickening, WittFrame,
+                     ZipFrame, check_frame_map, check_zip_projection,
+                     frame_axiom_check)
 from .displays import (Display, FZip, GradedElem, GradedMatrix,
                        classify_fzips, classify_orbits, dual, from_fzip,
                        group_elements, in_display_group,

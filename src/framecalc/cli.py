@@ -61,11 +61,11 @@ def _load_spec(args, required=True):
     return spec
 
 
-def _within_budget(classify, frame, mu, cap):
-    """classify(frame, mu, cap), with bad input reported as itself; an
+def _as_input(call, *args):
+    """call(*args), with bad input (a ValueError) reported as itself; an
     enumeration past the cap goes on to `main` as an exceeded budget."""
     try:
-        return classify(frame, mu, cap)
+        return call(*args)
     except EnumerationTooLarge:
         raise
     except ValueError as exc:
@@ -201,7 +201,7 @@ def cmd_display(args):
     if op == "classify":
         frame = serialize.frame_from_dict(require(spec, "frame"))
         mu = serialize.int_tuple(require(spec, "mu"), "mu")
-        orbits = _within_budget(classify_orbits, frame, mu, cap)
+        orbits = _as_input(classify_orbits, frame, mu, cap)
         reps = [serialize.display_to_dict(min(o, key=lambda d: str(d.phi)))
                 for o in orbits]
         return {"orbits": len(orbits),
@@ -236,11 +236,12 @@ def cmd_zip(args):
     if args.op == "from":
         z = serialize.fzip_from_dict(require(spec, "zip"))
         frame = serialize.frame_from_dict(require(spec, "frame"))
-        return {"result": serialize.display_to_dict(from_fzip(z, frame))}
+        return {"result": serialize.display_to_dict(_as_input(from_fzip, z, frame))}
     d = serialize.display_from_dict(require(spec, "display"))
+    z = _as_input(to_fzip, d)
     if args.op == "to":
-        return {"result": serialize.fzip_to_dict(to_fzip(d))}
-    back = from_fzip(to_fzip(d), d.frame)
+        return {"result": serialize.fzip_to_dict(z)}
+    back = from_fzip(z, d.frame)
     ok = back == d
     return {"roundtrip_identity": ok,
             "witness": None if ok else serialize.display_to_dict(back),
@@ -259,8 +260,7 @@ def cmd_ortho(args):
     frame = serialize.frame_from_dict(require(spec, "frame"))
     mu = serialize.int_tuple(require(spec, "mu"), "mu")
     if args.op == "classify":
-        orbits = _within_budget(classify_orth_orbits, frame, mu,
-                                args.budget or 10 ** 7)
+        orbits = _as_input(classify_orth_orbits, frame, mu, args.budget or 10 ** 7)
         return {"orbits": len(orbits),
                 "orbit_sizes": sorted(len(o) for o in orbits)}
     if "gram" in spec:
@@ -275,7 +275,7 @@ def cmd_ortho(args):
             raise InputError('random perturbations need a relative frame; '
                              'give a "gram" for any other')
         rng = random.Random(args.seed)
-        count = serialize.to_int(spec.get("count", 1), "count")
+        count = serialize.to_int(spec.get("count", 1), "count", low=1)
         grams = [fixtures.rand_gram_perturbation(frame, mu, rng)
                  for _ in range(count)]
     results = []

@@ -477,8 +477,11 @@ def to_fzip(d):
 
 
 def from_fzip(z, frame):
-    """Reassemble a display from an F-zip; inverse to `to_fzip` on the nose
-    when the representatives are the standard vectors and Phi-columns."""
+    """Reassemble a display over a zip frame from an F-zip with n independent
+    representatives; inverse to `to_fzip` on the nose when the
+    representatives are the standard vectors and Phi-columns."""
+    if not isinstance(frame, ZipFrame):
+        raise ValueError("from_fzip expects a zip frame")
     R = frame.ring
     n = z.n
     mu = z.weights
@@ -487,6 +490,8 @@ def from_fzip(z, frame):
         for r, v in z.alpha[i]:
             reps.append(r)
             images.append(v)
+    if len(reps) != n:
+        raise ValueError(f"alpha holds {len(reps)} representatives, not n = {n}")
     T = [[reps[j][i] for j in range(n)] for i in range(n)]
     M = [[images[j][i] for j in range(n)] for i in range(n)]
     T_inv = linalg.mat_inverse(R, T)

@@ -17,36 +17,29 @@ from .displays import Display, GradedElem, GradedMatrix, in_display_group
 from .orthogonal import OrthDisplay, standard_gram
 
 
-def gl2_fixture():
-    """(thickening, base display): rank 2, weights (1,0), over W_2(F_3)."""
+def _deformation_fixture(cls, mu, grid):
+    """(thickening, base display) over W_2(F_3) for the dual-number
+    extension, its structure matrix given by the (a0, a1) components."""
     ext = dual_number_extension(3)
     th = Thickening(ext, 2)
-    s0 = th.target.s0
-    R = ext.A
+    s0, R = th.target.s0, ext.A
+    phi = [[s0.el([R.el(a0), R.el(a1)]) for a0, a1 in row] for row in grid]
+    return th, cls(th.target, mu, phi)
 
-    def W(a0, a1):
-        return s0.el([R.el(a0), R.el(a1)])
 
-    phi = [[W(0, 0), W(1, 0)],
-           [W(1, 0), W(0, 0)]]
-    return th, Display(th.target, (1, 0), phi)
+def gl2_fixture():
+    """(thickening, base display): rank 2, weights (1,0), over W_2(F_3)."""
+    return _deformation_fixture(Display, (1, 0), [[(0, 0), (1, 0)],
+                                                  [(1, 0), (0, 0)]])
 
 
 def k3_fixture():
     """(thickening, base orthogonal display): rank 4, weights (1,0,0,-1)."""
-    ext = dual_number_extension(3)
-    th = Thickening(ext, 2)
-    s0 = th.target.s0
-    R = ext.A
-
-    def W(a0, a1):
-        return s0.el([R.el(a0), R.el(a1)])
-
-    phi = [[W(2, 1), W(1, 0), W(0, 2), W(0, 2)],
-           [W(1, 1), W(2, 1), W(2, 1), W(2, 0)],
-           [W(2, 2), W(0, 2), W(0, 2), W(0, 0)],
-           [W(2, 0), W(0, 2), W(1, 1), W(0, 2)]]
-    return th, OrthDisplay(th.target, (1, 0, 0, -1), phi)
+    return _deformation_fixture(OrthDisplay, (1, 0, 0, -1),
+                                [[(2, 1), (1, 0), (0, 2), (0, 2)],
+                                 [(1, 1), (2, 1), (2, 1), (2, 0)],
+                                 [(2, 2), (0, 2), (0, 2), (0, 0)],
+                                 [(2, 0), (0, 2), (1, 1), (0, 2)]])
 
 
 def fixture_frames():

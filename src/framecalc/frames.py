@@ -533,40 +533,3 @@ class Thickening:
             if not it.is_zero():
                 failures.append(("sdot-nilpotent", repr(k)))
         return {"passed": not failures, "failures": failures}
-
-
-class HodgeThickening:
-    """The inclusion alpha: W_m(B)-frame -> W_m(B/A)-frame over the same S0.
-
-    alpha is the identity on S0 and a |-> (a, 0) on positive parts; the
-    cokernel in each positive degree is J via (a, x) |-> x, which is the
-    hypothesis making lifts along alpha classified by Hodge-filtration lifts.
-    """
-
-    def __init__(self, ext, m):
-        self.ext = ext
-        self.m = m
-        self.s_prime = WittFrame(ext.B, m)
-        self.s_rel = RelativeFrame(ext, m)
-
-    def alphaP(self, a):
-        return (a, self.ext.B.zero())
-
-    def coker(self, x):
-        return x[1]
-
-    def check(self):
-        """t^n: S_n -> S_0 induces an isomorphism S_n/S'_n ~= J, for n = 1, 2."""
-        failures = []
-        rel = self.s_rel
-        for x in rel.p_elements():
-            # degree 1: first Witt coordinate of t1 reads off the J-part
-            if rel.t1(x).comp(0) != x[1]:
-                failures.append(("t1-coker", repr(x)))
-            # degree 2: same for t1 . tP
-            if rel.t1(rel.tP(x)).comp(0) != x[1]:
-                failures.append(("t2-coker", repr(x)))
-            # alpha image has trivial J-part
-            if not self.coker(self.alphaP(x[0])).is_zero():
-                failures.append(("alpha-image", repr(x)))
-        return {"passed": not failures, "failures": failures}

@@ -8,7 +8,8 @@ plain matrix condition M^t J M = J over S0.
 
 Also here: the big-cell decomposition g = q u (parabolic times unipotent,
 u = I + sum X_b read off the clearing steps), minuscule exponentials for
-the positive unipotent part, and perturbative Gram normalization.
+the positive and negative unipotent parts (one builder, the negative one
+filling the transposed places), and perturbative Gram normalization.
 """
 
 from __future__ import annotations
@@ -161,42 +162,39 @@ def half(s0):
     return s0.from_int((order + 1) // 2)
 
 
-def exp_plus_orth(frame, mu, xs):
-    """The orthogonal unipotent with column-0 entries xs (middle rows).
+def _exp_orth(frame, mu, xs, at):
+    """The orthogonal unipotent with column-0 entries xs (middle rows), each
+    entry (r, c) put at at(r, c), in the degree of that place.
 
-    The last row is forced to -xs reversed and the corner entry of degree 2
-    is -1/2 times sum x_k x_{n-1-k}; the result lies in O by construction.
+    The last row is forced to -xs reversed and the corner entry is -1/2
+    times sum x_k x_{n-1-k}; the result lies in O by construction.
     """
     n = len(mu)
     if len(xs) != n - 2:
         raise ValueError("expected one payload per middle row")
     A = GradedMatrix.identity(frame, mu)
-    for idx, x in enumerate(xs):
-        i = idx + 1
-        A.entries[i][0] = GradedElem(frame, mu[0] - mu[i], x)
-        A.entries[n - 1][n - 1 - i] = -GradedElem(frame, mu[n - 1 - i] - mu[n - 1], x)
-    corner = GradedElem.zero(frame, mu[0] - mu[n - 1])
-    for idx in range(n - 2):
-        corner = corner + (GradedElem(frame, mu[0] - mu[idx + 1], xs[idx])
-                           * GradedElem(frame, mu[0] - mu[n - 2 - idx], xs[n - 3 - idx]))
-    A.entries[n - 1][0] = -(GradedElem(frame, 0, half(frame.s0)) * corner)
+
+    def put(r, c, make):
+        r, c = at(r, c)
+        A.entries[r][c] = entry = make(mu[c] - mu[r])
+        return entry
+
+    col = [put(i, 0, lambda d: GradedElem(frame, d, x)) for i, x in enumerate(xs, 1)]
+    for i, x in enumerate(xs, 1):
+        put(n - 1, n - 1 - i, lambda d: -GradedElem(frame, d, x))
+    put(n - 1, 0, lambda d: -(GradedElem(frame, 0, half(frame.s0)) * sum(
+        (col[k] * col[n - 3 - k] for k in range(n - 2)), GradedElem.zero(frame, d))))
     return A
+
+
+def exp_plus_orth(frame, mu, xs):
+    """The positive orthogonal unipotent: column 0 / last row, degrees >= 1."""
+    return _exp_orth(frame, mu, xs, lambda r, c: (r, c))
 
 
 def exp_minus_orth(frame, mu, xs):
     """The transposed-type unipotent: row 0 / last column, degrees <= -1."""
-    n = len(mu)
-    A = GradedMatrix.identity(frame, mu)
-    for idx, x in enumerate(xs):
-        j = idx + 1
-        A.entries[0][j] = GradedElem(frame, mu[j] - mu[0], x)
-        A.entries[n - 1 - j][n - 1] = -GradedElem(frame, mu[n - 1] - mu[n - 1 - j], x)
-    corner = GradedElem.zero(frame, mu[n - 1] - mu[0])
-    for idx in range(n - 2):
-        corner = corner + (GradedElem(frame, mu[idx + 1] - mu[0], xs[idx])
-                           * GradedElem(frame, mu[n - 2 - idx] - mu[0], xs[n - 3 - idx]))
-    A.entries[0][n - 1] = -(GradedElem(frame, 0, half(frame.s0)) * corner)
-    return A
+    return _exp_orth(frame, mu, xs, lambda r, c: (c, r))
 
 
 # ---------------------------------------------------------------------------

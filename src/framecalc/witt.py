@@ -13,7 +13,9 @@ check against the ghost-derived polynomials).
 On a small ring one operation memo per W_m(R), keyed on the operands'
 coordinate tuples, holds sums, products, negatives and the fixed-length
 Frobenius, and the ghost vector of every operand that the ghost route has
-met, so each element's ghost vector is computed once.
+met, so each element's ghost vector is computed once.  `add` and `mul` read
+the memo inline and hand a miss to `_miss`, which picks the route below;
+`_keep` makes every store into the memo or the lifted rows, under MEMO_CAP.
 
 Sums and products run on ghost components.  R = F_q[x]/I has the flat lift
 R~ = W(F_q)[x]/I with the same basis (`ArtinRing.lift_mul`); R~ has no
@@ -181,41 +183,18 @@ class WittRing:
     def add(self, x, y):
         memo = self._memo
         if memo is not None:
-            key = ("+", x.coeffs, y.coeffs)
-            hit = memo.get(key)
+            hit = memo.get(("+", x.coeffs, y.coeffs))
             if hit is not None:
                 return hit
-            out = self._top_route("+", x, y)
-            if out is not None:
-                if len(memo) < MEMO_CAP:
-                    memo[key] = out
-                return out
-        ghosts = [[a + b for a, b in zip(u, v)]
-                  for u, v in zip(self._ghosts(x), self._ghosts(y))]
-        out = self._from_ghosts(x.comp(0) + y.comp(0), ghosts)
-        if memo is not None and len(memo) < MEMO_CAP:
-            memo[key] = out
-        return out
+        return self._miss("+", x, y)
 
     def mul(self, x, y):
         memo = self._memo
         if memo is not None:
-            key = ("*", x.coeffs, y.coeffs)
-            hit = memo.get(key)
+            hit = memo.get(("*", x.coeffs, y.coeffs))
             if hit is not None:
                 return hit
-            out = self._top_route("*", x, y)
-            if out is not None:
-                if len(memo) < MEMO_CAP:
-                    memo[key] = out
-                return out
-        lift_mul, m = self.ring.lift_mul, self.m
-        ghosts = [lift_mul(u, v, m)
-                  for u, v in zip(self._ghosts(x), self._ghosts(y))]
-        out = self._from_ghosts(x.comp(0) * y.comp(0), ghosts)
-        if memo is not None and len(memo) < MEMO_CAP:
-            memo[key] = out
-        return out
+        return self._miss("*", x, y)
 
     def dot(self, xs, ys):
         """sum x*y over the pairs of xs and ys, folded through `mul` and
@@ -241,11 +220,34 @@ class WittRing:
         else:
             # -1 = [-1] for odd p, and [a] x = (a x_0, a^p x_1, ...)
             out = WittVector(self, tuple([-a % p for a in x.coeffs]))
-        if memo is not None and len(memo) < MEMO_CAP:
-            memo[key] = out
+        return out if memo is None else self._keep(memo, key, out)
+
+    # -- the memo store and the miss path of `add` and `mul` --------------------
+
+    def _keep(self, store, key, out):
+        """out, stored under key in `_memo` or `_rows` while the store holds
+        fewer than MEMO_CAP entries (a plain method: CPython specializes its
+        lookup on an instance, not that of a staticmethod)."""
+        if len(store) < MEMO_CAP:
+            store[key] = out
         return out
 
-    # -- the top-component route of a memoized W_m(R) --------------------------
+    def _miss(self, op, x, y):
+        """x + y or x y (op "+" or "*") missed by the memo, or on a ring
+        without one: the top-component route on a memoized ring when it
+        applies, else the ghost route; kept in the memo."""
+        memo = self._memo
+        out = None if memo is None else self._top_route(op, x, y)
+        if out is None:
+            gx, gy = self._ghosts(x), self._ghosts(y)
+            if op == "+":
+                ghosts = [[a + b for a, b in zip(u, v)] for u, v in zip(gx, gy)]
+                out = self._from_ghosts(x.comp(0) + y.comp(0), ghosts)
+            else:
+                lift_mul, m = self.ring.lift_mul, self.m
+                ghosts = [lift_mul(u, v, m) for u, v in zip(gx, gy)]
+                out = self._from_ghosts(x.comp(0) * y.comp(0), ghosts)
+        return out if memo is None else self._keep(memo, (op, x.coeffs, y.coeffs), out)
 
     def _top_route(self, op, x, y):
         """x + y or x y (op "+" or "*") on a memo miss, by the module
@@ -291,8 +293,7 @@ class WittRing:
                 for _ in range(self.p - 1):
                     out = lift_mul(out, a, m)
                 row.append(out)
-            if len(self._rows) < MEMO_CAP:
-                self._rows[coeffs] = row
+            self._keep(self._rows, coeffs, row)
         return row
 
     def _weighted(self, powers, n):
@@ -316,9 +317,7 @@ class WittRing:
                 return hit
         powers = [self._row(c) for c in self._split(x.coeffs)]
         out = tuple([self._weighted(powers, n) for n in range(1, self.m)])
-        if memo is not None and len(memo) < MEMO_CAP:
-            memo[key] = out
-        return out
+        return out if memo is None else self._keep(memo, key, out)
 
     def _from_ghosts(self, c0, ghosts):
         """The Witt vector with component 0 c0 and ghost components
@@ -474,9 +473,7 @@ def frobenius_fixed(x):
     for c in x.comps:
         coeffs += c.frobenius().coeffs
     out = WittVector(wr, tuple(coeffs))
-    if memo is not None and len(memo) < MEMO_CAP:
-        memo[key] = out
-    return out
+    return out if memo is None else wr._keep(memo, key, out)
 
 
 def teichmuller(a, m):

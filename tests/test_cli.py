@@ -273,6 +273,23 @@ def _zip_without(key):
     return {"zip": desc, "frame": _ZIP_F3}
 
 
+def _zip_alpha(rank, pick):
+    # the unit F-zip of the given rank and weight 1, its one alpha step
+    # holding pick(pairs) in place of its own pairs
+    desc = serialize.fzip_to_dict(to_fzip(unit_display(ZipFrame(prime_field(3)), rank, 1)))
+    desc["alpha"]["1"] = pick(desc["alpha"]["1"])
+    return {"zip": desc, "frame": _ZIP_F3}
+
+
+_WITT_F3 = {"kind": "witt", "ring": {"p": 3}, "m": 2}
+_WITT_DISPLAY = {"frame": _WITT_F3, "mu": [1, 0],
+                 "phi": [[[_el(int(i == j)), _el(0)] for j in range(2)]
+                         for i in range(2)]}
+_RELATIVE_F3 = {"kind": "relative", "m": 2,
+                "ext": {"ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
+                        "extra": ["e"]}}
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["witt", "add"], {**_WITT_ADD, "ring": {"p": "a"}}),
     (["witt", "add"], {**_WITT_ADD, "m": "two"}),
@@ -305,18 +322,29 @@ def _zip_without(key):
      {"frame": {"kind": "witt", "ring": {"p": 3}, "m": 2}, "mu": [1, -1],
       "count": 2}),
     (["ortho", "normalize"], {"frame": _ZIP_F3, "mu": [1, -1]}),
+    (["zip", "from"], _zip_alpha(2, lambda pairs: pairs[:1])),
+    (["zip", "from"], _zip_alpha(2, lambda pairs: [pairs[0], [pairs[0][0], pairs[1][1]]])),
+    (["zip", "from"], _zip_alpha(1, lambda pairs: pairs * 2)),
+    (["zip", "from"], {"zip": _unit_zip(), "frame": _WITT_F3}),
+    (["zip", "to"], {"display": _WITT_DISPLAY}),
+    (["zip", "roundtrip"], {"display": _WITT_DISPLAY}),
+    (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [1, 0, 0, -1], "count": -4}),
+    (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [1, 0, 0, -1], "count": 0}),
 ], ids=["ring-p-not-an-integer", "m-not-an-integer", "m-zero", "ring-p-null",
         "spec-is-a-list", "mu-not-integers", "frame-m-not-an-integer",
         "witt-frame-without-ring", "zip-without-ring", "zip-without-n",
         "act-element-weights-differ", "ring-vars-not-a-list",
         "act-element-singular", "act-element-nonzero-in-p-zero",
         "relative-frame-m-1", "normalize-random-over-witt-frame",
-        "normalize-random-over-zip-frame"])
+        "normalize-random-over-zip-frame", "zip-alpha-too-few",
+        "zip-alpha-dependent", "zip-alpha-too-many", "zip-from-witt-frame",
+        "zip-to-witt-frame", "zip-roundtrip-witt-frame",
+        "normalize-count-negative", "normalize-count-zero"])
 def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
     path = _write(tmp_path, "spec.json", spec)
     assert main(argv + ["--spec", path]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

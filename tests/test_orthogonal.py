@@ -208,6 +208,33 @@ def test_exp_plus_minus_are_orthogonal():
         assert form_transform(G0, um) == G0
 
 
+EXP_FRAMES = [ZF3, WF3, RelativeFrame(dual_number_extension(3), 2),
+              WittFrame(dual_numbers(5), 2)]
+
+
+@pytest.mark.parametrize("mu", [(1, 0, -1), K3MU, (1, 0, 0, 0, -1)],
+                         ids=["rank3", "rank4", "rank5"])
+@pytest.mark.parametrize("frame", EXP_FRAMES, ids=lambda f: f.kind + "/" + repr(f.s0))
+def test_exp_plus_minus_lie_in_o_and_fill_transposed_places(frame, mu):
+    # both exponentials preserve the split form at every rank; the positive
+    # one fills column 0 and the last row, the negative one their transposes
+    rng = random.Random(11)
+    p_all, s_all = list(frame.p_elements()), list(frame.s0.elements())
+    G0 = standard_gram(frame, mu)
+    n = len(mu)
+    filled = {"+": set(), "-": set()}
+    for _ in range(6):
+        up = exp_plus_orth(frame, mu, [rng.choice(p_all) for _ in range(n - 2)])
+        um = exp_minus_orth(frame, mu, [rng.choice(s_all) for _ in range(n - 2)])
+        for op, A in (("+", up), ("-", um)):
+            assert form_transform(G0, A) == G0
+            filled[op] |= {(r, c) for r in range(n) for c in range(n)
+                           if r != c and not A.entries[r][c].is_zero()}
+    assert filled["+"] == {(r, c) for c, r in filled["-"]}
+    assert filled["+"] == {(r, c) for r in range(n) for c in range(n)
+                           if r > c and (c == 0 or r == n - 1)}
+
+
 def test_factorization_uniqueness_is_checked_by_value(monkeypatch):
     # every element hashes alike; distinct elements still pass the
     # uniqueness check, which compares payload coordinates

@@ -23,10 +23,16 @@
   is called only by `witt.witt_frobenius`, and `eval_terms` only to build
   `WittRing._frob`; sums, products and negatives run on ghost components,
   and the universal polynomials stay the tests' second route.
-- One ghost inversion site: inside the package only `WittRing.add`,
-  `WittRing.mul` and `WittRing.neg` call `_from_ghosts`; a memo miss with
-  a nonzero top component reaches it only through `add` or `mul` on the
-  operands with their top components zeroed.
+- One ghost inversion site: inside the package only `WittRing._miss` and
+  `WittRing.neg` call `_from_ghosts`, and only `WittRing.add` and
+  `WittRing.mul` call `_miss`; a memo miss with a nonzero top component
+  reaches it only through `add` or `mul` on the operands with their top
+  components zeroed.
+- One memo store: inside the package only `WittRing._keep` writes into the
+  Witt operation memo `_memo` or the lifted rows `_rows` (an item
+  assignment, `setdefault` or `update`, on the attribute or on a local name
+  bound to it), and only `_keep` reads `MEMO_CAP`, so the cap is applied in
+  one place.
 - One reader of the Witt operation memo: inside the package only `WittRing`
   methods and `witt.frobenius_fixed` read `_memo`, so every sum and product
   that hits the memo goes through `WittRing.add` or `WittRing.mul`, where a
@@ -228,8 +234,53 @@ def test_only_the_frobenius_evaluates_the_witt_polynomials():
 
 def test_only_add_mul_and_neg_invert_the_ghost_map():
     scopes = {(mod, scope) for mod, scope, _ in _scoped_references("_from_ghosts")}
-    assert scopes == {("witt.py", "WittRing.add"), ("witt.py", "WittRing.mul"),
-                      ("witt.py", "WittRing.neg")}, sorted(scopes)
+    assert scopes == {("witt.py", "WittRing._miss"), ("witt.py", "WittRing.neg")}, \
+        sorted(scopes)
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_references("_miss")}
+    assert scopes == {("witt.py", "WittRing.add"), ("witt.py", "WittRing.mul")}, \
+        sorted(scopes)
+
+
+_MEMO_STORES = ("_memo", "_rows")
+
+
+def _memo_writes(fn):
+    """Line numbers in fn of the writes into `_memo` or `_rows`: an item
+    assignment or a setdefault/update call on the attribute, or on a local
+    name that fn binds to it."""
+    aliases = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                         else zip(target.elts, getattr(node.value, "elts", ())))
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                            and isinstance(v, ast.Attribute) and v.attr in _MEMO_STORES}
+
+    def is_store(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in _MEMO_STORES)
+                or (isinstance(node, ast.Name) and node.id in aliases))
+
+    return [node.lineno for node in ast.walk(fn)
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and is_store(node.value))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update", "__setitem__")
+                and is_store(node.func.value))]
+
+
+def test_only_keep_stores_into_the_witt_memo():
+    functions = _scoped_nodes(lambda node: isinstance(node, ast.FunctionDef))
+    writes = [f"{mod}:{line} {scope + '.' if scope else ''}{fn.name}"
+              for mod, scope, fn in functions for line in _memo_writes(fn)]
+    assert not writes, f"memo stores outside WittRing._keep: {writes}"
+    keep = [fn for mod, scope, fn in functions
+            if (mod, scope, fn.name) == ("witt.py", "WittRing", "_keep")]
+    assert len(keep) == 1 and any(isinstance(node, ast.Subscript)
+                                  and isinstance(node.ctx, ast.Store)
+                                  for node in ast.walk(keep[0]))
+    scopes = {(mod, scope) for mod, scope, _ in _scoped_references("MEMO_CAP")}
+    assert scopes == {("witt.py", ""), ("witt.py", "WittRing._keep")}, sorted(scopes)
 
 
 def test_only_witt_ring_methods_and_the_frobenius_read_the_memo():
