@@ -8,11 +8,11 @@ carries an S0-payload standing for s t^k.
 
 `GradedElem.__mul__` is the one definition of a product of graded
 elements.  A graded matrix product computes each entry as the sum of those
-terms, planned once per triple of weights: every S0-valued entry is one
-`s0.dot` of payloads, and so is every P-valued entry over a frame whose P
-is S0 (`Frame.p_is_s0`); terms through t vanish over a frame with t = 0
-(`Frame.t_is_zero`) and are left out.  Any other P-valued entry is the
-sum of its `GradedElem.__mul__` terms.
+terms, planned once per triple of weights as dots: an S0-valued entry is
+one `s0.dot`, and so is a P-valued entry where P lies in S0
+(`Frame.p_is_s0`); over the relative frame, P = W_m(B) x J, it is a W_m(B)
+dot and a B dot.  Terms through t vanish over a frame with t = 0
+(`Frame.t_is_zero`) and are left out.
 
 Over the zip frame a display is the same thing as an F-zip, and `to_fzip` /
 `from_fzip` realize the translation concretely; F-zip isomorphism, F_p-linear
@@ -196,8 +196,8 @@ class GradedMatrix:
         return f"<graded {len(self.entries)}x{len(self.mu_col)} matrix>"
 
     def __mul__(self, other):
-        """The entrywise sums of `GradedElem.__mul__` terms, each entry one
-        `s0.dot` where the frame allows it (see `_product_plan`)."""
+        """The entrywise sums of `GradedElem.__mul__` terms, each entry
+        computed as the dots that `_product_plan` lays out."""
         if self.mu_col != other.mu_row:
             raise ValueError("weight mismatch in graded product")
         fr = self.frame
@@ -206,19 +206,17 @@ class GradedMatrix:
         ents = [e for row in self.entries for e in row]
         ents += [e for row in other.entries for e in row]
         vals = [e.payload for e in ents]
-        vals += [ents[k].sigma() if sig else ents[k].tau() for k, sig in derived]
-        dot = fr.s0.dot
+        vals += [part(ents[k]) for k, part in derived]
+        dot, jdot = fr.s0.dot, None if fr.p_is_s0 else fr.ext.B.dot
         out = []
         for row_plan in plan:
             row = []
-            for degree, get, m, pairs in row_plan:
-                if pairs is None:
-                    ops = get(vals) if m else ()
-                    row.append(GradedElem(fr, degree, dot(ops[:m], ops[m:])))
-                else:
-                    row.append(functools.reduce(
-                        operator.add, (ents[a] * ents[b] for a, b in pairs),
-                        GradedElem.zero(fr, degree)))
+            for degree, get, m, n, o in row_plan:
+                ops = get(vals) if get else ()
+                payload = dot(ops[:m], ops[m:n])
+                if o is not None:
+                    payload = (payload, jdot(ops[n:o], ops[o:]))
+                row.append(GradedElem(fr, degree, payload))
             out.append(row)
         return GradedMatrix._built(fr, self.mu_row, other.mu_col, out)
 
@@ -254,52 +252,59 @@ def _product_plan(mu_row, mu_mid, mu_col, t_is_zero, p_is_s0):
 
     Operands are indexed into one list: the payloads of the left factor,
     then of the right one (row-major), then the `derived` values, each
-    (k, True) for sigma() or (k, False) for tau() of operand k.  The term
-    (i, k, j) follows `GradedElem.__mul__`; when the degrees have mixed
-    signs, s is the factor of degree <= 0 and x the other:
+    (k, f) for f(operand k), f one of sigma, tau, x_a, x_j, s_0 below.
+    The term (i, k, j) follows `GradedElem.__mul__`; when the degrees have
+    mixed signs, s is the factor of degree <= 0 and x the other:
     - degrees <= 0: the S0 product;
     - degrees >= 1: nu;
     - mixed, total >= 1: act(s, x), then -deg(s) times tP;
     - mixed, total <= 0: s * t1(tP^(deg(x) - 1) x) = s * tau(x).
     An S0 entry is one dot, and so is a P entry when p_is_s0, where
-    nu(x, y) = x y and tP^r(act(s, x)) = sigma(s) x; terms through t1 or
-    tP vanish when t_is_zero and are left out.  A plan entry is (degree,
-    get, m, pairs): get picks the m left then the m right dot operands.
-    Any other P entry is the sum of the `GradedElem.__mul__` terms of the
-    operand pairs (a, b) in pairs.
+    nu(x, y) = x y and tP^r(act(s, x)) = sigma(s) x.  Otherwise P is the
+    relative frame's W_m(B) x J, where nu(x, y) = (x_a y_a, 0) and
+    tP^r(act(s, x)) = (sigma(s) x_a, s_0 x_j): a P entry is a W_m(B) dot
+    and a B dot.  Terms through t1 or tP vanish when t_is_zero and are left
+    out.  A plan entry is (degree, get, m, n, o): get picks the operands,
+    the first dot takes ops[:m] and ops[m:n], the B dot ops[n:o] and
+    ops[o:], and o is None where there is no B dot.
     """
     rows, inner, cols = len(mu_row), len(mu_mid), len(mu_col)
     right = rows * inner
     derived = {}
+    # the parts (x_a, x_j) of a relative frame's P payload, and s_0 of s
+    x_a, x_j, s_0 = ((lambda e: e.payload[0]), (lambda e: e.payload[1]),
+                     (lambda e: e.payload.comp(0)))
 
-    def derive(k, sig):
-        return right + inner * cols + derived.setdefault((k, sig), len(derived))
+    def derive(k, f):
+        return right + inner * cols + derived.setdefault((k, f), len(derived))
 
     plan = []
     for i in range(rows):
         row_plan = []
         for j in range(cols):
             degree = mu_col[j] - mu_row[i]
-            pairs = tuple((i * inner + k, right + k * cols + j) for k in range(inner))
-            if degree >= 1 and not p_is_s0:
-                row_plan.append((degree, None, 0, pairs))
-                continue
-            terms = []
-            for k, (a, b) in enumerate(pairs):
+            split = degree >= 1 and not p_is_s0
+            terms, jterms = [], []
+            for k in range(inner):
+                a, b = i * inner + k, right + k * cols + j
                 d1, d2 = mu_mid[k] - mu_row[i], mu_col[j] - mu_mid[k]
                 if (d1 >= 1) == (d2 >= 1):
-                    terms.append((a, b))
+                    terms.append((derive(a, x_a), derive(b, x_a)) if split else (a, b))
                     continue
                 s, x, ds = (a, b, d1) if d1 <= 0 else (b, a, d2)
                 if t_is_zero and (ds < 0 or degree <= 0):
                     continue
                 if degree <= 0:
-                    terms.append((s, derive(x, False)))
-                else:
-                    terms.append((derive(s, True), x))
+                    terms.append((s, derive(x, GradedElem.tau)))
+                    continue
+                terms.append((derive(s, GradedElem.sigma), derive(x, x_a) if split else x))
+                if split:
+                    jterms.append((derive(s, s_0), derive(x, x_j)))
             ops = [t[0] for t in terms] + [t[1] for t in terms]
-            get = operator.itemgetter(*ops) if ops else None
-            row_plan.append((degree, get, len(terms), None))
+            ops += [t[0] for t in jterms] + [t[1] for t in jterms]
+            m = len(terms)
+            row_plan.append((degree, operator.itemgetter(*ops) if ops else None,
+                             m, 2 * m, 2 * m + len(jterms) if split else None))
         plan.append(tuple(row_plan))
     return tuple(derived), tuple(plan)
 

@@ -50,7 +50,8 @@ class Frame:
     Facts about the structure maps, for sums of products of graded
     elements (displays.GradedMatrix.__mul__):
     - t_is_zero: t1 and tP are the zero maps;
-    - p_is_s0: P is S0 with the maps above, and tP(x) = p x.
+    - p_is_s0: P lies in S0 with the maps above, and tP(x) = p x; where
+      it is False (the relative frame) a P entry is two dots.
     has_p_module is False only where P = 0 (the tautological frame).
     """
 
@@ -242,7 +243,6 @@ class TautologicalFrame(Frame):
 
     kind = "tautological"
     t_is_zero = True
-    p_is_s0 = False
     has_p_module = False
 
     def __init__(self, ring):

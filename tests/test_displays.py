@@ -8,9 +8,10 @@ import pytest
 
 from framecalc import displays as displays_module
 from framecalc import linalg
-from framecalc.rings import (EnumerationTooLarge, dual_numbers, extension_field,
-                             prime_field)
-from framecalc.frames import TautologicalFrame, WittFrame, ZipFrame
+from framecalc.rings import (EnumerationTooLarge, SquareZeroExtension,
+                             dual_numbers, extension_field, prime_field,
+                             truncated_poly_ring)
+from framecalc.frames import RelativeFrame, TautologicalFrame, WittFrame, ZipFrame
 from framecalc.displays import (Display, GradedElem, GradedMatrix,
                                 all_displays, classify_fzips, classify_orbits,
                                 dual, from_fzip, fzip_isomorphic,
@@ -55,8 +56,13 @@ def _entrywise_product(A, B):
          for j in range(len(B.mu_col))] for i in range(len(A.mu_row))])
 
 
+# W_2(B/A) for B = F_3[x]/x^4 and A = B/(x^2): J = (x^2) with m_B J != 0,
+# so a J-part s_0 x_j differs from s_0^p x_j, unlike on the fixture frame
+X4_OVER_X2 = RelativeFrame(SquareZeroExtension(truncated_poly_ring(3, "x", 4), ((2,),)), 2)
+
+
 @pytest.mark.parametrize("mu", [(1, 0, 0, -1), (2, 1, 0), (1, -1)])
-@pytest.mark.parametrize("frame", fixture_frames(),
+@pytest.mark.parametrize("frame", fixture_frames() + [X4_OVER_X2],
                          ids=lambda f: f.kind + "/" + repr(f.s0))
 def test_fused_graded_product_is_the_entrywise_sum(frame, mu):
     rng = random.Random(str(mu))

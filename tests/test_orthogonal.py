@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from framecalc import linalg, orthogonal
-from framecalc.rings import (dual_number_extension, dual_numbers,
-                             extension_field, prime_field)
+from framecalc.rings import (VerificationError, dual_number_extension,
+                             dual_numbers, extension_field, prime_field)
 from framecalc.frames import RelativeFrame, WittFrame, ZipFrame
 from framecalc.displays import GradedElem, GradedMatrix
 from framecalc.orthogonal import (GramNotSplit, OrthDisplay, _form_value,
@@ -115,6 +116,41 @@ def test_decompose_matches_the_neumann_route(name, mu):
         q, u = decompose(g)
         q_ref, u_inv = _decompose_through_u_inverse(g)
         assert q == q_ref and u * u_inv == I
+
+
+def _fault_j_dots(monkeypatch, frame, hit):
+    """Add a nonzero element of J to the n-th J-part dot of the relative
+    frame's graded products (n from 0) wherever hit(n) holds; every other
+    product over B is left as it is.  Returns the list of those dots."""
+    B = frame.ext.B
+    j = next(x for x in frame.ext.j_elements() if not x.is_zero())
+    calls = []
+
+    def dot(xs, ys):
+        out = type(B).dot(B, xs, ys)
+        if sys._getframe(1).f_code is not GradedMatrix.__mul__.__code__:
+            return out
+        calls.append(out)
+        return out + j if hit(len(calls) - 1) else out
+
+    monkeypatch.setattr(B, "dot", dot)
+    return calls
+
+
+def test_decompose_checks_fire_on_a_faulty_j_part_dot(monkeypatch):
+    frame = _DECOMPOSE_FRAMES["relative"]
+    g = rand_group_element(frame, K3MU, random.Random(0))
+    clean = _fault_j_dots(monkeypatch, frame, lambda n: False)
+    decompose(g)
+    last = len(clean) - 1
+    # every J-part dot off: the block-row clearing leaves a J-part behind
+    _fault_j_dots(monkeypatch, frame, lambda n: True)
+    with pytest.raises(VerificationError, match=r"decomposition left a positive entry at \(\d, \d\)"):
+        decompose(g)
+    # only the last one off, which is in q * u: q is clean, q * u is not g
+    _fault_j_dots(monkeypatch, frame, lambda n: n == last)
+    with pytest.raises(VerificationError, match="decomposition failed to recompose g = "):
+        decompose(g)
 
 
 def _count_products(monkeypatch):

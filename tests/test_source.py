@@ -15,6 +15,10 @@
 - One product formula: inside the package only `rings` reads the
   structure-constant table `_mul`; every other product goes through
   `ArtinRing.dot` or `RingElem.__mul__`.
+- One graded product: `GradedMatrix.__mul__` computes every entry through
+  the dots that `displays._product_plan` lays out; `displays.py` has no
+  `functools.reduce`, and `__mul__` multiplies nothing itself (no `*`, no
+  `__mul__` or `mul`), so it never calls `GradedElem.__mul__`.
 - One Witt element layout: inside the package only `witt` calls
   `WittVector(`; every other module builds Witt vectors through
   `WittRing.el` or arithmetic, so only `witt` knows the flat coordinate
@@ -183,6 +187,25 @@ def test_only_rings_reads_the_structure_constant_table():
                for path, line, _ in _references().get("_mul", [])
                if path.parent == PACKAGE and path.name != "rings.py"]
     assert not outside, f"_mul read outside rings: {outside}"
+
+
+def test_every_graded_matrix_product_entry_is_planned_dots():
+    tree = ast.parse((PACKAGE / "displays.py").read_text())
+    folds = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "reduce"
+                 and getattr(node.value, "id", None) == "functools")
+             or (isinstance(node, ast.ImportFrom) and node.module == "functools")]
+    assert not folds, f"functools.reduce in displays.py: {folds}"
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "GradedMatrix")
+    mul = next(node for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__mul__")
+    products = [node.lineno for node in ast.walk(mul)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+                or (isinstance(node, ast.Attribute) and node.attr in ("__mul__", "mul"))]
+    assert not products, f"GradedMatrix.__mul__ multiplies terms itself: {products}"
+    assert "_product_plan" in {node.id for node in ast.walk(mul)
+                               if isinstance(node, ast.Name)}
 
 
 def test_only_witt_calls_the_witt_vector_class():
