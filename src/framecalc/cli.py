@@ -31,8 +31,8 @@ from .displays import (classify_fzips, classify_orbits, dual, from_fzip,
                        in_display_group, is_isomorphic_bruteforce, tensor,
                        to_fzip, twist, unit_display)
 from .orthogonal import (GramNotSplit, OrthDisplay, classify_orth_orbits,
-                         decompose, form_transform, normalize_gram,
-                         standard_gram, verify_orth)
+                         decompose, form_transform, is_self_dual_type,
+                         normalize_gram, standard_gram, verify_orth)
 from .deformation import (base_change, hodge_lift_parameters, k3_deform,
                           lift_orth_display)
 from . import fixtures
@@ -274,6 +274,8 @@ def cmd_ortho(args):
         if frame.kind != "relative":
             raise InputError('random perturbations need a relative frame; '
                              'give a "gram" for any other')
+        if not is_self_dual_type(mu):
+            raise InputError("random perturbations need a self-dual weight type")
         rng = random.Random(args.seed)
         count = serialize.to_int(spec.get("count", 1), "count", low=1)
         grams = [fixtures.rand_gram_perturbation(frame, mu, rng)
@@ -324,6 +326,9 @@ def _deform_inputs(args):
     if isinstance(desc, dict):
         desc = {"selfdual": selfdual, **desc}
     d = serialize.display_from_dict(desc, frame=th.target)
+    if selfdual and args.op != "lift" and d.n < 2:
+        # the isotropic Hodge lifts take rank - 2 values each
+        raise InputError("Hodge lifts of a self-dual display need rank >= 2")
     return th, d, selfdual
 
 

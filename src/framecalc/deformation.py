@@ -26,9 +26,9 @@ from . import linalg
 from .displays import (Display, GradedElem, GradedMatrix, group_elements,
                        orbit_search)
 from .frames import WittFrame, ZipFrame
-from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth, half,
-                         levi_element, orth_group_factors, standard_J,
-                         verify_orth)
+from .orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth,
+                         levi_element, orth_correction, orth_group_factors,
+                         plain_gram, standard_J, verify_orth)
 from .rings import VerificationError
 
 
@@ -60,14 +60,9 @@ def lift_orth_display(th, d):
     the form exactly because kernel products vanish.
     """
     s0 = th.source.s0
-    n = d.n
     U = base_change(d, th.source, th.lift0, Display).phi
-    J = standard_J(s0, n)
-    E = linalg.mat_sub(
-        linalg.mat_mul(s0, linalg.transpose(U), linalg.mat_mul(s0, J, U)), J)
-    half_s = half(s0)
-    corr = [[half_s * e for e in row] for row in linalg.mat_mul(s0, J, E)]
-    phi = linalg.mat_mul(s0, U, linalg.mat_sub(linalg.identity(s0, n), corr))
+    E = linalg.mat_sub(plain_gram(s0, U, U), standard_J(s0, d.n))
+    phi = linalg.mat_mul(s0, U, orth_correction(s0, E))
     out = OrthDisplay(th.source, d.mu, phi, check=False)
     if not verify_orth(out):
         raise VerificationError(f"orthogonal correction failed: phi = {phi!r}")
@@ -431,6 +426,14 @@ def hodge_lift_matrix(relframe, mu, params, orth=False):
     return A
 
 
+def _base_lift(th, d, orth):
+    """d lifted over the relative frame: the orthogonal lift when orth, else
+    the section lift."""
+    if orth:
+        return lift_orth_display(th, d)
+    return base_change(d, th.source, th.lift0, Display)
+
+
 def enumerate_hodge_deformations(th, d, orth=False):
     """All deformations of d along the thickening, one per Hodge lift,
     emitted as displays over the Witt frame of B.  sigma of each lift matrix
@@ -438,8 +441,7 @@ def enumerate_hodge_deformations(th, d, orth=False):
     still reduces to d."""
     relframe = th.source
     out_frame = WittFrame(relframe.ext.B, relframe.m)
-    dhat = (lift_orth_display(th, d) if orth
-            else base_change(d, relframe, th.lift0, Display))
+    dhat = _base_lift(th, d, orth)
     out = []
     for params in hodge_lift_parameters(relframe, d.mu, orth=orth):
         y = dhat.act(hodge_lift_matrix(relframe, d.mu, params, orth=orth))
@@ -481,12 +483,9 @@ def fiber_direction_basis(coords, orth_base=None):
     if orth_base is None:
         return [[int(k == i) for k in range(width)] for i in range(width)]
     s0 = coords.frame.s0
-    J = standard_J(s0, len(coords.mu))
 
     def cond(K):
-        t1 = linalg.mat_mul(s0, linalg.transpose(K), linalg.mat_mul(s0, J, orth_base))
-        t2 = linalg.mat_mul(s0, linalg.transpose(orth_base), linalg.mat_mul(s0, J, K))
-        return linalg.mat_add(t1, t2)
+        return linalg.mat_add(plain_gram(s0, K, orth_base), plain_gram(s0, orth_base, K))
 
     # the condition in the J-supported value coordinates
     cols = [coords.encode_value_matrix(cond(K)) for K in _unit_directions(coords)]
@@ -636,13 +635,17 @@ def stabilizer_lifts(d, tower, coords_res, orth=False):
     """One exact display-group stabilizer element of d per zip-level
     component of the stabilizer.
 
-    The components are the transporter of the zip-level reduction z0 of d
-    to itself in tower (a LiftTower); only those elements get lifted.
-    Kernel components of the stabilizer act trivially on J-supported
-    perturbations after base change (their entries multiply J-supported
-    Witt vectors to zero), so one representative per component is enough.
+    d lies over W_2(A); tower (a LiftTower) is over the zip frame of A's
+    residue field, and coords_res are the "resfield" coordinates of the
+    kernel, which need A's maximal ideal to square to zero.  The
+    components are the transporter of the residue reduction z0 of d to
+    itself in tower; only those elements get lifted.  A kernel element has
+    first Witt coordinates in m_A, so after base change to B along a
+    thickening with m_B J = 0 its entries multiply J-supported Witt vectors
+    as the identity does: kernel components act trivially on J-supported
+    perturbations, and one representative per component is enough.
     """
-    z0 = base_change(d, tower.frame, d.frame.reduce, Display)
+    z0 = base_change(d, tower.frame, d.frame.s0.to_residue, Display)
     target = Display(d.frame, d.mu, d.phi, check=False)
     return list(_tower_search(tower, coords_res, d, z0, z0, target, orth))
 
@@ -653,25 +656,34 @@ def classify_witt_fiber(th, d, orth=False):
 
     Complete in three exact steps.  (1) Every class has a representative
     whose matrix reduces entrywise to d.phi: an isomorphism of reductions
-    pushes up through a Teichmueller lift.  (2) On that matrix fiber the
-    isomorphisms reducing to the identity act by translations by
-    V = image of the linearized kernel action.  (3) The remaining
-    identifications form the stabilizer of d, which acts linearly on the
-    coset space; orbits of that finite action are the classes.
+    pushes up through a Teichmueller lift.  (2) On that matrix fiber, based
+    at the lift the Hodge deformations start from, the isomorphisms
+    reducing to the identity act by translations by V = image of the
+    linearized kernel action.  (3) The remaining identifications form the
+    stabilizer of d, which acts linearly on the coset space; orbits of that
+    finite action are the classes.
+
+    The stabilizer comes from `stabilizer_lifts`, so the domain is m = 2,
+    A's maximal ideal squaring to zero and m_B J = 0.  A thickening with
+    m_B J != 0 is refused with a ValueError before anything is built; the
+    "resfield" coordinates refuse the other two with a ValueError.
     """
     frame_a = th.target
     ext = th.source.ext
+    B = ext.B
+    if any(not B.in_ideal(tuple(a + b for a, b in zip(mo, jm)))
+           for mo in B.basis if any(mo) for jm in ext.J_basis):
+        raise ValueError("fiber classification needs m_B J = 0: "
+                         "the maximal ideal of B must kill J")
     p = frame_a.p
     mu = d.mu
-    frame_b = WittFrame(ext.B, frame_a.m)
-    dhat = base_change(d, frame_b, th.lift0)
-    if orth and not verify_orth(dhat):
-        raise VerificationError(f"section lift lost orthogonality: phi = {dhat.phi!r}")
+    frame_b = WittFrame(B, frame_a.m)
+    phi = _base_lift(th, d, orth).phi
     coords = WittKernelCoords(frame_b, mu, "jsupp", ext=ext)
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
-    cols = _linear_columns(coords, dhat.phi, dhat.phi, kernel_basis(coords, orth))
-    dir_vecs = fiber_direction_basis(coords, orth_base=dhat.phi if orth else None)
+    cols = _linear_columns(coords, phi, phi, kernel_basis(coords, orth))
+    dir_vecs = fiber_direction_basis(coords, orth_base=phi if orth else None)
     width = len(mu) ** 2 * len(coords.value_basis)
     fiber = linalg.Span(p, dir_vecs, width)
     vspan = linalg.Span(p, cols, width)
@@ -693,15 +705,17 @@ def classify_witt_fiber(th, d, orth=False):
     deform = enumerate_hodge_deformations(th, d, orth=orth)
     hodge_labels = []
     for dd in deform:
-        vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, dhat.phi))
+        vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, phi))
         lab = canon(vec)
         if lab not in label_set:
             raise VerificationError(f"Hodge deformation left the fiber cosets: label {lab}")
         hodge_labels.append(lab)
     # stabilizer of d over A, one exact lift per zip-level component; the
-    # zip level is shared with any other tower over (A, mu)
+    # zip level, over A's residue field, is shared with any other tower
+    # over (that field, mu)
     lift_pairs = witt_orth_zip_lift_pairs if orth else witt_zip_lift_pairs
-    pairs_a = lift_pairs(frame_a, mu, frame_a.ring, lambda a: a)
+    A = frame_a.ring
+    pairs_a = lift_pairs(frame_a, mu, A.residue_field, A.lift_residue)
     coords_res = WittKernelCoords(frame_a, mu, "resfield")
     stabs = stabilizer_lifts(d, pairs_a, coords_res, orth=orth)
     # induced linear maps on the J-supported value space

@@ -27,7 +27,6 @@ import itertools
 import operator
 
 from . import linalg
-from .frames import ZipFrame
 from .rings import EnumerationTooLarge, RingMismatch, VerificationError
 
 
@@ -467,7 +466,7 @@ class FZip:
 
 def to_fzip(d):
     """Display over the zip frame -> F-zip with standard C and Phi-column D."""
-    if not isinstance(d.frame, ZipFrame):
+    if d.frame.kind != "zip":
         raise ValueError("to_fzip expects a display over a zip frame")
     R = d.frame.ring
     n = d.n
@@ -485,7 +484,7 @@ def from_fzip(z, frame):
     """Reassemble a display over a zip frame from an F-zip with n independent
     representatives; inverse to `to_fzip` on the nose when the
     representatives are the standard vectors and Phi-columns."""
-    if not isinstance(frame, ZipFrame):
+    if frame.kind != "zip":
         raise ValueError("from_fzip expects a zip frame")
     R = frame.ring
     n = z.n

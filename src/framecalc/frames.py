@@ -9,8 +9,9 @@ The four constructors are the truncated Witt frame W_m(R), the zip frame
 square-zero extension, and the tautological frame with zero positive part.
 The Witt and zip frames have P = S0 and take their P-module, nu, act and
 sigmadot from `Frame`; they define only t1, tP, sigma0 and reduce.  The
-relative frame (P = pairs) overrides the whole P side; the tautological
-frame's P = 0 is the zero of S0, on which `Frame`'s P side holds.
+relative frame (P = pairs) overrides the whole P side.  The tautological
+frame is the zip frame with P = 0, the zero of S0, on which `Frame`'s P
+side holds: a subclass of `ZipFrame` that lists only its P.
 
 One check, `check_frame_map`, serves both frame maps here: the canonical
 projection to the zip frame of R = S_0/t1(P), a final object
@@ -45,7 +46,7 @@ class Frame:
     Witt and zip frames): nu is the product, act(s, x) = sigma0(s) x and
     sigmadot is the identity.  Every frame supplies t1, tP, sigma0 and
     reduce; the relative frame also overrides the P side, and the
-    tautological frame lists only P = 0, the zero of S0.
+    tautological frame, a zip frame, lists only P = 0, the zero of S0.
 
     Facts about the structure maps, for sums of products of graded
     elements (displays.GradedMatrix.__mul__):
@@ -208,13 +209,9 @@ class RelativeFrame(Frame):
     def p_size(self):
         return self.s0.size * self.ext.j_size
 
-    def embed_j(self, x):
-        """[x] = (x, 0, ..., 0) in W_m(B) for x in J."""
-        return self.s0.el([x] + [self.ext.B.zero()] * (self.m - 1))
-
     def t1(self, x):
         a, j = x
-        return verschiebung_trunc(a) + self.embed_j(j)
+        return verschiebung_trunc(a) + self.s0.teichmuller(j)
 
     def tP(self, x):
         a, j = x
@@ -237,36 +234,17 @@ class RelativeFrame(Frame):
         return self.ext.proj(s.comp(0))
 
 
-class TautologicalFrame(Frame):
-    """S0 = A, and P = 0 is the zero of S0, on which `Frame`'s P side
-    holds; sigma extends the Frobenius."""
+class TautologicalFrame(ZipFrame):
+    """The zip frame of A with P = 0, the zero of S0, on which `Frame`'s
+    P side holds: S0 = A, t = 0, and sigma0 is the Frobenius."""
 
     kind = "tautological"
-    t_is_zero = True
     has_p_module = False
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.s0 = ring
-        self.r_ring = ring
-        self.p = ring.p
 
     def p_elements(self, cap=10 ** 7):
         yield self.ring.zero()
 
     p_size = 1
-
-    def t1(self, x):
-        return self.ring.zero()
-
-    def tP(self, x):
-        return self.ring.zero()
-
-    def sigma0(self, s):
-        return s ** self.p
-
-    def reduce(self, s):
-        return s
 
 
 # ---------------------------------------------------------------------------

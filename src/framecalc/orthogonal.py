@@ -6,7 +6,9 @@ when mu_i + mu_{n-1-i} = 0.  The Gram form of a graded matrix has entry
 Gram form equals J.  Both tau and sigma turn the graded condition into the
 plain matrix condition M^t J M = J over S0.
 
-Also here: the big-cell decomposition g = q u (parabolic times unipotent,
+Also here: the plain Gram M^t J N and the correction I - J E / 2 that the
+orthogonal lift of a display and the Newton step of Gram normalization
+share, the big-cell decomposition g = q u (parabolic times unipotent,
 u = I + sum X_b read off the clearing steps), minuscule exponentials for
 the positive and negative unipotent parts (one builder, the negative one
 filling the transposed places), and perturbative Gram normalization.
@@ -53,11 +55,25 @@ def form_transform(B, A):
     return A.transpose() * B * A
 
 
+def plain_gram(ring, M, N):
+    """M^t J N over a ring: the split form on the columns of M and N."""
+    J = standard_J(ring, len(N))
+    return linalg.mat_mul(ring, linalg.transpose(M), linalg.mat_mul(ring, J, N))
+
+
 def is_orth_matrix(ring, M):
     """Plain condition M^t J M = J over a ring."""
-    J = standard_J(ring, len(M))
-    lhs = linalg.mat_mul(ring, linalg.transpose(M), linalg.mat_mul(ring, J, M))
-    return linalg.mat_eq(lhs, J)
+    return linalg.mat_eq(plain_gram(ring, M, M), standard_J(ring, len(M)))
+
+
+def orth_correction(ring, E):
+    """I - J E / 2 over a ring, for the error E = G - J of a Gram matrix
+    G = M^t B M: M (I - J E / 2) has Gram matrix J exactly where products
+    of E's entries vanish (J is an involution), else it is a Newton step."""
+    half_s = half(ring)
+    corr = [[half_s * e for e in row]
+            for row in linalg.mat_mul(ring, standard_J(ring, len(E)), E)]
+    return linalg.mat_sub(linalg.identity(ring, len(E)), corr)
 
 
 class OrthDisplay(Display):
@@ -301,8 +317,7 @@ def normalize_gram(B):
     n = len(mu)
     if not is_self_dual_type(mu):
         raise GramNotSplit("weight type is not self-dual")
-    half_s = half(frame.s0)
-    half_g = GradedElem(frame, 0, half_s)
+    half_g = GradedElem(frame, 0, half(frame.s0))
     one = GradedElem(frame, 0, frame.s0.one())
     A = GradedMatrix.identity(frame, mu)
 
@@ -354,9 +369,8 @@ def normalize_gram(B):
             C = linalg.mat_sub(M, J0)
             if all(e.is_zero() for row in C for e in row):
                 break
-            # T = I - J0 C / 2 (J0 is an involution), quadratic convergence
-            corr = [[half_s * e for e in row] for row in linalg.mat_mul(s0, J0, C)]
-            T = linalg.mat_sub(linalg.identity(s0, len(mids)), corr)
+            # T = I - J0 C / 2, a Newton step: quadratic convergence
+            T = orth_correction(s0, C)
             newcols = []
             for b in range(len(mids)):
                 acc = [GradedElem.zero(frame, mu[mids[b]] - mu[i]) for i in range(n)]

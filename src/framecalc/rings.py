@@ -6,8 +6,9 @@ Every ring in this package has the shape
 
 where F_q = F_p[t]/(modulus) and I is a cofinite monomial ideal; F_q itself
 is the ring with no variables, and it is the residue field of every ring
-over it.  This is restrictive but covers everything we compute with (F_p,
-F_q, dual numbers, small truncated polynomial rings).
+over it that is not a field (a field presented with variables, such as
+F_q[e]/(e), is its own).  This is restrictive but covers everything we
+compute with (F_p, F_q, dual numbers, small truncated polynomial rings).
 
 An element is stored flat, as the tuple of its F_p-coordinates in the
 F_p-basis (monomial, t^e): monomial-major in the lexicographic monomial
@@ -201,7 +202,8 @@ class ArtinRing:
         # elements are never mutated, so the constants are built once
         self._zero = RingElem(self, (0,) * self.dim)
         self._one = RingElem(self, (1,) + (0,) * (self.dim - 1))
-        self.residue_field = ArtinRing(field) if self.vars else self
+        # a field, presented with variables or not, is its own residue field
+        self.residue_field = self if len(self.basis) == 1 else ArtinRing(field)
 
     def _basis_coords(self, mono, e, n):
         """Sparse coordinates of t^e * mono mod n: zero in the ideal, else

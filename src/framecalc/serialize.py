@@ -305,12 +305,12 @@ def fzip_from_dict(desc):
 def frame_to_dict(frame):
     if isinstance(frame, WittFrame):
         return {"kind": "witt", "ring": ring_to_dict(frame.ring), "m": frame.m}
+    if isinstance(frame, TautologicalFrame):
+        return {"kind": "tautological", "ring": ring_to_dict(frame.ring)}
     if isinstance(frame, ZipFrame):
         return {"kind": "zip", "ring": ring_to_dict(frame.ring)}
     if isinstance(frame, RelativeFrame):
         return {"kind": "relative", "ext": ext_to_dict(frame.ext), "m": frame.m}
-    if isinstance(frame, TautologicalFrame):
-        return {"kind": "tautological", "ring": ring_to_dict(frame.ring)}
     raise SchemaError(f"unknown frame object {frame!r}")
 
 

@@ -145,7 +145,7 @@ class WittRing:
         return result
 
     def teichmuller(self, a):
-        return self.el([a] + [0] * (self.m - 1))
+        return self.el([a] + [self.ring.zero()] * (self.m - 1))
 
     def elements(self, cap=10 ** 7):
         if self.size > cap:

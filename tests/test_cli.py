@@ -288,6 +288,9 @@ _WITT_DISPLAY = {"frame": _WITT_F3, "mu": [1, 0],
 _RELATIVE_F3 = {"kind": "relative", "m": 2,
                 "ext": {"ring": {"p": 3, "vars": ["e"], "ideal": ["e^2"]},
                         "extra": ["e"]}}
+# a self-dual display of rank 1, which has no isotropic Hodge lifts
+_SELFDUAL_RANK_1 = {"ext": _RELATIVE_F3["ext"], "m": 2,
+                    "display": {"mu": [0], "phi": [[[_el(1), _el(0)]]]}}
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -330,6 +333,11 @@ _RELATIVE_F3 = {"kind": "relative", "m": 2,
     (["zip", "roundtrip"], {"display": _WITT_DISPLAY}),
     (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [1, 0, 0, -1], "count": -4}),
     (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [1, 0, 0, -1], "count": 0}),
+    (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [1, 0]}),
+    (["ortho", "normalize"], {"frame": _RELATIVE_F3, "mu": [2, 0, -1]}),
+    (["deform", "k3"], _SELFDUAL_RANK_1),
+    (["deform", "hodge"], {**_SELFDUAL_RANK_1, "selfdual": True}),
+    (["zip", "to"], {"display": {**_display([1, 0], 2, 2), "frame": _TAUTOLOGICAL_F3}}),
 ], ids=["ring-p-not-an-integer", "m-not-an-integer", "m-zero", "ring-p-null",
         "spec-is-a-list", "mu-not-integers", "frame-m-not-an-integer",
         "witt-frame-without-ring", "zip-without-ring", "zip-without-n",
@@ -339,7 +347,10 @@ _RELATIVE_F3 = {"kind": "relative", "m": 2,
         "normalize-random-over-zip-frame", "zip-alpha-too-few",
         "zip-alpha-dependent", "zip-alpha-too-many", "zip-from-witt-frame",
         "zip-to-witt-frame", "zip-roundtrip-witt-frame",
-        "normalize-count-negative", "normalize-count-zero"])
+        "normalize-count-negative", "normalize-count-zero",
+        "normalize-random-weights-1-0", "normalize-random-weights-2-0-minus-1",
+        "deform-k3-rank-1", "deform-hodge-selfdual-rank-1",
+        "zip-to-tautological-frame"])
 def test_malformed_field_exits_2(tmp_path, capsys, argv, spec):
     path = _write(tmp_path, "spec.json", spec)
     assert main(argv + ["--spec", path]) == EXIT_INPUT

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
-from framecalc import deformation, linalg
-from framecalc.rings import dual_number_extension, prime_field
+from framecalc import deformation, linalg, orthogonal
+from framecalc.rings import (SquareZeroExtension, VerificationError,
+                             dual_number_extension, prime_field,
+                             truncated_poly_ring)
 from framecalc.frames import RelativeFrame, Thickening, WittFrame, ZipFrame
 from framecalc.displays import Display, GradedMatrix, group_elements
-from framecalc.orthogonal import (exp_minus_orth, exp_plus_orth,
-                                  o2_elements, orth_group_elements,
+from framecalc.orthogonal import (OrthDisplay, exp_minus_orth, exp_plus_orth,
+                                  levi_element, o2_elements,
+                                  orth_group_elements, plain_gram,
                                   standard_J, verify_orth)
 from framecalc.deformation import (_ZIP_LEVEL_CAP, WittKernelCoords,
                                    _linear_columns, _zip_level,
@@ -504,3 +507,89 @@ def test_sparse_linear_columns_match_dense_formula(seed):
     for basis in (units, skew, mixed):
         assert (_linear_columns(coords, left, right, basis)
                 == _dense_columns(coords, left, right, basis))
+
+
+# ---------------------------------------------------------------------------
+# A base that is not a field
+# ---------------------------------------------------------------------------
+
+def _nonfield_thickening(cls, fixture, b_power=3):
+    """(thickening, display over W_2(A)) for B = F_3[x]/x^b_power and
+    A = B/(x^2), so J = (x^2): the fixture's matrix read in W_2(A), times
+    the tau of a degree-0 element with entries off F_3, where a = (1+x, x)
+    and t = [1+x]: diag(a, t, t^-1, a^-1) for the K3 type, diag(a, t) for
+    GL."""
+    ext = SquareZeroExtension(truncated_poly_ring(3, "x", b_power), ((2,),))
+    th = Thickening(ext, 2)
+    frame, s0, A = th.target, th.target.s0, ext.A
+    _, d0 = fixture()
+    phi = [[s0.el([A.el(c.coeffs[0]) for c in w.comps]) for w in row]
+           for row in d0.phi]
+    one_x = A.el({(0,): 1, (1,): 1})
+    a, t = s0.el([one_x, A.el({(1,): 1})]), s0.teichmuller(one_x)
+    zero = s0.zero()
+    if cls is OrthDisplay:
+        g = levi_element(frame, d0.mu, a, a.invert(),
+                         [[t, zero], [zero, t.invert()]])
+    else:
+        g = GradedMatrix.from_payloads(frame, d0.mu, [[a, zero], [zero, t]])
+    return th, cls(frame, d0.mu, linalg.mat_mul(s0, phi, g.tau()))
+
+
+@pytest.fixture(scope="module")
+def nonfield_k3():
+    return _nonfield_thickening(OrthDisplay, k3_fixture)
+
+
+def test_section_lift_is_not_orthogonal_on_a_nonfield_base(nonfield_k3):
+    # the section A -> B is not multiplicative here, so the square-zero
+    # correction runs with E = U^t J U - J nonzero
+    th, d = nonfield_k3
+    s0 = th.source.s0
+    U = base_change(d, th.source, th.lift0, Display).phi
+    E = linalg.mat_sub(plain_gram(s0, U, U), standard_J(s0, d.n))
+    assert any(not e.is_zero() for row in E for e in row)
+    assert verify_orth(lift_orth_display(th, d))
+
+
+def test_fiber_classification_on_a_nonfield_base(nonfield_k3):
+    th, d = nonfield_k3
+    report = classify_witt_fiber(th, d, orth=True)
+    assert report["passed"]
+    assert report["classes"] == report["hodge_lifts"] == len(k3_deform(th, d)) == 9
+    th, d = _nonfield_thickening(Display, gl2_fixture)
+    report = classify_witt_fiber(th, d)
+    assert report["passed"]
+    assert report["classes"] == report["hodge_lifts"] == 3
+
+
+def test_fiber_classification_refuses_m_b_j_nonzero(monkeypatch):
+    # B = F_3[x]/x^4, A = B/(x^2): x * x^2 = x^3 is not zero in B; refused
+    # before the lift is built
+    th, d = _nonfield_thickening(OrthDisplay, k3_fixture, b_power=4)
+    lifts = _count_calls(monkeypatch, "lift_orth_display")
+    with pytest.raises(ValueError, match="needs m_B J = 0"):
+        classify_witt_fiber(th, d, orth=True)
+    assert not lifts
+
+
+def test_orthogonal_correction_check_fires(monkeypatch, nonfield_k3):
+    # 1 in place of 1/2; on k3_fixture E = 0, so the correction is the
+    # identity there and the check cannot fire
+    th, d = nonfield_k3
+    monkeypatch.setattr(orthogonal, "half", lambda s0: s0.one())
+    with pytest.raises(VerificationError, match="orthogonal correction failed: phi = "):
+        lift_orth_display(th, d)
+
+
+def test_deformation_orthogonality_check_fires(monkeypatch):
+    th, d = k3_fixture()
+    real = deformation.exp_plus_orth
+
+    def doubled(frame, mu, xs):
+        A = real(frame, mu, xs)
+        A.entries[0][0] = A.entries[0][0] + A.entries[0][0]
+        return A
+    monkeypatch.setattr(deformation, "exp_plus_orth", doubled)
+    with pytest.raises(VerificationError, match="deformation lost orthogonality: phi = "):
+        k3_deform(th, d)

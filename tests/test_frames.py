@@ -4,8 +4,8 @@ the relative frame."""
 import pytest
 
 from framecalc.fixtures import fixture_frames
-from framecalc.rings import (dual_number_extension, dual_numbers,
-                             extension_field, prime_field,
+from framecalc.rings import (VerificationError, dual_number_extension,
+                             dual_numbers, extension_field, prime_field,
                              truncated_poly_ring)
 from framecalc.witt import WittRing
 from framecalc.frames import (RelativeFrame, TautologicalFrame, Thickening,
@@ -275,3 +275,9 @@ def test_tautological_frame_sigma_is_frobenius():
     frame = TautologicalFrame(prime_field(5))
     for a in frame.s0.elements():
         assert frame.sigma0(a) == a ** 5
+
+
+def test_sdotK_check_fires_off_the_kernel():
+    th = Thickening(dual_number_extension(3), 2)
+    with pytest.raises(VerificationError, match="sdotK takes kernel elements only, not "):
+        th.sdotK(th.source.s0.one())

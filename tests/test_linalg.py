@@ -10,8 +10,9 @@ import pytest
 from framecalc import linalg
 from framecalc.deformation import _solve_modp
 from framecalc.fixtures import rand_ring_elem
-from framecalc.rings import (ArtinRing, Field, RingMismatch, dual_numbers,
-                             extension_field, prime_field, truncated_poly_ring)
+from framecalc.rings import (ArtinRing, Field, RingMismatch, VerificationError,
+                             dual_numbers, extension_field, prime_field,
+                             truncated_poly_ring)
 from framecalc.witt import WittRing
 
 
@@ -216,3 +217,13 @@ def test_mat_mul_rejects_entries_from_another_ring():
     W2, W3 = WittRing(F3, 2), WittRing(F3, 3)
     with pytest.raises(RingMismatch):
         linalg.mat_mul(W2, linalg.identity(W2, 2), linalg.identity(W3, 2))
+
+
+def test_solve_local_check_fires_on_a_shifted_solution(monkeypatch):
+    R = dual_numbers(3)
+    real = linalg.solve_modp
+    monkeypatch.setattr(linalg, "solve_modp", lambda p, cols, rhs: [
+        (x + 1) % p for x in real(p, cols, rhs)])
+    with pytest.raises(VerificationError,
+                       match="F_p-linear solution failed exact verification: x = "):
+        linalg.solve_local(R, linalg.identity(R, 2), [R.one(), R.zero()])

@@ -13,6 +13,7 @@ import sympy
 from sympy.polys.rings import ring as sympy_ring
 
 from framecalc import wittpoly
+from framecalc.rings import VerificationError
 from framecalc.wittpoly import ZPoly
 
 OPS = ("sum", "prod", "neg", "frob")
@@ -155,3 +156,10 @@ def test_ghost_identities_rechecked_with_sympy():
         assert _sympy_ghost(R, p, P, k) == wx * wy
         assert _sympy_ghost(R, p, N, k) == -wx
         assert _sympy_ghost(R, p, F, k) == _sympy_ghost(R, p, X, k + 1)
+
+
+def test_ghost_inversion_check_fires_off_the_image():
+    # ghost_1(X_0, S_1) = X_0^3 + 3 S_1 = X_0 has no integral solution
+    X, _ = wittpoly._gens(0)
+    with pytest.raises(VerificationError, match="non-integral coefficient in S_1"):
+        wittpoly._invert_ghost(3, 1, X[0], [X[0]])
