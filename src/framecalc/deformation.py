@@ -10,6 +10,12 @@ which gives unique solvability of the lifting equations.
 Two independent routes are kept side by side: the theta/descent iteration and
 the direct linear solve; the tests play them against each other.
 
+Kernel values add coordinatewise in their value coordinates (the Witt carry
+of two lies in m^2 or J^2, which is 0), and a single-entry direction w E_ij
+reaches one row and one column.  So the images of unit directions under the
+linearized action, the orthogonality condition and conjugation by a
+stabilizer are built from that row and column, term by term.
+
 `base_change` is base change of displays along a frame morphism: its S0-map
 on every entry of the structure matrix.  A lift along a thickening is base
 change along `th.lift0`, a reduction along `th.eps0`, and a projection to the
@@ -222,15 +228,17 @@ class WittKernelCoords:
             raise ValueError(kind)
         self.value_basis = [(c, mo) for c, monos in enumerate(comp_monos)
                             for mo in monos]
-        # (component, coordinate position) -> value coordinate
-        self._value_pos = {(c, ring.coord_index(mo)): k
+        # flat Witt index c * dim + i (component c, coordinate i) -> value
+        self._value_pos = {c * ring.dim + ring.coord_index(mo): k
                            for k, (c, mo) in enumerate(self.value_basis)}
+        # the Witt vector of each value coordinate's unit
+        self.value_units = [self._witt_unit(c, mo) for c, mo in self.value_basis]
         n = len(self.mu)
         self.slots = []
         for i in range(n):
             for j in range(n):
                 d = self.mu[j] - self.mu[i]
-                payloads = [self._witt_unit(c, mo) for c, mo in self.value_basis]
+                payloads = self.value_units
                 if kind == "zip" and d >= 1:
                     # P of the relative frame is pairs (a, x) with x in J
                     payloads = ([(w, ring.zero()) for w in payloads]
@@ -271,21 +279,20 @@ class WittKernelCoords:
                 out.entries[i][j] = out.entries[i][j] + acc
         return out
 
+    def encode_value(self, e):
+        """A kernel value of S0 -> its value coordinates."""
+        v = [0] * len(self.value_basis)
+        for i, c in enumerate(e.coeffs):
+            if c:
+                pos = self._value_pos.get(i)
+                if pos is None:
+                    raise ValueError("value outside the kernel space")
+                v[pos] = c
+        return v
+
     def encode_value_matrix(self, M):
         """Matrix over S0 with kernel entries -> flat coordinate vector."""
-        out = []
-        for row in M:
-            for e in row:
-                v = [0] * len(self.value_basis)
-                for c_idx, comp in enumerate(e.comps):
-                    for i, c in enumerate(comp.coeffs):
-                        if c:
-                            pos = self._value_pos.get((c_idx, i))
-                            if pos is None:
-                                raise ValueError("value outside the kernel space")
-                            v[pos] = c
-                out.extend(v)
-        return out
+        return [c for row in M for e in row for c in self.encode_value(e)]
 
     def single_entries(self):
         """(i, j, sigma, tau) per global coordinate index: the slot of the
@@ -337,37 +344,38 @@ def kernel_basis(coords, orth=False):
     return [[int(i == k) for i in range(coords.dim)] for k in range(coords.dim)]
 
 
+def _add_values(coords, col, c, terms):
+    """col += c times the value coordinates of the kernel value e in block b,
+    for (b, e) in terms; col is a flat int list, not reduced mod p."""
+    nv = len(coords.value_basis)
+    for b, e in terms:
+        for k, x in enumerate(coords.encode_value(e), b * nv):
+            col[k] += c * x
+
+
 def _linear_columns(coords, left_phi, right_phi, basis_vectors):
     """Columns of zeta -> left sigma(zeta) - tau(zeta) right, in value coords.
 
-    A single-entry zeta in slot (i, j) with sigma s and tau t contributes
-    (column i of left) s to column j and t (row j of right) to row i.  The
-    value coordinates are additive on kernel values, so the column of a
-    basis vector is the mod-p combination of its single-entry columns.
+    A single-entry zeta in slot (i, j) with sigma s and tau t is rank one:
+    its image is (column i of left) s in column j minus t (row j of right)
+    in row i, 2n - 1 of the n^2 blocks.  Value coordinates are additive on
+    kernel values, so each term is encoded alone and the column of a basis
+    vector is the mod-p combination of its terms' encodings.
     """
     p = coords.p
     n = len(coords.mu)
-    zero = coords.frame.s0.zero()
     entries = coords.single_entries()
-    width = n * n * len(coords.value_basis)
-    singles = {}
     cols = []
     for bv in basis_vectors:
-        col = [0] * width
+        col = [0] * (n * n * len(coords.value_basis))
         for idx, c in enumerate(bv):
-            c %= p
-            if not c:
-                continue
-            single = singles.get(idx)
-            if single is None:
+            if c % p:
                 i, j, sig, tau = entries[idx]
-                val = [[zero] * n for _ in range(n)]
-                for r in range(n):
-                    val[r][j] = left_phi[r][i] * sig
-                val[i] = [v - tau * w for v, w in zip(val[i], right_phi[j])]
-                single = singles[idx] = coords.encode_value_matrix(val)
-            col = [(a + c * b) % p for a, b in zip(col, single)]
-        cols.append(col)
+                _add_values(coords, col, c, [(r * n + j, left_phi[r][i] * sig)
+                                             for r in range(n)])
+                _add_values(coords, col, -c, [(i * n + k, tau * right_phi[j][k])
+                                              for k in range(n)])
+        cols.append([x % p for x in col])
     return cols
 
 
@@ -439,12 +447,16 @@ def enumerate_hodge_deformations(th, d, orth=False):
     emitted as displays over the Witt frame of B.  sigma of each lift matrix
     is the identity, so the action deforms only through tau and the result
     still reduces to d."""
-    relframe = th.source
+    return _hodge_deformations(_base_lift(th, d, orth), orth)
+
+
+def _hodge_deformations(dhat, orth):
+    """enumerate_hodge_deformations from the lift dhat of d."""
+    relframe = dhat.frame
     out_frame = WittFrame(relframe.ext.B, relframe.m)
-    dhat = _base_lift(th, d, orth)
     out = []
-    for params in hodge_lift_parameters(relframe, d.mu, orth=orth):
-        y = dhat.act(hodge_lift_matrix(relframe, d.mu, params, orth=orth))
+    for params in hodge_lift_parameters(relframe, dhat.mu, orth=orth):
+        y = dhat.act(hodge_lift_matrix(relframe, dhat.mu, params, orth=orth))
         out.append(type(y)(out_frame, y.mu, y.phi, check=False))
     return out
 
@@ -452,22 +464,6 @@ def enumerate_hodge_deformations(th, d, orth=False):
 # ---------------------------------------------------------------------------
 # Fiber classification (complete, by the coset argument)
 # ---------------------------------------------------------------------------
-
-def _unit_directions(coords):
-    """The kernel matrices with one entry a J-supported unit Witt vector,
-    in the order of coords' value coordinates: unit k encodes to the k-th
-    unit vector of the "jsupp" coordinate space."""
-    s0 = coords.frame.s0
-    n = len(coords.mu)
-    units = []
-    for i in range(n):
-        for j in range(n):
-            for c, mo in coords.value_basis:
-                K = linalg.zeros(s0, n, n)
-                K[i][j] = coords._witt_unit(c, mo)
-                units.append(K)
-    return units
-
 
 def fiber_direction_basis(coords, orth_base=None):
     """Basis of the space of kernel matrices K with base + K in the fiber,
@@ -477,19 +473,35 @@ def fiber_direction_basis(coords, orth_base=None):
     Every kernel matrix is a direction of the plain fiber.  For the
     orthogonal fiber (orth_base = the lifted Phi), K is cut out by the
     linear condition K^t J Phi + Phi^t J K = 0 (the quadratic term vanishes
-    on kernel entries).
+    on kernel entries).  For a unit direction K = w E_ij it is rank one:
+    w (row i of J Phi) in row j plus w (column i of Phi^t J) in column j.
     """
-    width = len(coords.mu) ** 2 * len(coords.value_basis)
+    n = len(coords.mu)
+    width = n * n * len(coords.value_basis)
     if orth_base is None:
         return [[int(k == i) for k in range(width)] for i in range(width)]
     s0 = coords.frame.s0
-
-    def cond(K):
-        return linalg.mat_add(plain_gram(s0, K, orth_base), plain_gram(s0, orth_base, K))
-
-    # the condition in the J-supported value coordinates
-    cols = [coords.encode_value_matrix(cond(K)) for K in _unit_directions(coords)]
+    I = linalg.identity(s0, n)
+    j_phi, phi_j = plain_gram(s0, I, orth_base), plain_gram(s0, orth_base, I)
+    cols = []
+    for i, j, w in itertools.product(range(n), range(n), coords.value_units):
+        col = [0] * width
+        _add_values(coords, col, 1, [(j * n + k, w * j_phi[i][k]) for k in range(n)]
+                    + [(r * n + j, phi_j[r][i] * w) for r in range(n)])
+        cols.append(col)
     return linalg.kernel_modp(coords.p, cols)
+
+
+def _conjugation_columns(coords, tau_inv, sig):
+    """Columns of K -> tau_inv K sig on the unit directions K = w E_ij of
+    coords: the outer product of column i of tau_inv and w (row j of sig)."""
+    n = len(coords.mu)
+    cols = []
+    for i, j, w in itertools.product(range(n), range(n), coords.value_units):
+        row = [w * x for x in sig[j]]
+        cols.append(coords.encode_value_matrix([[t[i] * y for y in row]
+                                                for t in tau_inv]))
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +690,8 @@ def classify_witt_fiber(th, d, orth=False):
     p = frame_a.p
     mu = d.mu
     frame_b = WittFrame(B, frame_a.m)
-    phi = _base_lift(th, d, orth).phi
+    dhat = _base_lift(th, d, orth)
+    phi = dhat.phi
     coords = WittKernelCoords(frame_b, mu, "jsupp", ext=ext)
     # V = image of zeta -> Phi sigma(zeta) - tau(zeta) Phi; the same
     # subspace for every fiber member because kernel products vanish
@@ -702,7 +715,7 @@ def classify_witt_fiber(th, d, orth=False):
         twice = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
         raise VerificationError(f"coset representatives collided: label {twice}")
     # Hodge deformations and their labels
-    deform = enumerate_hodge_deformations(th, d, orth=orth)
+    deform = _hodge_deformations(dhat, orth)
     hodge_labels = []
     for dd in deform:
         vec = coords.encode_value_matrix(linalg.mat_sub(dd.phi, phi))
@@ -719,18 +732,12 @@ def classify_witt_fiber(th, d, orth=False):
     coords_res = WittKernelCoords(frame_a, mu, "resfield")
     stabs = stabilizer_lifts(d, pairs_a, coords_res, orth=orth)
     # induced linear maps on the J-supported value space
-    sb = frame_b.s0
-    units = _unit_directions(coords)
     maps = []
     for s in stabs:
         s_b = GradedMatrix.from_payloads(
             frame_b, mu, [[th.lift0(x) for x in row] for row in s.payload_grid()])
-        tau_inv = linalg.mat_inverse(sb, s_b.tau())
-        sig = s_b.sigma()
-        mcols = []
-        for K in units:
-            img = linalg.mat_mul(sb, tau_inv, linalg.mat_mul(sb, K, sig))
-            mcols.append(coords.encode_value_matrix(img))
+        mcols = _conjugation_columns(
+            coords, linalg.mat_inverse(frame_b.s0, s_b.tau()), s_b.sigma())
         # sanity: conjugation preserves V
         if any(linalg.combine_modp(p, mcols, c, width) not in vspan for c in cols):
             raise VerificationError(f"stabilizer did not preserve the kernel image: s = {s!r}")

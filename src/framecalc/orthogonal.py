@@ -244,7 +244,7 @@ def levi_element(frame, mu, a, a_inv, H):
 def orth_group_factors(frame, mu):
     """All of the orthogonal display group for mu = (1, 0, 0, -1), as
     ((a, H, xm, xp), g) with g = l u- u+: the Levi factor diag(a, H, a^-1)
-    (H in O_2), then exp_minus_orth(xm) and exp_plus_orth(xp).
+    (H in O_2), then exp_minus_orth(xm) and exp_plus_orth(xp) (built once).
 
     The factorization is unique; that is checked by deduplication on the
     payload coordinates of g, read as one integer in base p, so by value
@@ -255,14 +255,16 @@ def orth_group_factors(frame, mu):
     s0 = frame.s0
     p_all = list(frame.p_elements())
     s_all = list(s0.elements())
+    ups = [(xp, exp_plus_orth(frame, mu, list(xp)))
+           for xp in itertools.product(p_all, repeat=2)]
     seen = set()
     for a in (u for u in s_all if u.is_unit()):
         for H in o2_elements(s0):
             l = levi_element(frame, mu, a, a.invert(), H)
             for xm in itertools.product(s_all, repeat=2):
                 lum = l * exp_minus_orth(frame, mu, list(xm))
-                for xp in itertools.product(p_all, repeat=2):
-                    g = lum * exp_plus_orth(frame, mu, list(xp))
+                for xp, up in ups:
+                    g = lum * up
                     key = 0
                     for c in itertools.chain.from_iterable(
                             e.payload.coeffs for row in g.entries for e in row):

@@ -176,7 +176,7 @@ class WittRing:
         return self.ring.to_residue(x.comp(0))
 
     def lift_residue(self, c):
-        return self.el([self.ring.lift_residue(c)] + [0] * (self.m - 1))
+        return self.teichmuller(self.ring.lift_residue(c))
 
     # -- core arithmetic -------------------------------------------------------
 

@@ -154,6 +154,22 @@ def test_hodge_deformations_reduce_and_are_distinct():
     assert len(seen) == 3
 
 
+def _unit_directions(coords):
+    """The kernel matrices with one entry a J-supported unit Witt vector,
+    in the order of coords' value coordinates, as dense matrices: unit k
+    encodes to the k-th unit vector of the "jsupp" coordinate space."""
+    s0 = coords.frame.s0
+    n = len(coords.mu)
+    units = []
+    for i in range(n):
+        for j in range(n):
+            for c, mo in coords.value_basis:
+                K = linalg.zeros(s0, n, n)
+                K[i][j] = coords._witt_unit(c, mo)
+                units.append(K)
+    return units
+
+
 @pytest.mark.parametrize("fixture", [gl2_fixture, k3_fixture], ids=["gl2", "k3"])
 def test_fiber_directions_are_jsupp_coordinate_vectors(fixture):
     th, d = fixture()
@@ -161,7 +177,7 @@ def test_fiber_directions_are_jsupp_coordinate_vectors(fixture):
     frame_b = WittFrame(ext.B, 2)
     s0 = frame_b.s0
     coords = WittKernelCoords(frame_b, d.mu, "jsupp", ext=ext)
-    units = deformation._unit_directions(coords)
+    units = _unit_directions(coords)
     # the unit kernel matrices encode to the unit vectors, in order
     assert len(units) == 2 * d.n ** 2
     assert [coords.encode_value_matrix(K) for K in units] == fiber_direction_basis(coords)
@@ -411,13 +427,15 @@ def test_stabilizer_lifts_match_eager_search():
 
 
 def _count_calls(monkeypatch, name):
-    """Count the calls of deformation.<name> from here on."""
+    """(args, kwargs, result) of every call of deformation.<name> that
+    returns, from here on."""
     calls = []
     real = getattr(deformation, name)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
     monkeypatch.setattr(deformation, name, counted)
     return calls
 
@@ -593,3 +611,165 @@ def test_deformation_orthogonality_check_fires(monkeypatch):
     monkeypatch.setattr(deformation, "exp_plus_orth", doubled)
     with pytest.raises(VerificationError, match="deformation lost orthogonality: phi = "):
         k3_deform(th, d)
+
+
+def test_fiber_classification_lifts_the_base_once(monkeypatch, nonfield_k3):
+    # one lift_orth_display per classification: the fiber's base point and
+    # the Hodge deformations share it
+    lifts = _count_calls(monkeypatch, "lift_orth_display")
+    for k, (th, d) in enumerate([k3_fixture(), nonfield_k3], 1):
+        assert classify_witt_fiber(th, d, orth=True)["passed"]
+        assert len(lifts) == k
+
+
+# ---------------------------------------------------------------------------
+# Rank-one images against the dense formulas
+# ---------------------------------------------------------------------------
+
+CLASSIFIER_INPUTS = ["gl2", "k3", "nonfield-gl2", "nonfield-k3"]
+
+
+def _classifier_input(name):
+    """(thickening, display over W_2(A), orth) for a fixture or for the
+    base that is not a field."""
+    fixture = k3_fixture if name.endswith("k3") else gl2_fixture
+    orth = fixture is k3_fixture
+    if name.startswith("nonfield"):
+        th, d = _nonfield_thickening(OrthDisplay if orth else Display, fixture)
+    else:
+        th, d = fixture()
+    return th, d, orth
+
+
+@pytest.mark.parametrize("name", CLASSIFIER_INPUTS)
+def test_classifier_images_match_dense_formulas(monkeypatch, name):
+    # every rank-one image the classifier builds, against the dense products
+    # over the unit kernel matrices and the decoded basis vectors
+    th, d, orth = _classifier_input(name)
+    columns = _count_calls(monkeypatch, "_linear_columns")
+    conjugations = _count_calls(monkeypatch, "_conjugation_columns")
+    directions = _count_calls(monkeypatch, "fiber_direction_basis")
+    report = classify_witt_fiber(th, d, orth=orth)
+    assert report["passed"]
+    # the fiber's V first, then the stabilizer search's queries
+    assert columns[0][0][0].kind == "jsupp"
+    assert len(columns) > report["stab_components"]
+    for args, _, out in columns:
+        assert out == _dense_columns(*args)
+    assert len(conjugations) == report["stab_components"]
+    for (coords, tau_inv, sig), _, out in conjugations:
+        sb = coords.frame.s0
+        assert out == [coords.encode_value_matrix(
+            linalg.mat_mul(sb, tau_inv, linalg.mat_mul(sb, K, sig)))
+            for K in _unit_directions(coords)]
+    [((coords,), kwargs, out)] = directions
+    phi = kwargs["orth_base"]
+    if not orth:
+        assert phi is None
+        return
+    s0 = coords.frame.s0
+
+    def cond(K):
+        return linalg.mat_add(plain_gram(s0, K, phi), plain_gram(s0, phi, K))
+    dense = [coords.encode_value_matrix(cond(K)) for K in _unit_directions(coords)]
+    assert out == linalg.kernel_modp(coords.p, dense)
+
+
+@pytest.mark.parametrize("fixture", [gl2_fixture, k3_fixture], ids=["gl2", "k3"])
+def test_query_linear_columns_match_dense_formula(fixture):
+    # L = d1.act(ghat).phi over the whole transporter of an off-diagonal
+    # query, R = the target, on the basis the query solves over
+    th, d = fixture()
+    ext = th.ext
+    orth = fixture is k3_fixture
+    frame_b = WittFrame(ext.B, 2)
+    make = witt_orth_zip_lift_pairs if orth else witt_zip_lift_pairs
+    tower = make(frame_b, d.mu, ext.A, ext.section)
+    coords = WittKernelCoords(frame_b, d.mu, "resfield")
+    resmap = lambda w: ext.proj(w.comps[0])
+    d1, d2 = enumerate_hodge_deformations(th, d, orth=orth)[:2]
+    z1, z2 = (base_change(x, tower.frame, resmap, Display) for x in (d1, d2))
+    basis = kernel_basis(coords, orth)
+    ks = tower.transporter(z1, z2)
+    assert len(ks) == 6
+    for k in ks:
+        left = d1.act(tower[k][1]).phi
+        assert (_linear_columns(coords, left, d2.phi, basis)
+                == _dense_columns(coords, left, d2.phi, basis))
+
+
+@pytest.mark.parametrize("kind", ["resfield", "jsupp"])
+def test_encode_value_matches_the_component_route(kind):
+    # every element of W_2(B): the flat-index encoder against a reading of
+    # e.comps component by component; a unit is refused
+    th, d = k3_fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    coords = WittKernelCoords(frame_b, d.mu, kind, ext=ext)
+    pos = {(c, ext.B.coord_index(mo)): k for k, (c, mo) in enumerate(coords.value_basis)}
+    inside = 0
+    for e in frame_b.s0.elements():
+        hits = [((c, i), x) for c, comp in enumerate(e.comps)
+                for i, x in enumerate(comp.coeffs) if x]
+        if any(key not in pos for key, _ in hits):
+            with pytest.raises(ValueError, match="value outside the kernel space"):
+                coords.encode_value(e)
+            continue
+        inside += 1
+        v = [0] * len(coords.value_basis)
+        for key, x in hits:
+            v[pos[key]] = x
+        assert coords.encode_value(e) == v
+    assert inside == 3 ** len(coords.value_basis)
+    with pytest.raises(ValueError, match="value outside the kernel space"):
+        coords.encode_value(frame_b.s0.one())
+
+
+# ---------------------------------------------------------------------------
+# The classifier's and the tower search's checks fire
+# ---------------------------------------------------------------------------
+
+def test_tower_search_verification_fires(monkeypatch):
+    # the solver hands back the identity, so g = ghat, which does not carry
+    # d1 to d2 on an off-diagonal query
+    th, d = k3_fixture()
+    ext = th.ext
+    frame_b = WittFrame(ext.B, 2)
+    tower = witt_orth_zip_lift_pairs(frame_b, d.mu, ext.A, ext.section)
+    coords = WittKernelCoords(frame_b, d.mu, "resfield")
+    d1, d2 = k3_deform(th, d)[:2]
+    monkeypatch.setattr(deformation, "solve_identity_iso",
+                        lambda c, *args, **kwargs: GradedMatrix.identity(c.frame, c.mu))
+    with pytest.raises(VerificationError,
+                       match="linear solution failed exact verification: g = "):
+        is_isomorphic_witt(coords, tower, lambda w: ext.proj(w.comps[0]), d1, d2,
+                           orth=True)
+
+
+def test_kernel_action_check_fires(monkeypatch):
+    # the first column of V replaced by the unit vector e_0, which is not a
+    # direction of the orthogonal fiber
+    real = deformation._linear_columns
+
+    def first_unit(coords, *args):
+        cols = real(coords, *args)
+        return [[int(k == 0) for k in range(len(cols[0]))]] + cols[1:]
+    monkeypatch.setattr(deformation, "_linear_columns", first_unit)
+    th, d = k3_fixture()
+    with pytest.raises(VerificationError,
+                       match=r"kernel action left the fiber: column \[1, 0, 0,"):
+        classify_witt_fiber(th, d, orth=True)
+
+
+def test_stabilizer_check_fires(monkeypatch):
+    # the stabilizer search hands back the lift of a zip-level element
+    # outside the stabilizer of d
+    def outside(d, tower, coords_res, orth=False):
+        z0 = base_change(d, tower.frame, d.frame.s0.to_residue, Display)
+        inside = tower.transporter(z0, z0)
+        return [tower[next(k for k in range(len(tower)) if k not in inside)][1]]
+    monkeypatch.setattr(deformation, "stabilizer_lifts", outside)
+    th, d = k3_fixture()
+    with pytest.raises(VerificationError,
+                       match="stabilizer did not preserve the kernel image: s = "):
+        classify_witt_fiber(th, d, orth=True)

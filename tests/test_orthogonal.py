@@ -1,6 +1,8 @@
 """Split orthogonal structure: gram matrices, decomposition, normalization."""
 
+import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -278,6 +280,30 @@ def test_factorization_uniqueness_is_checked_by_value(monkeypatch):
     monkeypatch.setattr(GradedMatrix, "__hash__", lambda self: 0)
     found = [g for _, g in orth_group_factors(ZF3, K3MU)]
     assert len(found) == 648 and found == expected
+
+
+def test_orth_group_factors_build_each_upper_unipotent_once(monkeypatch):
+    # |P|^2 = 9 upper unipotents over F_3, one per xp, against one per
+    # element; the sequence of (params, payload coordinates) keeps its digest
+    calls = []
+    real = orthogonal.exp_plus_orth
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(orthogonal, "exp_plus_orth", counted)
+    digest = hashlib.sha256()
+    count = 0
+    for (a, H, xm, xp), g in orth_group_factors(ZF3, K3MU):
+        digest.update(json.dumps([
+            a.coeffs, [[h.coeffs for h in row] for row in H],
+            [x.coeffs for x in xm], [x.coeffs for x in xp],
+            [e.payload.coeffs for row in g.entries for e in row]]).encode())
+        count += 1
+    assert count == 648
+    assert len(calls) == 9
+    assert digest.hexdigest() == (
+        "020c0fcd6e8dfb8ef8cc1e758a1f733685535a9caf266749b3df21674fa76c6c")
 
 
 def test_orth_group_elements_reject_non_k3_type():

@@ -48,6 +48,10 @@
   predicate `linalg.is_invertible`, the preimage
   `deformation.tau_inverse_kernel` and `wittpoly._invert_ghost`, which
   solves the ghost map over Z.
+- One value encoder: inside the package only
+  `WittKernelCoords.encode_value` maps Witt coordinates to value
+  coordinates: it alone reads the map `_value_pos` from flat Witt index to
+  value coordinate, which only `WittKernelCoords.__init__` assigns.
 - One base change: inside the package only `deformation.base_change`
   applies a call to every entry of a structure matrix (a nested list
   comprehension whose outer loop runs over some `X.phi`); every lift,
@@ -329,6 +333,17 @@ def test_every_inverse_goes_through_mat_inverse():
                      ("linalg", "is_invertible"),
                      ("deformation", "tau_inverse_kernel"),
                      ("wittpoly", "_invert_ghost")}
+
+
+def test_only_encode_value_maps_witt_to_value_coordinates():
+    refs = _scoped_references("_value_pos")
+    scopes = {(mod, scope) for mod, scope, _ in refs}
+    assert scopes == {("deformation.py", "WittKernelCoords.__init__"),
+                      ("deformation.py", "WittKernelCoords.encode_value")}, sorted(scopes)
+    for _, scope, stmt in refs:
+        if scope.endswith("__init__"):
+            assert isinstance(stmt, ast.Assign), ast.unparse(stmt)
+            assert [ast.unparse(t) for t in stmt.targets] == ["self._value_pos"]
 
 
 def _maps_every_entry_of_phi(node):

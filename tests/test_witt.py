@@ -82,6 +82,17 @@ def test_teichmuller_is_multiplicative():
             assert lhs == teichmuller(a * b, 3)
 
 
+@pytest.mark.parametrize("ring,m", [(dual_numbers(3), 2), (extension_field(3, 2), 3)],
+                         ids=["W2(F3[e]/e2)", "W3(F9)"])
+def test_lift_residue_is_the_teichmuller_lift_of_the_ring_lift(ring, m):
+    wr = WittRing(ring, m)
+    for c in wr.residue_field.elements():
+        lifted = wr.lift_residue(c)
+        assert lifted == wr.el([ring.lift_residue(c)] + [0] * (m - 1))
+        assert lifted == wr.teichmuller(ring.lift_residue(c))
+        assert wr.to_residue(lifted) == c
+
+
 def test_verschiebung_is_additive():
     wr = WittRing(prime_field(3), 2)
     for x in wr.elements():
