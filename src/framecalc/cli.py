@@ -31,8 +31,8 @@ from .displays import (classify_fzips, classify_orbits, dual, from_fzip,
                        in_display_group, is_isomorphic_bruteforce, tensor,
                        to_fzip, twist, unit_display)
 from .orthogonal import (GramNotSplit, OrthDisplay, classify_orth_orbits,
-                         decompose, form_transform, is_self_dual_type,
-                         normalize_gram, standard_gram, verify_orth)
+                         decompose, is_self_dual_type, normalize_gram,
+                         verify_orth)
 from .deformation import (base_change, hodge_lift_parameters, k3_deform,
                           lift_orth_display)
 from . import fixtures
@@ -284,14 +284,13 @@ def cmd_ortho(args):
     ok = True
     for B in grams:
         try:
+            # raises unless A^t B A is the split form exactly
             A = normalize_gram(B)
         except GramNotSplit as exc:
             results.append({"split": False, "witness": str(exc)})
             ok = False
             continue
-        good = form_transform(B, A) == standard_gram(frame, mu)
-        ok = ok and good
-        results.append({"split": True, "verified": good,
+        results.append({"split": True, "verified": True,
                         "basis_change": serialize.graded_to_dict(A)})
     return {"results": results, "count": len(grams), "passed": ok}
 
@@ -357,19 +356,18 @@ def cmd_deform(args):
                 "passed": len(params) == expected}
     if not selfdual:
         raise InputError("deform k3 requires a self-dual display")
+    # raises unless every deformation is orthogonal and reduces to d
     deformations = k3_deform(th, d)
     transcript = []
     seen = set()
     ok = True
     for dd in deformations:
-        orth = verify_orth(dd)
-        red = linalg.mat_eq(base_change(dd, th.target, th.eps0).phi, d.phi)
         key = json.dumps(serialize.matrix_to_json(dd.frame, dd.phi),
                          sort_keys=True)
         fresh = key not in seen
         seen.add(key)
-        ok = ok and orth and red and fresh
-        transcript.append({"orthogonal": orth, "reduces": red,
+        ok = ok and fresh
+        transcript.append({"orthogonal": True, "reduces": True,
                            "distinct": fresh})
     expected = th.source.ext.j_size ** (d.n - 2)
     return {
@@ -428,12 +426,10 @@ def cmd_selftest(args):
     checks["orbit_count_F2"] = (len(orbits) == 2 == len(zips))
 
     wf = WittFrame(F3, 2)
-    ok = True
     for _ in range(10):
-        g = fixtures.rand_group_element(wf, (1, 0), rng)
-        q, u = decompose(g)
-        ok = ok and (q * u == g)
-    checks["decompose_random"] = ok
+        # raises unless q u recomposes g
+        decompose(fixtures.rand_group_element(wf, (1, 0), rng))
+    checks["decompose_random"] = True
 
     return {"checks": checks, "passed": all(checks.values())}
 

@@ -117,10 +117,8 @@ class GradedElem:
         if self.degree >= 1:
             return fr.sigmadot(self.payload)
         out = fr.sigma0(self.payload)
-        if self.degree < 0:
-            p_elem = fr.p_int()
-            for _ in range(-self.degree):
-                out = p_elem * out
+        for _ in range(-self.degree):
+            out = fr.p_elem * out
         return out
 
     def tau(self):

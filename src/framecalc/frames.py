@@ -35,7 +35,8 @@ class Frame:
     """A frame (S0, P, t1, tP, nu, act, sigma0, sigmadot) with reduction to R.
 
     An instance carries s0 (ring-like: el, zero, one, elements, size),
-    r_ring (the quotient R = S0/t1(P)) and p, and implements
+    r_ring (the quotient R = S0/t1(P)), p and p_elem (p in S0, built once
+    in the constructor), and implements
     - the P-module: p_zero, p_add, p_neg, p_sub, p_is_zero, p_elements and
       its size p_size;
     - the structure maps t1: P -> S0, tP: P -> P, nu: P x P -> P,
@@ -101,10 +102,6 @@ class Frame:
     def sigmadot(self, x):
         return x
 
-    def p_int(self):
-        """The element p of S0."""
-        return self.s0.from_int(self.p)
-
     def __repr__(self):
         return f"<{self.kind} frame over {self.s0!r}>"
 
@@ -120,13 +117,13 @@ class WittFrame(Frame):
         self.s0 = WittRing(ring, m)
         self.r_ring = ring
         self.p = ring.p
-        self._p_elem = self.s0.from_int(self.p)
+        self.p_elem = self.s0.from_int(self.p)
 
     def t1(self, x):
         return verschiebung_trunc(x)
 
     def tP(self, x):
-        return self._p_elem * x
+        return self.p_elem * x
 
     def sigma0(self, s):
         return frobenius_fixed(s)
@@ -146,6 +143,7 @@ class ZipFrame(Frame):
         self.s0 = ring
         self.r_ring = ring
         self.p = ring.p
+        self.p_elem = ring.from_int(self.p)
 
     def t1(self, x):
         return self.ring.zero()
@@ -183,7 +181,7 @@ class RelativeFrame(Frame):
         self.s0 = WittRing(ext.B, m)
         self.r_ring = ext.A
         self.p = ext.B.p
-        self._p_elem = self.s0.from_int(self.p)
+        self.p_elem = self.s0.from_int(self.p)
 
     def p_zero(self):
         return (self.s0.zero(), self.ext.B.zero())
@@ -215,7 +213,7 @@ class RelativeFrame(Frame):
 
     def tP(self, x):
         a, j = x
-        return (self._p_elem * a, j)
+        return (self.p_elem * a, j)
 
     def nu(self, x, y):
         return (x[0] * y[0], self.ext.B.zero())
@@ -283,7 +281,7 @@ def frame_axiom_check(frame, budget=20000, seed=0):
     else:
         s0_sample, p_sample = draw(s0_all), draw(p_all)
     checks = 0
-    p_elem = frame.p_int()
+    p_elem = frame.p_elem
     t1, tP, nu, act = frame.t1, frame.tP, frame.nu, frame.act
     sigma0, sigmadot = frame.sigma0, frame.sigmadot
 
@@ -501,7 +499,7 @@ class Thickening:
         src = self.source
         failures = check_frame_map(src, self.target, self.eps0)["failures"]
         # kernel identities, exhaustive (K0 is tiny)
-        p_elem = src.p_int()
+        p_elem = src.p_elem
         for k in self.k0_elements():
             if src.sigma0(k) != p_elem * self.sdotK(k):
                 failures.append(("p*sdot=sigma0|K0", repr(k)))

@@ -11,7 +11,9 @@ orthogonal lift of a display and the Newton step of Gram normalization
 share, the big-cell decomposition g = q u (parabolic times unipotent,
 u = I + sum X_b read off the clearing steps), minuscule exponentials for
 the positive and negative unipotent parts (one builder, the negative one
-filling the transposed places), and perturbative Gram normalization.
+filling the transposed places), and perturbative Gram normalization,
+which reads every form value off `form_transform` C^t B C on the columns C
+it works on and updates columns by one graded product each.
 """
 
 from __future__ import annotations
@@ -289,23 +291,6 @@ class GramNotSplit(ValueError):
     pass
 
 
-def _form_value(B, x, y):
-    """B(x, y) = x^t B y for a Gram form B (rows of weight -mu, columns of
-    weight mu) and columns x, y of a basis change (lists of graded entries)."""
-    mu = B.mu_col
-    X, Y = (GradedMatrix(B.frame, mu, (v[0].degree + mu[0],), [[e] for e in v])
-            for v in (x, y))
-    return (X.transpose() * B * Y).entries[0][0]
-
-
-def _form_values(B, cols):
-    """All B(x, y) for x, y in `cols` in two products: C^t B C, C = cols."""
-    mu = B.mu_col
-    weights = [v[0].degree + mu[0] for v in cols]
-    C = GradedMatrix(B.frame, mu, weights, list(zip(*cols)))
-    return (C.transpose() * B * C).entries
-
-
 def normalize_gram(B):
     """A basis change A with A^t B A = J, for B a perturbation of J.
 
@@ -313,6 +298,11 @@ def normalize_gram(B):
     nilpotent fixed-point iteration, using that 2 is a unit), the middle
     weight-0 block is centered by a Newton step; each iteration gives up
     after 64 steps, and everything is verified exactly at the end.
+
+    Every form value read is an entry of `form_transform` on the columns
+    worked on, and every update of columns is one graded product of those
+    columns with a small graded matrix: both are bilinear, so each value is
+    exactly the one a per-pair evaluation B(x, y) gives.
     """
     frame = B.frame
     mu = B.mu_col
@@ -323,65 +313,62 @@ def normalize_gram(B):
     one = GradedElem(frame, 0, frame.s0.one())
     A = GradedMatrix.identity(frame, mu)
 
-    def col(j):
-        return [A.entries[i][j] for i in range(n)]
+    def columns(js):
+        return GradedMatrix(frame, mu, [mu[j] for j in js],
+                            [[row[j] for j in js] for row in A.entries])
 
-    def set_col(j, v):
-        for i in range(n):
-            A.entries[i][j] = v[i]
+    def gram(js):
+        return form_transform(B, columns(js)).entries
 
-    def scale(s, v):
-        return [s * e for e in v]
-
-    def sub(v, w):
-        return [a - b for a, b in zip(v, w)]
+    def recombine(src, dst, T):
+        """Columns dst of A become (columns src of A) T."""
+        for row, new in zip(A.entries, (columns(src) * T).entries):
+            for j, e in zip(dst, new):
+                row[j] = e
 
     t = 0
     while t < n - 1 - t and mu[t] > 0:
-        v, w = col(t), col(n - 1 - t)
+        pair = [t, n - 1 - t]
+        weights = [mu[j] for j in pair]
+        G = gram(pair)
         for _ in range(64):
-            bvw = _form_value(B, v, w)
+            (cv, bvw), (_, cw) = G
             if not bvw.payload.is_unit():
                 raise GramNotSplit("hyperbolic pairing is not a unit")
-            w = scale(GradedElem(frame, 0, bvw.payload.invert()), w)
-            cw = _form_value(B, w, w)
-            w = sub(w, scale(half_g * cw, v))
-            cv = _form_value(B, v, v)
-            v = sub(v, scale(half_g * cv, w))
-            G = _form_values(B, [v, w])
+            # w <- w / b - (c_w / 2) v with c_w = B(w / b, w / b) = B(w, w) / b^2,
+            # then v <- v - (c_v / 2) w with c_v = B(v, v): one product [v w] T
+            b_inv = GradedElem(frame, 0, bvw.payload.invert())
+            hw = half_g * cw * b_inv * b_inv
+            hv = half_g * cv
+            recombine(pair, pair, GradedMatrix(frame, weights, weights, [
+                [one + hv * hw, -hw], [-(hv * b_inv), b_inv]]))
+            G = gram(pair)
             if G[0][0].is_zero() and G[1][1].is_zero() and G[0][1] == one:
                 break
         else:
             raise GramNotSplit("isotropic iteration did not converge")
-        set_col(t, v)
-        set_col(n - 1 - t, w)
-        for j in range(t + 1, n - 1 - t):
-            u = col(j)
-            u = sub(u, scale(_form_value(B, u, w), v))
-            u = sub(u, scale(_form_value(B, u, v), w))
-            set_col(j, u)
+        inner = list(range(t + 1, n - 1 - t))
+        if inner:
+            # u <- u - B(u, w) v - B(u, v) w for each inner column u: with
+            # B(v, v) = 0, subtracting B(u, w) v first leaves B(u, v) as it is
+            rows = gram(pair + inner)[2:]
+            w_in = [mu[j] for j in inner]
+            recombine(pair + inner, inner, GradedMatrix(
+                frame, weights + w_in, w_in,
+                [[-g[1] for g in rows], [-g[0] for g in rows]]
+                + GradedMatrix.identity(frame, w_in).entries))
         t += 1
     mids = [j for j in range(n) if mu[j] == 0]
     if mids:
         s0 = frame.s0
         J0 = standard_J(s0, len(mids))
         for _ in range(64):
-            M = [[e.payload for e in row]
-                 for row in _form_values(B, [col(j) for j in mids])]
-            C = linalg.mat_sub(M, J0)
+            C = linalg.mat_sub([[e.payload for e in row] for row in gram(mids)], J0)
             if all(e.is_zero() for row in C for e in row):
                 break
             # T = I - J0 C / 2, a Newton step: quadratic convergence
-            T = orth_correction(s0, C)
-            newcols = []
-            for b in range(len(mids)):
-                acc = [GradedElem.zero(frame, mu[mids[b]] - mu[i]) for i in range(n)]
-                for a in range(len(mids)):
-                    acc = [x + GradedElem(frame, 0, T[a][b]) * y
-                           for x, y in zip(acc, col(mids[a]))]
-                newcols.append(acc)
-            for b, j in enumerate(mids):
-                set_col(j, newcols[b])
+            recombine(mids, mids, GradedMatrix.from_payloads(
+                frame, [0] * len(mids), orth_correction(s0, C)))
         else:
             raise GramNotSplit("middle-block centering did not converge")
     if form_transform(B, A) != standard_gram(frame, mu):

@@ -15,7 +15,7 @@ import json
 from .rings import ArtinRing, Field, SquareZeroExtension
 from .witt import WittRing
 from .frames import (RelativeFrame, TautologicalFrame, WittFrame, ZipFrame)
-from .displays import Display
+from .displays import Display, FZip, GradedElem, GradedMatrix
 from .orthogonal import OrthDisplay
 
 
@@ -231,7 +231,6 @@ def graded_to_dict(A):
 def graded_from_dict(frame, desc, mu=None, mu_row=None):
     """The descriptor's "mu" and "mu_row" override the arguments; the row
     weights default to mu.  Entry (i, j) has degree mu[j] - mu_row[i]."""
-    from .displays import GradedElem, GradedMatrix
     grid = require(desc, "grid", "graded matrix descriptor")
     if "mu" in desc:
         mu = int_tuple(desc["mu"], "graded matrix 'mu'")
@@ -271,7 +270,6 @@ def fzip_to_dict(z):
 
 
 def fzip_from_dict(desc):
-    from .displays import FZip
     what = "F-zip descriptor"
     require(desc, "alpha", what)
     ring = ring_from_dict(require(desc, "ring", what))

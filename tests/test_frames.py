@@ -35,7 +35,7 @@ def test_declared_structure_facts_hold(frame):
         for x in ps:
             assert frame.t1(x).is_zero() and frame.p_is_zero(frame.tP(x))
     if frame.p_is_s0:
-        p_elem = frame.p_int()
+        p_elem = frame.p_elem
         # P is S0, or P = 0 is the zero of S0 (the tautological frame)
         assert set(ps) == set(s0s) if frame.has_p_module else ps == [frame.s0.zero()]
         for x in ps:

@@ -8,13 +8,12 @@ import sys
 
 import pytest
 
-from framecalc import linalg, orthogonal
+from framecalc import linalg, orthogonal, serialize
 from framecalc.rings import (VerificationError, dual_number_extension,
                              dual_numbers, extension_field, prime_field)
 from framecalc.frames import RelativeFrame, WittFrame, ZipFrame
 from framecalc.displays import GradedElem, GradedMatrix
-from framecalc.orthogonal import (GramNotSplit, OrthDisplay, _form_value,
-                                  _form_values, decompose,
+from framecalc.orthogonal import (GramNotSplit, OrthDisplay, decompose,
                                   exp_minus_orth, exp_plus_orth,
                                   form_transform, is_orth_matrix,
                                   is_self_dual_type, levi_element,
@@ -179,34 +178,52 @@ def test_decompose_takes_at_most_five_products(monkeypatch):
     assert len(elements) == 648 and worst <= 5
 
 
-def test_normalize_gram_product_count(monkeypatch):
-    # rank 4: the convergence tests and the middle block take their Gram
-    # values two products at a time: 22 per call
+@pytest.mark.parametrize("mu, products", [((1, -1), 7), (K3MU, 15)])
+def test_normalize_gram_product_count(monkeypatch, mu, products):
+    # each Gram is two products and each column update one: per hyperbolic
+    # pair a Gram, an update and the convergence Gram; at rank 4 the
+    # Gram-Schmidt Gram and update, and the middle block's Gram, Newton
+    # update and Gram; then the final check, A^t B A == J
     rel = RelativeFrame(dual_number_extension(3), 2)
     rng = random.Random(42)
-    grams = [rand_gram_perturbation(rel, K3MU, rng) for _ in range(25)]
+    grams = [rand_gram_perturbation(rel, mu, rng) for _ in range(25)]
     calls = _count_products(monkeypatch)
     counts = []
     for B in grams:
         calls[0] = 0
         normalize_gram(B)
         counts.append(calls[0])
-    assert max(counts) <= 22
+    assert max(counts) <= products
 
 
-def test_form_values_is_the_per_pair_form_value():
+def _form_value(B, x, y):
+    """B(x, y) = x^t B y for a Gram form B (rows of weight -mu, columns of
+    weight mu) and columns x, y (lists of graded entries), one pair at a time."""
+    mu = B.mu_col
+    X, Y = (GradedMatrix(B.frame, mu, (v[0].degree + mu[0],), [[e] for e in v])
+            for v in (x, y))
+    return (X.transpose() * B * Y).entries[0][0]
+
+
+def _per_pair_gram(B, C):
+    """`form_transform(B, C)`, entry by entry through `_form_value`."""
+    cols = [[row[j] for row in C.entries] for j in range(len(C.mu_col))]
+    return GradedMatrix(B.frame, [-w for w in C.mu_col], C.mu_col,
+                        [[_form_value(B, x, y) for y in cols] for x in cols])
+
+
+def test_form_transform_on_columns_is_the_per_pair_form_value():
     rel = RelativeFrame(dual_number_extension(3), 2)
     rng = random.Random(9)
     for mu in [(1, -1), K3MU]:
         for _ in range(10):
             B = rand_gram_perturbation(rel, mu, rng)
             A = rand_group_element(rel, mu, rng)
-            cols = [[A.entries[i][j] for i in range(len(mu))]
-                    for j in range(len(mu))]
-            for pick in itertools.chain.from_iterable(
-                    itertools.combinations(cols, r) for r in (1, 2, len(mu))):
-                G = _form_values(B, list(pick))
-                assert G == [[_form_value(B, x, y) for y in pick] for x in pick]
+            for js in itertools.chain.from_iterable(
+                    itertools.combinations(range(len(mu)), r) for r in (1, 2, len(mu))):
+                C = GradedMatrix(rel, mu, [mu[j] for j in js],
+                                 [[row[j] for j in js] for row in A.entries])
+                assert form_transform(B, C) == _per_pair_gram(B, C)
 
 
 @pytest.mark.parametrize("mu", [(1, -1), K3MU])
@@ -215,9 +232,24 @@ def test_normalize_gram_matches_the_per_pair_route(monkeypatch, mu):
     rng = random.Random(11)
     grams = [rand_gram_perturbation(rel, mu, rng) for _ in range(25)]
     found = [normalize_gram(B) for B in grams]
-    monkeypatch.setattr(orthogonal, "_form_values", lambda B, cols: [
-        [_form_value(B, x, y) for y in cols] for x in cols])
+    monkeypatch.setattr(orthogonal, "form_transform", _per_pair_gram)
     assert [normalize_gram(B) for B in grams] == found
+
+
+@pytest.mark.parametrize("mu, digest", [
+    ((1, -1), "dbb28a228537f1abc0939f45e6119433774de5f7431c943e954a52df5990d6a5"),
+    (K3MU, "4bfefc3d11c2e398bf9120aa417b931bef71851c1dbe32becd54954baf1d41cc"),
+])
+def test_normalize_gram_basis_changes_keep_their_digest(mu, digest):
+    # the payload coordinates of the basis changes for 20 seeded grams,
+    # recorded from the per-pair route that evaluated each B(x, y) alone
+    rel = RelativeFrame(dual_number_extension(3), 2)
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for _ in range(20):
+        A = normalize_gram(rand_gram_perturbation(rel, mu, rng))
+        h.update(json.dumps(serialize.graded_to_dict(A)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_o2_and_levi_counts():
@@ -304,6 +336,17 @@ def test_orth_group_factors_build_each_upper_unipotent_once(monkeypatch):
     assert len(calls) == 9
     assert digest.hexdigest() == (
         "020c0fcd6e8dfb8ef8cc1e758a1f733685535a9caf266749b3df21674fa76c6c")
+
+
+def test_factorization_uniqueness_check_fires_on_a_faulty_unipotent(monkeypatch):
+    # an upper unipotent that ignores its payloads repeats every element
+    # of one Levi and lower-unipotent choice, which the check must catch
+    real = orthogonal.exp_plus_orth
+    zero = ZF3.p_zero()
+    monkeypatch.setattr(orthogonal, "exp_plus_orth",
+                        lambda frame, mu, xs: real(frame, mu, [zero] * len(xs)))
+    with pytest.raises(VerificationError, match="factorization is not unique: g = "):
+        list(orth_group_factors(ZF3, K3MU))
 
 
 def test_orth_group_elements_reject_non_k3_type():
